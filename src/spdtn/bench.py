@@ -35,8 +35,10 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import cache, partial
+from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -276,6 +278,17 @@ def _parse_opt(text: str) -> float | None:
     return float(text) if text else None
 
 
+def _angle_circuit(config: RunConfig, lattice: Lattice, word: PauliWord, theta: float):
+    """The circuit of one kick angle: light-cone pruned for ``spd`` and
+    ``exact`` (``run_tn`` prunes its own), and for ``spd`` recompiled."""
+    circuit = kicked_ising(lattice, config.steps, theta, config.extra_x_layer)
+    if config.method in ("spd", "exact") and config.lightcone:
+        circuit = lightcone_prune(circuit, word.support())
+    if config.method == "spd":
+        return recompile(circuit, word)
+    return circuit
+
+
 def run_point(
     config: RunConfig,
     lattice: Lattice,
@@ -283,28 +296,32 @@ def run_point(
     theta: float,
     param_name: str,
     param_value: float,
+    angle_circuit: Callable | None = None,
 ) -> ResultRow:
-    """Evaluate one (theta_h, parameter) point; failures land in flags."""
+    """Evaluate one (theta_h, parameter) point; failures land in flags.
+
+    ``angle_circuit()`` returns this angle's circuit (see
+    ``_angle_circuit``) when the caller shares it between points, as
+    ``sweep`` does with a cached call: the point that first calls it counts
+    the build in its ``wall_time_s``.  Without it the point builds its own.
+    """
     t0 = time.perf_counter()
     expectation = norm_psi = norm_o = norm_mix = None
     peak = 0
     flags: list[str] = []
+    if angle_circuit is None:
+        angle_circuit = partial(_angle_circuit, config, lattice, word, theta)
     try:
-        circuit = kicked_ising(lattice, config.steps, theta, config.extra_x_layer)
+        prepared = angle_circuit()
         if config.method == "spd":
-            if config.lightcone:
-                circuit = lightcone_prune(circuit, word.support())
-            res = run_spd(recompile(circuit, word), delta=param_value,
-                          max_terms=config.max_terms)
+            res = run_spd(prepared, delta=param_value, max_terms=config.max_terms)
             expectation, norm_o, peak = res.expectation, res.norm, res.peak_terms
         elif config.method == "exact":
-            if config.lightcone:
-                circuit = lightcone_prune(circuit, word.support())
-            expectation = statevector_expectation(circuit, word)
+            expectation = statevector_expectation(prepared, word)
             norm_psi = 1.0
         else:
             res = run_tn(
-                circuit,
+                prepared,
                 word,
                 config.method,
                 chi=int(param_value),
@@ -336,16 +353,29 @@ def run_point(
     )
 
 
+def _angle_rows(config, lattice, word, theta, params) -> Iterator[ResultRow]:
+    """Rows of the given parameters at one angle, in order, sharing the
+    angle's circuit; a build that fails is tried again by the next point,
+    so each point of the angle records the failure."""
+    shared = cache(partial(_angle_circuit, config, lattice, word, theta))
+    for name, val in params:
+        yield run_point(config, lattice, word, theta, name, val, shared)
+
+
 def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
     """Run every grid point, optionally writing CSV rows as they finish.
 
-    Points execute concurrently up to ``workers``, but rows emit in grid
-    order through a single writer, flushed per row, so a crash leaves a
-    valid prefix of the table.
+    The points of one angle run in order in one worker and share the
+    angle's circuit, built once (see ``_angle_circuit``); up to ``workers``
+    angles run concurrently.  Rows emit in grid order through a single
+    writer, flushed per row, so a crash leaves a valid prefix of the table.
     """
     lattice = config.build_lattice()
     word = parse_pauli(config.observable, lattice.n)
-    points = config.points()
+    angles = [
+        (theta, [(name, val) for _, name, val in group])
+        for theta, group in groupby(config.points(), key=lambda point: point[0])
+    ]
     handle = None
     writer = None
     if out is not None:
@@ -355,24 +385,27 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
         writer.writerow(CSV_COLUMNS)
         handle.flush()
     rows: list[ResultRow] = []
+
+    def emit(row: ResultRow) -> None:
+        rows.append(row)
+        if writer is not None:
+            writer.writerow(row.to_csv())
+            handle.flush()
+
     try:
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(run_point, config, lattice, word, t, name, val)
-                    for t, name, val in points
+                    pool.submit(list, _angle_rows(config, lattice, word, theta, params))
+                    for theta, params in angles
                 ]
                 for fut in futures:
-                    rows.append(fut.result())
-                    if writer is not None:
-                        writer.writerow(rows[-1].to_csv())
-                        handle.flush()
+                    for row in fut.result():
+                        emit(row)
         else:
-            for t, name, val in points:
-                rows.append(run_point(config, lattice, word, t, name, val))
-                if writer is not None:
-                    writer.writerow(rows[-1].to_csv())
-                    handle.flush()
+            for theta, params in angles:
+                for row in _angle_rows(config, lattice, word, theta, params):
+                    emit(row)
     finally:
         if handle is not None:
             handle.close()

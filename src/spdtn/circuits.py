@@ -301,25 +301,45 @@ def kicked_ising(
     return Circuit(lattice.n, tuple(layers))
 
 
+_Z_DIAGONAL = frozenset({"rz", "rzz", "z", "s", "sdg", "cz"})
+
+
+def _commuting(layer: Layer) -> bool:
+    """True when the layer's gates commute pairwise: they act on disjoint
+    qubits, or they are all diagonal in the Z basis."""
+    if all(g.name in _Z_DIAGONAL for g in layer.gates):
+        return True
+    qubits = [q for g in layer.gates for q in g.qubits]
+    return len(qubits) == len(set(qubits))
+
+
 def lightcone_prune(circuit: Circuit, support: Iterable[int]) -> Circuit:
     """Drop gates outside the reverse light cone of the given sites.
 
     Scans layers last-to-first, keeping a gate iff its qubits intersect the
-    growing cone.  Within one layer the scan repeats until the cone stops
-    growing, since gates of the same layer can chain into the cone through
-    shared qubits regardless of their tuple order.  Layers left empty are
-    dropped.  Idempotent, and value-preserving for Heisenberg expectations
-    of observables supported on ``support``.
+    cone, and then adding its qubits to the cone.  In a layer whose gates
+    commute pairwise (disjoint qubits, or all Z-diagonal: rz, rzz, z, s,
+    sdg, cz) a gate is kept iff it meets the cone as it stood when the scan
+    reached the layer: the gates that miss it commute with the whole
+    Heisenberg-evolved observable and cancel, so gates of the layer cannot
+    chain into the cone through each other.  In any other layer the scan
+    repeats until the cone stops growing, since gates of the same layer can
+    chain into the cone through shared qubits regardless of their tuple
+    order.  Layers left empty are dropped.  Idempotent, and
+    value-preserving for Heisenberg expectations of observables supported
+    on ``support``.
     """
     cone = set(support)
     kept_layers: list[Layer] = []
     for layer in reversed(circuit.layers):
+        # a commuting layer meets the cone as it stood on reaching the layer
+        reach = set(cone) if _commuting(layer) else cone
         kept: dict[int, Gate] = {}
         changed = True
         while changed:
             changed = False
             for idx, g in enumerate(layer.gates):
-                if idx not in kept and cone.intersection(g.qubits):
+                if idx not in kept and reach.intersection(g.qubits):
                     kept[idx] = g
                     cone.update(g.qubits)
                     changed = True

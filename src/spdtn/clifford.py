@@ -2,7 +2,17 @@
 
 A tableau stores the Heisenberg images ``C' P C`` (with ``C'`` the adjoint)
 of the 2n generators: row j is the image of X_j, row n+j the image of Z_j,
-each a canonical Pauli word with a sign in {+1, -1}.
+each a canonical Pauli word with a sign in {+1, -1}.  A row is held as two
+Python ints, the z bits and the x bits (bit j for site j, as in
+``paulis``), plus the exponent e of the sign ``i^e`` (0 or 2).  Products
+of rows use the ``mul_rows`` phase rule written for ints,
+
+    op(a) op(b) = i^k op(a ^ b),  k = y(a^b) - y(a) - y(b) + 2|a.x & b.z|,
+
+with ``y`` the Y-site count ``(z & x).bit_count()``, so conjugation is
+integer bit arithmetic only.  Packed uint64 rows appear only at the API
+boundary: ``words``/``signs``, ``conjugate``, the rotation axes and the
+transformed observable of ``recompile``.
 
 ``recompile`` rewrites a Clifford + Pauli-rotation circuit as an equivalent
 sequence of pure Pauli rotations followed by one residual Clifford: it scans
@@ -22,16 +32,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuits import Circuit
-from .paulis import (
-    PauliWord,
-    PhasedWord,
-    anticommutes,
-    mul_rows,
-    nwords64,
-    parse_pauli,
-    y_counts,
-)
+from .circuits import Circuit, Gate
+from .paulis import PauliWord, PhasedWord, nwords64
 
 __all__ = [
     "CliffordTableau",
@@ -41,64 +43,102 @@ __all__ = [
     "recompile",
 ]
 
-_PHASES = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
+_UNITS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
-# Heisenberg images of the named 1- and 2-qubit Clifford gates, as
-# (letters-on-support, sign) keyed by the generator's letters-on-support.
+# Heisenberg images of the named 1- and 2-qubit Clifford gates.  Entry p of
+# a gate's tuple is the image of generator p, ordered (X on qubit 0, Z on
+# qubit 0, X on qubit 1, Z on qubit 1), as (z mask, x mask, sign exponent)
+# with mask bit i standing for the gate's i-th qubit.
 _GATE_IMAGES = {
-    "h": {"X": ("Z", 1), "Z": ("X", 1)},
-    "s": {"X": ("Y", -1), "Z": ("Z", 1)},
-    "sdg": {"X": ("Y", 1), "Z": ("Z", 1)},
-    "x": {"X": ("X", 1), "Z": ("Z", -1)},
-    "y": {"X": ("X", -1), "Z": ("Z", -1)},
-    "z": {"X": ("X", -1), "Z": ("Z", 1)},
-    "cx": {
-        "XI": ("XX", 1),
-        "IX": ("IX", 1),
-        "ZI": ("ZI", 1),
-        "IZ": ("ZZ", 1),
-    },
-    "cz": {
-        "XI": ("XZ", 1),
-        "IX": ("ZX", 1),
-        "ZI": ("ZI", 1),
-        "IZ": ("IZ", 1),
-    },
+    "h": ((0b1, 0b0, 0), (0b0, 0b1, 0)),
+    "s": ((0b1, 0b1, 2), (0b1, 0b0, 0)),
+    "sdg": ((0b1, 0b1, 0), (0b1, 0b0, 0)),
+    "x": ((0b0, 0b1, 0), (0b1, 0b0, 2)),
+    "y": ((0b0, 0b1, 2), (0b1, 0b0, 2)),
+    "z": ((0b0, 0b1, 2), (0b1, 0b0, 0)),
+    "cx": ((0b00, 0b11, 0), (0b01, 0b00, 0), (0b00, 0b10, 0), (0b11, 0b00, 0)),
+    "cz": ((0b10, 0b01, 0), (0b01, 0b00, 0), (0b01, 0b10, 0), (0b10, 0b00, 0)),
 }
 
 
-def _iter_bits(block: np.ndarray):
-    """Ascending site indices of set bits in a packed bit-vector block."""
-    for w, word in enumerate(block):
-        v = int(word)
-        base = w << 6
-        while v:
-            low = v & -v
-            yield base + low.bit_length() - 1
-            v ^= low
+def _ints(row: np.ndarray, nw: int) -> tuple[int, int]:
+    """(z, x) ints of a packed ``[z-words | x-words]`` uint64 row."""
+    data = np.ascontiguousarray(row, dtype="<u8").tobytes()
+    return int.from_bytes(data[: 8 * nw], "little"), int.from_bytes(data[8 * nw :], "little")
+
+
+def _row(z: int, x: int, nw: int) -> np.ndarray:
+    """Packed uint64 row of the word with bits (z, x)."""
+    data = z.to_bytes(8 * nw, "little") + x.to_bytes(8 * nw, "little")
+    return np.frombuffer(data, dtype="<u8")
+
+
+def _spread(mask: int, qubits: tuple[int, ...]) -> int:
+    """Site bits of a gate-local mask: local bit i is site ``qubits[i]``."""
+    out = 0
+    for i, q in enumerate(qubits):
+        if (mask >> i) & 1:
+            out |= 1 << q
+    return out
+
+
+def _sign_exponent(e: int) -> int:
+    """Reduce an image phase exponent mod 4; only i^0 and i^2 are signs."""
+    e &= 3
+    if e & 1:
+        raise ValueError(f"expected a +-1 image phase, got i^{e}")
+    return e
+
+
+def _axis_ints(gate: Gate, n: int) -> tuple[int, int]:
+    """(z, x) bits of a rotation gate's axis over n sites."""
+    name = gate.name
+    if name == "rot":
+        if gate.axis.n != n:
+            raise ValueError(f"rotation axis on {gate.axis.n} sites, circuit on {n}")
+        return _ints(gate.axis.row, nwords64(n))
+    bit = 1 << gate.qubits[0]
+    if name == "rx":
+        return 0, bit
+    if name == "ry":
+        return bit, bit
+    if name == "rz":
+        return bit, 0
+    if name == "rzz":
+        return bit | (1 << gate.qubits[1]), 0
+    raise ValueError(f"{name!r} is not a rotation")
 
 
 class CliffordTableau:
     """Heisenberg generator images of an n-site Clifford unitary."""
 
-    __slots__ = ("n", "words", "signs")
+    __slots__ = ("n", "_z", "_x", "_e")
 
     def __init__(self, n: int, words: np.ndarray, signs: np.ndarray):
-        self.n = n
-        self.words = np.asarray(words, dtype=np.uint64)
-        self.signs = np.asarray(signs, dtype=np.int8)
+        words = np.asarray(words, dtype=np.uint64)
+        signs = np.asarray(signs)
         nw = nwords64(n)
-        if self.words.shape != (2 * n, 2 * nw) or self.signs.shape != (2 * n,):
+        if words.shape != (2 * n, 2 * nw) or signs.shape != (2 * n,):
             raise ValueError("tableau arrays have wrong shape")
+        if not np.isin(signs, (1, -1)).all():
+            raise ValueError("tableau signs must be +1 or -1")
+        self.n = n
+        rows = [_ints(r, nw) for r in words]
+        self._z = [z for z, _ in rows]
+        self._x = [x for _, x in rows]
+        self._e = [0 if s == 1 else 2 for s in signs.tolist()]
+
+    @classmethod
+    def _from_ints(cls, n: int, z: list[int], x: list[int], e: list[int]) -> "CliffordTableau":
+        t = cls.__new__(cls)
+        t.n, t._z, t._x, t._e = n, z, x, e
+        return t
 
     @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
-        nw = nwords64(n)
-        words = np.zeros((2 * n, 2 * nw), dtype=np.uint64)
-        for j in range(n):
-            words[j, nw + (j >> 6)] = np.uint64(1) << np.uint64(j & 63)
-            words[n + j, j >> 6] = np.uint64(1) << np.uint64(j & 63)
-        return cls(n, words, np.ones(2 * n, dtype=np.int8))
+        nwords64(n)  # rejects n < 1
+        bits = [1 << j for j in range(n)]
+        return cls._from_ints(n, [0] * n + bits, bits + [0] * n, [0] * (2 * n))
 
     @classmethod
     def from_gates(cls, n: int, gates: Iterable) -> "CliffordTableau":
@@ -112,28 +152,48 @@ class CliffordTableau:
                 theta_p, k = fold_angle(g.angle)
                 if theta_p != 0.0:
                     raise ValueError(f"gate {g} is not Clifford (residual angle {theta_p})")
-                acc._absorb_half_turns(g.axis_word(n), k)
+                acc._absorb_half_turns(*_axis_ints(g, n), k)
         return acc
 
     def copy(self) -> "CliffordTableau":
-        return CliffordTableau(self.n, self.words.copy(), self.signs.copy())
+        return CliffordTableau._from_ints(self.n, self._z[:], self._x[:], self._e[:])
+
+    @property
+    def words(self) -> np.ndarray:
+        """Generator images as a read-only (2n, 2*nw) packed uint64 array."""
+        nw = nwords64(self.n)
+        out = np.concatenate([_row(z, x, nw) for z, x in zip(self._z, self._x)])
+        out = out.astype(np.uint64).reshape(2 * self.n, 2 * nw)
+        out.setflags(write=False)
+        return out
+
+    @property
+    def signs(self) -> np.ndarray:
+        """Generator image signs, +1 or -1, as int8."""
+        return np.array([1 - e for e in self._e], dtype=np.int8)
 
     # -- conjugation ---------------------------------------------------
 
-    def _conjugate_row(self, row: np.ndarray) -> tuple[np.ndarray, complex]:
-        """Image of the canonical word ``row``, as (packed row, unit phase)."""
-        nw = nwords64(self.n)
-        acc = np.zeros(2 * nw, dtype=np.uint64)
-        phase = complex((-1.0j) ** int(y_counts(row)))
+    def _conjugate(self, z: int, x: int) -> tuple[int, int, int]:
+        """Image of the canonical word (z, x) as (z', x', e): ``i^e op(z', x')``."""
+        tz, tx, te = self._z, self._x, self._e
+        az = ax = ay = 0
+        e = -(z & x).bit_count()
         # Z-group images first, then X-group, matching the canonical form
         # (-i)^y prod_j Z_j^{z_j} prod_j X_j^{x_j}.
-        for gen_base, block in ((self.n, row[:nw]), (0, row[nw:])):
-            for j in _iter_bits(block):
-                g = gen_base + j
-                prod, k = mul_rows(acc, self.words[g][None, :])
-                phase *= float(self.signs[g]) * complex(_PHASES[k[0]])
-                acc = prod[0]
-        return acc, phase
+        for base, bits in ((self.n, z), (0, x)):
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                g = base + low.bit_length() - 1
+                gz, gx = tz[g], tx[g]
+                swaps = (ax & gz).bit_count()
+                az ^= gz
+                ax ^= gx
+                y = (az & ax).bit_count()
+                e += te[g] + y - ay - (gz & gx).bit_count() + 2 * swaps
+                ay = y
+        return az, ax, e & 3
 
     def conjugate(self, p: PauliWord | PhasedWord) -> PhasedWord:
         """Heisenberg image of a (phased) word under this tableau."""
@@ -143,112 +203,38 @@ class CliffordTableau:
             word, in_phase = p, 1.0 + 0.0j
         if word.n != self.n:
             raise ValueError(f"site counts differ: {word.n} != {self.n}")
-        row, phase = self._conjugate_row(word.row)
-        return PhasedWord(PauliWord(self.n, row), in_phase * phase)
-
-    # -- composition ---------------------------------------------------
-
-    def compose(self, other: "CliffordTableau") -> "CliffordTableau":
-        """Composite tableau with ``conjugate(a.compose(b), p) ==
-        conjugate(b, conjugate(a, p))``: a's conjugation applies first."""
-        if self.n != other.n:
-            raise ValueError("site counts differ")
-        words = np.empty_like(self.words)
-        signs = np.empty_like(self.signs)
-        for g in range(2 * self.n):
-            row, phase = other._conjugate_row(self.words[g])
-            words[g] = row
-            signs[g] = _unit_to_sign(phase * float(self.signs[g]))
-        return CliffordTableau(self.n, words, signs)
-
-    def inverse(self) -> "CliffordTableau":
-        """Tableau of the adjoint Clifford, via GF(2) elimination on the
-        symplectic bit matrix plus a sign fix-up per generator."""
-        n, nw = self.n, nwords64(self.n)
-        width = 128 * nw
-        # each image row as a big int; augmented with the combination marker
-        rows = [
-            (int.from_bytes(self.words[g].astype("<u8").tobytes(), "little"), 1 << g)
-            for g in range(2 * n)
-        ]
-        pivots: dict[int, tuple[int, int]] = {}
-        for vec, comb in rows:
-            for bit in range(width):
-                if not (vec >> bit) & 1:
-                    continue
-                if bit in pivots:
-                    pv, pc = pivots[bit]
-                    vec ^= pv
-                    comb ^= pc
-                else:
-                    pivots[bit] = (vec, comb)
-                    break
-            else:
-                if vec:
-                    raise AssertionError("singular tableau")
-        words = np.empty_like(self.words)
-        signs = np.empty_like(self.signs)
-        ident = CliffordTableau.identity(n)
-        for g in range(2 * n):
-            vec = int.from_bytes(ident.words[g].astype("<u8").tobytes(), "little")
-            comb = 0
-            for bit in range(width):
-                if (vec >> bit) & 1:
-                    pv, pc = pivots[bit]
-                    vec ^= pv
-                    comb ^= pc
-            if vec:
-                raise AssertionError("tableau image space is not full rank")
-            row = np.zeros(2 * nw, dtype=np.uint64)
-            for h in range(2 * n):
-                if (comb >> h) & 1:
-                    row ^= ident.words[h]
-            _, phase = self._conjugate_row(row)
-            words[g] = row
-            signs[g] = _unit_to_sign(phase)
-        return CliffordTableau(n, words, signs)
+        nw = nwords64(self.n)
+        z, x, e = self._conjugate(*_ints(word.row, nw))
+        return PhasedWord(PauliWord(self.n, _row(z, x, nw)), in_phase * _UNITS[e])
 
     def validate(self) -> None:
         """Check the symplectic condition: generator images preserve all
-        pairwise (anti)commutation relations."""
-        n = self.n
-        ident = CliffordTableau.identity(n)
-
-        def pairs(t):
-            ws = [PauliWord(n, t.words[g]) for g in range(2 * n)]
-            return [
-                anticommutes(ws[a], ws[b])
-                for a in range(2 * n)
-                for b in range(a + 1, 2 * n)
-            ]
-
-        if pairs(self) != pairs(ident):
-            raise AssertionError("tableau violates the symplectic condition")
+        pairwise (anti)commutation relations (X_j and Z_j anticommute, every
+        other pair commutes)."""
+        n, z, x = self.n, self._z, self._x
+        for a in range(2 * n):
+            for b in range(a + 1, 2 * n):
+                anti = ((z[a] & x[b]).bit_count() + (x[a] & z[b]).bit_count()) & 1
+                if anti != (b == a + n):
+                    raise AssertionError("tableau violates the symplectic condition")
 
     # -- in-place gate absorption (builder API) ------------------------
 
     def _absorb_named(self, name: str, qubits: tuple[int, ...]) -> None:
         """Append gate G (later in circuit time): images of the affected
         generators become conj_acc(conj_G(generator))."""
-        table = _GATE_IMAGES[name]
+        n = self.n
         updates = []
-        for pos, q in enumerate(qubits):
-            for letter, gen_base in (("X", 0), ("Z", self.n)):
-                key = "".join(
-                    letter if k == pos else "I" for k in range(len(qubits))
-                )
-                out_letters, sign = table[key]
-                tokens = " ".join(
-                    f"{lt}{qubits[k]}" for k, lt in enumerate(out_letters) if lt != "I"
-                )
-                row, phase = self._conjugate_row(parse_pauli(tokens, self.n).row)
-                updates.append((gen_base + q, row, _unit_to_sign(phase * sign)))
-        for g, row, sign in updates:
-            self.words[g] = row
-            self.signs[g] = sign
+        for p, (mz, mx, sign) in enumerate(_GATE_IMAGES[name]):
+            q = qubits[p >> 1]
+            g = n + q if p & 1 else q
+            z, x, e = self._conjugate(_spread(mz, qubits), _spread(mx, qubits))
+            updates.append((g, z, x, _sign_exponent(e + sign)))
+        for g, z, x, e in updates:
+            self._z[g], self._x[g], self._e[g] = z, x, e
 
-    def _absorb_half_turns(self, axis: PauliWord, k: int) -> None:
-        """Append the Clifford ``exp(-i (k*pi/2) axis / 2)``.
+    def _absorb_half_turns(self, az: int, ax: int, k: int) -> None:
+        """Append the Clifford ``exp(-i (k*pi/2) axis / 2)``, axis bits (az, ax).
 
         Only generators anticommuting with the axis change:
         g -> i^k (axis g)^{k odd} with  U' g U = i^{m+k} op(axis ^ g)  for
@@ -257,44 +243,27 @@ class CliffordTableau:
         k %= 4
         if k == 0:
             return
-        nw = nwords64(self.n)
-        sites = sorted(set(_iter_bits(axis.row[:nw])) | set(_iter_bits(axis.row[nw:])))
+        n = self.n
+        ay = (az & ax).bit_count()
         updates = []
-        for j in sites:
-            # X_j anticommutes with the axis iff the axis has a z bit at j;
-            # Z_j iff it has an x bit there.
-            for gen_base, block in ((0, axis.row[:nw]), (self.n, axis.row[nw:])):
-                if not (int(block[j >> 6]) >> (j & 63)) & 1:
-                    continue
-                g = gen_base + j
+        # X_j anticommutes with the axis iff the axis has a z bit at j;
+        # Z_j iff it has an x bit there.
+        for base, bits in ((0, az), (n, ax)):
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                g = base + low.bit_length() - 1
                 if k == 2:
-                    updates.append((g, self.words[g].copy(), -self.signs[g]))
+                    updates.append((g, self._z[g], self._x[g], self._e[g] ^ 2))
                     continue
-                prod, m = mul_rows(axis.row, _generator_row(self.n, g)[None, :])
-                local_phase = complex(_PHASES[(int(m[0]) + k) % 4])
-                row, phase = self._conjugate_row(prod[0])
-                updates.append((g, row, _unit_to_sign(local_phase * phase)))
-        for g, row, sign in updates:
-            self.words[g] = row
-            self.signs[g] = sign
-
-
-def _generator_row(n: int, g: int) -> np.ndarray:
-    """Packed row of generator g (X_{g} for g < n, else Z_{g-n})."""
-    nw = nwords64(n)
-    row = np.zeros(2 * nw, dtype=np.uint64)
-    j = g if g < n else g - n
-    block = nw if g < n else 0
-    row[block + (j >> 6)] = np.uint64(1) << np.uint64(j & 63)
-    return row
-
-
-def _unit_to_sign(phase: complex) -> int:
-    if abs(phase - 1.0) < 1e-9:
-        return 1
-    if abs(phase + 1.0) < 1e-9:
-        return -1
-    raise AssertionError(f"expected a +-1 phase, got {phase}")
+                # op(axis) op(g) = i^m op(axis ^ g); g is X_j (base 0) or Z_j
+                gz, gx = (0, low) if base == 0 else (low, 0)
+                cz, cx = az ^ gz, ax ^ gx
+                m = (cz & cx).bit_count() - ay + 2 * (ax & gz).bit_count()
+                z, x, e = self._conjugate(cz, cx)
+                updates.append((g, z, x, _sign_exponent(m + k + e)))
+        for g, z, x, e in updates:
+            self._z[g], self._x[g], self._e[g] = z, x, e
 
 
 def fold_angle(theta: float) -> tuple[float, int]:
@@ -351,25 +320,26 @@ def recompile(circuit: Circuit, observable) -> RecompiledCircuit:
     from .spd import PauliSum
 
     n = circuit.n
+    nw = nwords64(n)
     acc = CliffordTableau.identity(n)
     rotations: list[Rotation] = []
     for gate in circuit.gates():
         if gate.is_clifford:
             acc._absorb_named(gate.name, gate.qubits)
             continue
-        axis = gate.axis_word(n)
+        az, ax = _axis_ints(gate, n)
         theta_p, k = fold_angle(gate.angle)
         if theta_p != 0.0:
-            pw = acc.conjugate(axis)
-            sign = _unit_to_sign(pw.phase)
-            rotations.append(Rotation(pw.word, sign * theta_p))
+            z, x, e = acc._conjugate(az, ax)
+            sign = 1 - _sign_exponent(e)
+            rotations.append(Rotation(PauliWord(n, _row(z, x, nw)), sign * theta_p))
         if k % 4:
-            acc._absorb_half_turns(axis, k)
+            acc._absorb_half_turns(az, ax, k)
     if isinstance(observable, PauliWord):
         observable = PauliSum.from_terms(n, [(observable, 1.0)])
     new_terms = []
     for word, coeff in observable.terms():
-        pw = acc.conjugate(word)
-        new_terms.append((pw.word, coeff * pw.phase))
+        z, x, e = acc._conjugate(*_ints(word.row, nw))
+        new_terms.append((PauliWord(n, _row(z, x, nw)), coeff * _UNITS[e]))
     transformed = PauliSum.from_terms(n, new_terms)
     return RecompiledCircuit(n, tuple(rotations), acc, transformed)

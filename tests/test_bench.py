@@ -268,6 +268,59 @@ class TestSweep:
         with pytest.raises(ValueError, match="missing CSV columns"):
             read_rows(path)
 
+    def test_one_recompile_per_angle(self, monkeypatch):
+        from spdtn import bench
+
+        calls = {"recompile": 0, "run_point": 0}
+
+        def counted(name):
+            inner = getattr(bench, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bench, name, counted(name))
+        cfg = spd_config(theta_h=[0.2, 0.5, 0.9], deltas=[1e-2, 1e-3, 0.0])
+        rows = sweep(cfg)
+        assert calls == {"recompile": 3, "run_point": 9}
+        # a point evaluated on its own, with its own recompile, gives the
+        # same row as the shared one
+        lattice = cfg.build_lattice()
+        word = parse_pauli(cfg.observable, lattice.n)
+        alone = [bench.run_point(cfg, lattice, word, *point) for point in cfg.points()]
+        assert rows == alone
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_multi_delta_csv_same_for_any_workers(self, tmp_path, workers):
+        cfg = spd_config(theta_h=[0.0, 0.3, 0.6, 1.2], deltas=[1e-2, 1e-3])
+        one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+        sweep(cfg, out=one, workers=1)
+        sweep(cfg, out=many, workers=workers)
+        assert one.read_bytes() == many.read_bytes()
+
+    def test_failed_angle_flags_each_of_its_points(self, monkeypatch):
+        from spdtn import bench
+
+        built = []
+
+        def build(lattice, steps, theta, extra_x_layer=False):
+            built.append(theta)
+            if theta == 0.3:
+                raise ValueError("no circuit at this angle")
+            return kicked_ising(lattice, steps, theta, extra_x_layer)
+
+        monkeypatch.setattr(bench, "kicked_ising", build)
+        rows = sweep(spd_config(theta_h=[0.1, 0.3, 0.5], deltas=[1e-2, 0.0]))
+        # a failed build is retried by the angle's next point
+        assert built == [0.1, 0.3, 0.3, 0.5]
+        assert [r.flags for r in rows] == ["", "", "error:ValueError",
+                                           "error:ValueError", "", ""]
+        assert rows[2].expectation is None and rows[4].expectation is not None
+
     def test_timing_recorded_only_on_request(self, tmp_path):
         quiet = sweep(spd_config(theta_h=[0.3]))
         timed = sweep(spd_config(theta_h=[0.3], record_timing=True))

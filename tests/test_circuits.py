@@ -24,6 +24,7 @@ from spdtn import (
     recompile,
     ring,
     run_spd,
+    statevector_expectation,
 )
 
 from conftest import dense_gate_local, random_circuit
@@ -198,6 +199,69 @@ class TestLightcone:
         circuit = Circuit(3, (layer,))
         pruned = lightcone_prune(circuit, [0])
         assert pruned.num_gates == 2
+
+    def test_commuting_layer_does_not_chain(self):
+        # RZZ gates commute, so a gate that misses the cone cancels even when
+        # it shares a qubit with a kept gate of the same layer
+        layer = Layer((Gate("rzz", (1, 2), 0.4), Gate("rzz", (0, 1), 0.3)))
+        pruned = lightcone_prune(Circuit(3, (layer,)), [0])
+        assert [g.qubits for g in pruned.gates()] == [(0, 1)]
+
+    def test_rx_breaks_a_diagonal_layer(self):
+        # an RX among Z-diagonal gates does not commute with the RZZ on its
+        # qubit, so the layer chains as before: the RZZ brings qubit 0 into
+        # the cone and the RX on it is kept
+        layer = Layer((Gate("rx", (0,), 0.5), Gate("rzz", (0, 1), 0.3)))
+        pruned = lightcone_prune(Circuit(2, (layer,)), [1])
+        assert pruned.num_gates == 2
+
+    @pytest.mark.parametrize("steps, kept", [(5, 143), (20, 3448)])
+    def test_device_cone_sizes(self, steps, kept):
+        circuit = kicked_ising(device_127(), steps, 7 * math.pi / 32)
+        pruned = lightcone_prune(circuit, [62])
+        assert pruned.num_gates == kept
+        # the last RZZ layer keeps only the edges at site 62 itself
+        assert pruned.layers[-1].tag == "rzz"
+        assert all(62 in g.qubits for g in pruned.layers[-1].gates)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_lattices_keep_values(self, seed):
+        """Pruned and unpruned circuits agree: statevector to 1e-12, and the
+        SPD value at delta = 0 bit for bit, over kicked-Ising steps mixed
+        with a Z-diagonal layer, a disjoint 1-qubit layer, a CX chain and a
+        Z-diagonal layer that one RX on a shared qubit makes non-commuting."""
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(3, 9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [e for e in pairs if rng.random() < 0.4] or [pairs[0]]
+        lat = Lattice(n, tuple(edges))
+        theta = float(rng.uniform(-math.pi, math.pi))
+        layers = list(kicked_ising(lat, int(rng.integers(1, 4)), theta).layers)
+        sites = rng.permutation(n)
+        diag = []
+        for _ in range(n):
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            name = ("rz", "rzz", "z", "s", "sdg", "cz")[int(rng.integers(0, 6))]
+            if name in ("rzz", "cz"):
+                diag.append(Gate(name, (a, b), 0.7 if name == "rzz" else None))
+            else:
+                diag.append(Gate(name, (a,), 0.3 if name == "rz" else None))
+        disjoint = [Gate(("h", "rx", "ry")[j % 3], (int(q),), None if j % 3 == 0 else 0.9)
+                    for j, q in enumerate(sites[: n // 2])]
+        cx_chain = [Gate("cx", (int(sites[j]), int(sites[j + 1]))) for j in range(n - 1)]
+        # an RX on a qubit the Z-diagonal gates use: the gates no longer commute
+        mixed = [Gate("rx", diag[-1].qubits[:1], 0.5)] + diag
+        for extra in (diag, disjoint, cx_chain, mixed):
+            layers.insert(int(rng.integers(0, len(layers) + 1)), Layer(tuple(extra)))
+        circuit = Circuit(n, tuple(layers))
+        obs = parse_pauli(f"Z{int(sites[0])} X{int(sites[1])}", n)
+        pruned = lightcone_prune(circuit, obs.support())
+        assert pruned.num_gates <= circuit.num_gates
+        assert abs(statevector_expectation(pruned, obs)
+                   - statevector_expectation(circuit, obs)) <= 1e-12
+        full = run_spd(recompile(circuit, obs), delta=0.0)
+        cut = run_spd(recompile(pruned, obs), delta=0.0)
+        assert cut.expectation == full.expectation
 
     def test_empty_cone(self):
         circuit = kicked_ising(chain(4), steps=1, theta_h=0.2)

@@ -14,10 +14,12 @@ from spdtn import (
     Layer,
     PauliSum,
     PauliWord,
+    Rotation,
     fold_angle,
     parse_pauli,
     recompile,
 )
+from spdtn.oracle import clifford_image
 
 from conftest import dense_unitary, dense_word, random_circuit, random_word
 
@@ -108,42 +110,42 @@ class TestSequences:
         with pytest.raises(ValueError):
             tableau.conjugate(PauliWord.identity(4))
 
-
-class TestComposeInverse:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_compose_is_sequential_conjugation(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = 3
-        ca = random_circuit(rng, n, depth=6, clifford_only=True)
-        cb = random_circuit(rng, n, depth=6, clifford_only=True)
-        ta = CliffordTableau.from_gates(n, list(ca.gates()))
-        tb = CliffordTableau.from_gates(n, list(cb.gates()))
-        tab = ta.compose(tb)
-        for _ in range(6):
-            word = random_word(rng, n)
-            seq = tb.conjugate(ta.conjugate(word))
-            one = tab.conjugate(word)
-            assert one.word == seq.word
-            assert np.isclose(one.phase, seq.phase)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_inverse_undoes_conjugation(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        n = 4
-        circuit = random_circuit(rng, n, depth=10, clifford_only=True)
-        tableau = CliffordTableau.from_gates(n, list(circuit.gates()))
-        inv = tableau.inverse()
-        for _ in range(6):
-            word = random_word(rng, n)
-            back = inv.conjugate(tableau.conjugate(word))
-            assert back.word == word
-            assert np.isclose(back.phase, 1.0)
-
     def test_identity_tableau(self, rng):
         tableau = CliffordTableau.identity(5)
         word = random_word(rng, 5)
         pw = tableau.conjugate(word)
         assert pw.word == word and pw.phase == 1.0
+
+
+class TestTableauRows:
+    def test_words_and_signs_rebuild_the_tableau(self, rng):
+        n = 70
+        circuit = random_circuit(rng, n, depth=30, clifford_only=True)
+        tableau = CliffordTableau.from_gates(n, list(circuit.gates()))
+        rebuilt = CliffordTableau(n, tableau.words, tableau.signs)
+        np.testing.assert_array_equal(rebuilt.words, tableau.words)
+        np.testing.assert_array_equal(rebuilt.signs, tableau.signs)
+        for _ in range(5):
+            word = random_word(rng, n)
+            assert rebuilt.conjugate(word) == tableau.conjugate(word)
+
+    def test_words_are_read_only(self):
+        tableau = CliffordTableau.identity(3)
+        with pytest.raises(ValueError):
+            tableau.words[0] = 0
+
+    def test_signs_must_be_plus_or_minus_one(self):
+        tableau = CliffordTableau.identity(2)
+        with pytest.raises(ValueError, match="signs"):
+            CliffordTableau(2, tableau.words, np.array([1, 0, 1, 1]))
+
+    def test_non_sign_image_phase_raises(self):
+        # X0 and Z0 both map to X0, so the image of Y0 is -i times the
+        # identity: no Hermitian image, and absorbing S must say so.
+        words = np.array([[0, 1], [0, 1]], dtype=np.uint64)
+        tableau = CliffordTableau(1, words, np.array([1, 1]))
+        with pytest.raises(ValueError, match=r"\+-1 image phase"):
+            tableau._absorb_named("s", (0,))
 
 
 class TestValidate:
@@ -154,9 +156,10 @@ class TestValidate:
 
     def test_broken_tableau_fails(self):
         t = CliffordTableau.identity(3)
-        t.words[0] = t.words[3]  # image of X0 := image of Z0
+        words = t.words.copy()
+        words[0] = words[3]  # image of X0 := image of Z0
         with pytest.raises(AssertionError):
-            t.validate()
+            CliffordTableau(3, words, t.signs).validate()
 
 
 class TestFoldAngle:
@@ -243,3 +246,72 @@ class TestRecompile:
         ((word, coeff),) = rc.transformed_observable.terms()
         assert word == parse_pauli("X0", 2)
         assert coeff == 1.0
+
+
+def _mixed_gate(rng, n):
+    """A random gate of every kind, rotations with Y axes included; half
+    the rotation angles are exact multiples of pi/2."""
+    kind = ("named1", "named2", "rx", "ry", "rz", "rzz", "rot")[int(rng.integers(0, 7))]
+    if kind == "named1":
+        return Gate(("h", "s", "sdg", "x", "y", "z")[int(rng.integers(0, 6))],
+                    (int(rng.integers(0, n)),))
+    qubits = tuple(int(q) for q in rng.choice(n, size=3, replace=False))
+    if kind == "named2":
+        return Gate(("cx", "cz")[int(rng.integers(0, 2))], qubits[:2])
+    if rng.random() < 0.5:
+        angle = float(rng.integers(-4, 5)) * math.pi / 2
+    else:
+        angle = float(rng.uniform(-math.pi, math.pi))
+    if kind == "rzz":
+        return Gate("rzz", qubits[:2], angle)
+    if kind != "rot":
+        return Gate(kind, qubits[:1], angle)
+    letters = [("X", "Y", "Z")[int(rng.integers(0, 3))] for _ in qubits]
+    axis = PauliWord.from_sites(
+        n,
+        z=[q for q, lt in zip(qubits, letters) if lt in "ZY"],
+        x=[q for q, lt in zip(qubits, letters) if lt in "XY"],
+    )
+    return Gate("rot", qubits, angle, axis)
+
+
+class TestRecompileAgainstOracle:
+    @pytest.mark.parametrize("n", [65, 127])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_gate_local_oracle(self, n, seed):
+        """Each rotation axis and angle sign is the gate-local oracle's
+        image of the axis under the Clifford prefix (every earlier rotation
+        cut to its k*pi/2 part); the transformed observable is the image
+        under the whole Clifford part.  Equality is exact."""
+        rng = np.random.default_rng(2100 + seed)
+        gates = [_mixed_gate(rng, n) for _ in range(120)]
+        terms = [(random_word(rng, n), complex(rng.standard_normal())) for _ in range(4)]
+        terms.append((PauliWord.from_sites(n, z=[3, 64, n - 1], x=[3, 70 % n]), 0.5))
+        obs = PauliSum.from_terms(n, terms)
+        rc = recompile(Circuit(n, tuple(Layer((g,)) for g in gates)), obs)
+
+        cliffords: list[Gate] = []
+        expected = []
+        for g in gates:
+            if g.is_clifford:
+                cliffords.append(g)
+                continue
+            theta_p, k = fold_angle(g.angle)
+            if theta_p != 0.0:
+                prefix = Circuit(n, tuple(Layer((c,)) for c in cliffords))
+                image = clifford_image(prefix, g.axis_word(n))
+                assert image.phase in (1.0, -1.0)
+                expected.append(Rotation(image.word, image.phase.real * theta_p))
+            cliffords.append(Gate(g.name, g.qubits, k * math.pi / 2, g.axis))
+        assert any(g.name in ("ry", "rot") for g in gates)
+        assert len(expected) > 10
+        assert rc.rotations == tuple(expected)
+
+        whole = Circuit(n, tuple(Layer((c,)) for c in cliffords))
+        images = []
+        for word, coeff in obs.terms():
+            image = clifford_image(whole, word)
+            images.append((image.word, coeff * image.phase))
+        want = PauliSum.from_terms(n, images)
+        np.testing.assert_array_equal(rc.transformed_observable.words, want.words)
+        np.testing.assert_array_equal(rc.transformed_observable.coeffs, want.coeffs)
