@@ -340,6 +340,6 @@ def recompile(circuit: Circuit, observable) -> RecompiledCircuit:
     new_terms = []
     for word, coeff in observable.terms():
         z, x, e = acc._conjugate(*_ints(word.row, nw))
-        new_terms.append((PauliWord(n, _row(z, x, nw)), coeff * _UNITS[e]))
+        new_terms.append((PauliWord(n, _row(z, x, nw)), coeff * (1 - _sign_exponent(e))))
     transformed = PauliSum.from_terms(n, new_terms)
     return RecompiledCircuit(n, tuple(rotations), acc, transformed)

@@ -43,13 +43,20 @@ HEISENBERG_MAX_QUBITS = 12
 CONTRACT_BUDGET = 200_000_000
 
 
-def _as_terms(observable) -> list[tuple[PauliWord, complex]]:
+def _as_terms(observable) -> list[tuple[PauliWord, float]]:
     """Normalize an observable to a list of (word, coefficient) pairs."""
     if isinstance(observable, PauliWord):
-        return [(observable, 1.0 + 0.0j)]
+        return [(observable, 1.0)]
     if isinstance(observable, PauliSum):
         return list(observable.terms())
     raise TypeError(f"unsupported observable type {type(observable).__name__}")
+
+
+def _real_value(val: complex) -> float:
+    """Real part of a Hermitian observable's expectation; raise on a residue."""
+    if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
+        raise AssertionError(f"imaginary residue {val.imag}")
+    return float(val.real)
 
 
 # -- statevector route --------------------------------------------------
@@ -59,7 +66,7 @@ def statevector(circuit: Circuit, max_qubits: int = STATEVECTOR_MAX_QUBITS) -> n
     """Amplitudes of U|0...0> as a flat array of length 2**n.
 
     Each gate applies through tensordot on the per-qubit axes; the norm is
-    asserted to stay at 1 within 1e-10 after every gate.
+    checked to stay at 1 within 1e-10 after every gate (AssertionError).
     """
     n = circuit.n
     if n > max_qubits:
@@ -74,7 +81,8 @@ def statevector(circuit: Circuit, max_qubits: int = STATEVECTOR_MAX_QUBITS) -> n
         psi = np.tensordot(m, psi, axes=(range(k, 2 * k), gate.qubits))
         psi = np.moveaxis(psi, range(k), gate.qubits)
         norm = float(np.linalg.norm(psi))
-        assert abs(norm - 1.0) <= 1e-10, f"norm drifted to {norm} at gate {gate}"
+        if abs(norm - 1.0) > 1e-10:
+            raise AssertionError(f"norm drifted to {norm} at gate {gate}")
     return psi.reshape(-1)
 
 
@@ -110,8 +118,7 @@ def statevector_expectation(
     val = 0.0 + 0.0j
     for word, coeff in _as_terms(observable):
         val += coeff * np.vdot(psi, pauli_apply(psi, word))
-    assert abs(val.imag) <= 1e-10 * max(1.0, abs(val)), f"imaginary residue {val.imag}"
-    return float(val.real)
+    return _real_value(val)
 
 
 # -- dense Heisenberg route ---------------------------------------------
@@ -165,8 +172,7 @@ def heisenberg_dense_expectation(
         op = np.tensordot(op, m, axes=(col_axes, range(k)))
         op = np.moveaxis(op, range(2 * n - k, 2 * n), col_axes)
     val = complex(op[(0,) * (2 * n)])
-    assert abs(val.imag) <= 1e-10 * max(1.0, abs(val)), f"imaginary residue {val.imag}"
-    return float(val.real)
+    return _real_value(val)
 
 
 # -- Clifford tableau route ---------------------------------------------
@@ -264,8 +270,7 @@ def clifford_expectation(circuit: Circuit, observable) -> float:
         image = _image(steps, circuit.n, word)
         if image.word.is_z_type:
             val += coeff * image.phase
-    assert abs(val.imag) <= 1e-10 * max(1.0, abs(val)), f"imaginary residue {val.imag}"
-    return float(val.real)
+    return _real_value(val)
 
 
 # -- exact contraction --------------------------------------------------

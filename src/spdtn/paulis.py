@@ -12,8 +12,8 @@ The operator denoted by (z, x) is the canonical Hermitian word
 
 which is Hermitian, squares to the identity, and equals the standard Pauli
 Y on sites where both bits are set.  Products of two canonical words carry
-a phase i^k, k in {0, 1, 2, 3}; the phase is returned explicitly so callers
-can fold it into complex coefficients.  Words carry no phase of their own.
+a phase i^k, k in {0, 1, 2, 3}, returned explicitly; k is even exactly when
+the two words commute.  Words carry no phase of their own.
 
 Term ordering everywhere in this package is the lexicographic order of the
 packed row ``[z_0, .., z_{w-1}, x_0, .., x_{w-1}]`` with each uint64 compared

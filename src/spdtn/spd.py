@@ -1,13 +1,14 @@
 """Sparse Pauli dynamics: Heisenberg propagation of observable sums.
 
 A ``PauliSum`` holds N packed words (rows, lexicographically sorted and
-unique) with complex coefficients.  A rotation ``exp(-i theta sigma / 2)``
+unique) with real coefficients.  A rotation ``exp(-i theta sigma / 2)``
 maps each stored word P that anticommutes with the axis sigma to
 
     a'_P      = cos(theta) a_P          (own coefficient damped)
-    a'_{s^P} += i sin(theta) phase * a_P   with op(sigma) op(P) = phase op(s^P)
+    a'_{s^P} += i sin(theta) i^k a_P    with op(sigma) op(P) = i^k op(s^P)
 
-so each gate runs in five vectorized passes: (1) mask the anticommuting
+where k is 1 or 3 for anticommuting words, so ``i * i^k = k - 2`` is real;
+each gate runs in five vectorized passes: (1) mask the anticommuting
 terms and form their products sigma*P, (2) binary-search every product
 against the sorted sum, (3) update coefficients of the products found and
 build the missing ones as candidate new terms, (4) delete terms whose
@@ -48,9 +49,6 @@ __all__ = [
 MAX_TERMS_ENV = "SIM_MAX_TERMS"
 DEFAULT_MAX_TERMS = 50_000_000
 
-_PHASES = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
-
-
 class SpdCapacityError(RuntimeError):
     """Raised when a gate would push the term count past the configured cap."""
 
@@ -65,15 +63,15 @@ class SpdCapacityError(RuntimeError):
 
 @dataclass(frozen=True)
 class PauliSum:
-    """Sorted, duplicate-free packed Pauli words with complex coefficients."""
+    """Sorted, duplicate-free packed Pauli words with real coefficients."""
 
     n: int
     words: np.ndarray  # (N, 2*nw) uint64, sorted by packed key
-    coeffs: np.ndarray  # (N,) complex128
+    coeffs: np.ndarray  # (N,) float64
 
     def __post_init__(self):
         words = np.asarray(self.words, dtype=np.uint64)
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        coeffs = _real(self.coeffs)
         if words.ndim != 2 or words.shape[1] != 2 * nwords64(self.n):
             raise ValueError(f"words shape {words.shape} does not match n={self.n}")
         if coeffs.shape != (words.shape[0],):
@@ -84,7 +82,7 @@ class PauliSum:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def from_terms(cls, n: int, terms: Iterable[tuple[PauliWord | str, complex]]) -> "PauliSum":
+    def from_terms(cls, n: int, terms: Iterable[tuple[PauliWord | str, float]]) -> "PauliSum":
         """Build from (word-or-text, coefficient) pairs; duplicates combine."""
         nw = nwords64(n)
         rows, coeffs = [], []
@@ -95,20 +93,10 @@ class PauliSum:
                 raise ValueError(f"term on {word.n} sites in an n={n} sum")
             rows.append(word.row)
             coeffs.append(coeff)
-        if not rows:
-            return cls(n, np.zeros((0, 2 * nw), dtype=np.uint64), np.zeros(0, np.complex128))
-        words = np.array(rows, dtype=np.uint64)
-        coeffs = np.array(coeffs, dtype=np.complex128)
-        keys = pack_keys(words)
-        order = np.argsort(keys, kind="stable")
-        words, coeffs, keys = words[order], coeffs[order], keys[order]
-        fresh = np.empty(len(keys), dtype=bool)
-        fresh[0] = True
-        fresh[1:] = keys[1:] != keys[:-1]
-        group = np.cumsum(fresh) - 1
-        summed = np.zeros(group[-1] + 1, dtype=np.complex128)
-        np.add.at(summed, group, coeffs)
-        return cls(n, words[fresh], summed)
+        words = np.array(rows, dtype=np.uint64).reshape(-1, 2 * nw)
+        _, first, group = np.unique(pack_keys(words), return_index=True, return_inverse=True)
+        summed = np.bincount(group, weights=_real(coeffs), minlength=len(first))
+        return cls(n, words[first], summed)
 
     # -- basic queries -----------------------------------------------------
 
@@ -120,11 +108,11 @@ class PauliSum:
     def nw(self) -> int:
         return nwords64(self.n)
 
-    def terms(self) -> Iterator[tuple[PauliWord, complex]]:
+    def terms(self) -> Iterator[tuple[PauliWord, float]]:
         for row, coeff in zip(self.words, self.coeffs):
-            yield PauliWord(self.n, row), complex(coeff)
+            yield PauliWord(self.n, row), float(coeff)
 
-    def coefficient(self, word: PauliWord | str) -> complex:
+    def coefficient(self, word: PauliWord | str) -> float:
         """Coefficient of one word (0 if absent), by binary search."""
         if isinstance(word, str):
             word = parse_pauli(word, self.n)
@@ -132,8 +120,8 @@ class PauliSum:
         key = pack_keys(word.row[None, :])
         pos = int(np.searchsorted(keys, key[0]))
         if pos < len(keys) and keys[pos] == key[0]:
-            return complex(self.coeffs[pos])
-        return 0.0j
+            return float(self.coeffs[pos])
+        return 0.0
 
     def validate(self) -> None:
         """Assert sortedness and uniqueness of the packed words."""
@@ -151,12 +139,8 @@ class PauliSum:
         """<0| sum |0> = sum of coefficients of z-type words.
 
         Every Z-only word fixes |0...0>, all others map it off-diagonal.
-        The imaginary residue must stay below 1e-10 (Hermitian input).
         """
-        total = complex(self.coeffs[self.z_type_mask()].sum())
-        if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
-            raise ValueError(f"imaginary residue {total.imag} in expectation")
-        return total.real
+        return float(self.coeffs[self.z_type_mask()].sum())
 
     def frobenius_norm(self) -> float:
         """sqrt(Tr(O' O) / 2^n) = l2 norm of the coefficient vector."""
@@ -195,7 +179,7 @@ def apply_rotation(
         coeffs[anti] *= np.cos(theta)
         return PauliSum(s.n, s.words, coeffs).truncate(delta)
     prod_words, k = mul_rows(axis.row, s.words[anti])
-    contrib = (1.0j * sin_t) * _PHASES[k] * s.coeffs[anti]
+    contrib = sin_t * (k - 2) * s.coeffs[anti]
     coeffs[anti] *= np.cos(theta)
 
     keys = pack_keys(s.words)
@@ -229,7 +213,7 @@ def apply_rotation(
     # one linear merge of the two sorted runs
     insert_at = np.searchsorted(old_keys, new_keys)
     merged_words = np.empty((total, 2 * nw), dtype=np.uint64)
-    merged_coeffs = np.empty(total, dtype=np.complex128)
+    merged_coeffs = np.empty(total)
     new_dest = insert_at + np.arange(len(new_keys))
     old_dest = np.arange(len(old_keys)) + np.cumsum(
         np.bincount(insert_at, minlength=len(old_keys) + 1)
@@ -239,6 +223,14 @@ def apply_rotation(
     merged_words[old_dest] = old_words
     merged_coeffs[old_dest] = old_coeffs
     return PauliSum(s.n, merged_words, merged_coeffs)
+
+
+def _real(coeffs) -> np.ndarray:
+    """Coefficients as float64; a nonzero imaginary part is rejected."""
+    coeffs = np.asarray(coeffs)
+    if np.iscomplexobj(coeffs) and np.any(coeffs.imag):
+        raise ValueError("coefficient with a nonzero imaginary part; Pauli sums are real")
+    return coeffs.real.astype(np.float64, copy=False)
 
 
 def _resolve_cap(max_terms: int | None) -> int:

@@ -368,9 +368,7 @@ def _as_word(observable) -> tuple[PauliWord, float]:
         if observable.num_terms != 1:
             raise ValueError("tensor methods take a single Pauli word at a time")
         ((word, coeff),) = observable.terms()
-        if abs(coeff.imag) > 1e-12 * max(1.0, abs(coeff)):
-            raise ValueError("observable coefficient must be real")
-        return word, float(coeff.real)
+        return word, coeff
     raise TypeError(f"unsupported observable {observable!r}")
 
 
@@ -432,8 +430,9 @@ def run_tn(
         psi.flags.append(f"norm_bp_nonconverged:delta={ms_psi.max_delta:.3e}")
     if not ms_o.converged:
         op.flags.append(f"norm_bp_nonconverged:delta={ms_o.max_delta:.3e}")
-    assert n_psi <= 1.0 + 1e-8, f"state norm proxy {n_psi} exceeds 1"
-    assert n_o <= 1.0 + 1e-8, f"operator norm proxy {n_o} exceeds 1"
+    for name, proxy in (("state", n_psi), ("operator", n_o)):
+        if proxy > 1.0 + 1e-8:
+            raise AssertionError(f"{name} norm proxy {proxy} exceeds 1")
 
     sn = sandwich_network(psi, op, lazy_layers)
     ms = bp_iterate(

@@ -198,6 +198,35 @@ def random_gate(rng: np.random.Generator, n: int, clifford_only: bool = False) -
     return Gate("rot", qubits, angle, axis)
 
 
+def mixed_gate(rng: np.random.Generator, n: int, sites=None) -> Gate:
+    """A random gate of every kind, rotations with Y axes included, on
+    ``sites`` (default: all n); half the rotation angles are exact
+    multiples of pi/2."""
+    sites = n if sites is None else sites
+    kind = ("named1", "named2", "rx", "ry", "rz", "rzz", "rot")[int(rng.integers(0, 7))]
+    if kind == "named1":
+        return Gate(("h", "s", "sdg", "x", "y", "z")[int(rng.integers(0, 6))],
+                    (int(rng.choice(sites)),))
+    qubits = tuple(int(q) for q in rng.choice(sites, size=3, replace=False))
+    if kind == "named2":
+        return Gate(("cx", "cz")[int(rng.integers(0, 2))], qubits[:2])
+    if rng.random() < 0.5:
+        angle = float(rng.integers(-4, 5)) * math.pi / 2
+    else:
+        angle = float(rng.uniform(-math.pi, math.pi))
+    if kind == "rzz":
+        return Gate("rzz", qubits[:2], angle)
+    if kind != "rot":
+        return Gate(kind, qubits[:1], angle)
+    letters = [("X", "Y", "Z")[int(rng.integers(0, 3))] for _ in qubits]
+    axis = PauliWord.from_sites(
+        n,
+        z=[q for q, lt in zip(qubits, letters) if lt in "ZY"],
+        x=[q for q, lt in zip(qubits, letters) if lt in "XY"],
+    )
+    return Gate("rot", qubits, angle, axis)
+
+
 def random_circuit(
     rng: np.random.Generator, n: int, depth: int, clifford_only: bool = False
 ) -> Circuit:

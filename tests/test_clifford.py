@@ -21,7 +21,7 @@ from spdtn import (
 )
 from spdtn.oracle import clifford_image
 
-from conftest import dense_unitary, dense_word, random_circuit, random_word
+from conftest import dense_unitary, dense_word, mixed_gate, random_circuit, random_word
 
 
 def dense_conjugate(circuit, word):
@@ -248,33 +248,6 @@ class TestRecompile:
         assert coeff == 1.0
 
 
-def _mixed_gate(rng, n):
-    """A random gate of every kind, rotations with Y axes included; half
-    the rotation angles are exact multiples of pi/2."""
-    kind = ("named1", "named2", "rx", "ry", "rz", "rzz", "rot")[int(rng.integers(0, 7))]
-    if kind == "named1":
-        return Gate(("h", "s", "sdg", "x", "y", "z")[int(rng.integers(0, 6))],
-                    (int(rng.integers(0, n)),))
-    qubits = tuple(int(q) for q in rng.choice(n, size=3, replace=False))
-    if kind == "named2":
-        return Gate(("cx", "cz")[int(rng.integers(0, 2))], qubits[:2])
-    if rng.random() < 0.5:
-        angle = float(rng.integers(-4, 5)) * math.pi / 2
-    else:
-        angle = float(rng.uniform(-math.pi, math.pi))
-    if kind == "rzz":
-        return Gate("rzz", qubits[:2], angle)
-    if kind != "rot":
-        return Gate(kind, qubits[:1], angle)
-    letters = [("X", "Y", "Z")[int(rng.integers(0, 3))] for _ in qubits]
-    axis = PauliWord.from_sites(
-        n,
-        z=[q for q, lt in zip(qubits, letters) if lt in "ZY"],
-        x=[q for q, lt in zip(qubits, letters) if lt in "XY"],
-    )
-    return Gate("rot", qubits, angle, axis)
-
-
 class TestRecompileAgainstOracle:
     @pytest.mark.parametrize("n", [65, 127])
     @pytest.mark.parametrize("seed", range(3))
@@ -284,7 +257,7 @@ class TestRecompileAgainstOracle:
         cut to its k*pi/2 part); the transformed observable is the image
         under the whole Clifford part.  Equality is exact."""
         rng = np.random.default_rng(2100 + seed)
-        gates = [_mixed_gate(rng, n) for _ in range(120)]
+        gates = [mixed_gate(rng, n) for _ in range(120)]
         terms = [(random_word(rng, n), complex(rng.standard_normal())) for _ in range(4)]
         terms.append((PauliWord.from_sites(n, z=[3, 64, n - 1], x=[3, 70 % n]), 0.5))
         obs = PauliSum.from_terms(n, terms)

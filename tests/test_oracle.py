@@ -18,6 +18,8 @@ from spdtn import (
     kicked_ising,
     parse_pauli,
 )
+from spdtn import oracle
+from spdtn.circuits import gate_matrix
 from spdtn.oracle import (
     CONTRACT_BUDGET,
     clifford_expectation,
@@ -267,3 +269,38 @@ class TestExactContract:
         with pytest.raises(CapacityError, match="budget"):
             exact_contract(ring3, budget=1000)
         assert CONTRACT_BUDGET > 10**6
+
+
+class TestInvariantsRaise:
+    """Broken invariants raise AssertionError explicitly, so the checks
+    also hold under ``python -O``, which strips assert statements."""
+
+    circuit = Circuit(2, (Layer((Gate("h", (1,)),)), Layer((Gate("rz", (0,), 0.3),))))
+
+    def test_statevector_norm_drift(self, monkeypatch):
+        monkeypatch.setattr(oracle, "gate_matrix", lambda g: 1.01 * gate_matrix(g))
+        with pytest.raises(AssertionError, match="norm drifted to"):
+            statevector(self.circuit)
+
+    def test_statevector_imaginary_residue(self, monkeypatch):
+        monkeypatch.setattr(oracle, "pauli_apply", lambda v, w: 1j * pauli_apply(v, w))
+        with pytest.raises(AssertionError, match="imaginary residue"):
+            statevector_expectation(self.circuit, parse_pauli("Z0", 2))
+
+    def test_heisenberg_imaginary_residue(self, monkeypatch):
+        monkeypatch.setattr(
+            oracle, "observable_matrix", lambda o, n: 1j * observable_matrix(o, n)
+        )
+        with pytest.raises(AssertionError, match="imaginary residue"):
+            heisenberg_dense_expectation(self.circuit, parse_pauli("Z0", 2))
+
+    def test_clifford_imaginary_residue(self, monkeypatch):
+        image = oracle._image
+        monkeypatch.setattr(
+            oracle,
+            "_image",
+            lambda steps, n, w: PhasedWord(image(steps, n, w).word, 1j),
+        )
+        circuit = Circuit(2, (Layer((Gate("h", (1,)),)),))
+        with pytest.raises(AssertionError, match="imaginary residue"):
+            clifford_expectation(circuit, parse_pauli("Z0", 2))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from spdtn import (
+    Circuit,
+    Layer,
     PauliSum,
     PauliWord,
     SpdCapacityError,
@@ -17,7 +19,7 @@ from spdtn import (
 from spdtn.oracle import statevector_expectation
 from spdtn.spd import DEFAULT_MAX_TERMS, MAX_TERMS_ENV, _resolve_cap
 
-from conftest import dense_word, random_circuit, random_word
+from conftest import dense_word, mixed_gate, random_circuit, random_word
 
 
 def dense_sum(s: PauliSum) -> np.ndarray:
@@ -42,14 +44,14 @@ class TestPauliSum:
                 ("Z2", 1.0),
                 ("X0", 2.0),
                 ("Z2", 0.5),
-                ("Y1", 1.0j),
+                ("Y1", -0.25),
             ],
         )
         assert s.num_terms == 3
         s.validate()
         assert np.isclose(s.coefficient("Z2"), 1.5)
         assert np.isclose(s.coefficient("X0"), 2.0)
-        assert np.isclose(s.coefficient("Y1"), 1.0j)
+        assert np.isclose(s.coefficient("Y1"), -0.25)
         assert s.coefficient("Z0") == 0.0
 
     def test_empty_sum(self):
@@ -72,9 +74,17 @@ class TestPauliSum:
         assert np.isclose(s.expectation(), expected, atol=1e-12)
 
     def test_expectation_rejects_imaginary_residue(self):
-        s = PauliSum.from_terms(2, [("Z0", 1.0j)])
         with pytest.raises(ValueError, match="imaginary"):
-            s.expectation()
+            PauliSum.from_terms(2, [("Z0", 1.0j)])
+
+    def test_coefficients_are_real(self):
+        s = PauliSum.from_terms(2, [("Z0", 1.0 + 0.0j), ("X1", 2)])
+        assert s.coeffs.dtype == np.float64
+        assert type(s.coefficient("Z0")) is float
+        assert type(s.coefficient("Z1")) is float
+        assert all(type(c) is float for _, c in s.terms())
+        with pytest.raises(ValueError, match="imaginary.*real"):
+            PauliSum(2, s.words, s.coeffs + 1e-300j)
 
     def test_frobenius_norm_matches_dense(self, rng):
         n = 3
@@ -231,3 +241,108 @@ class TestRunSpd:
         assert coarse.peak_terms <= exact.peak_terms
         assert coarse.norm <= exact.norm + 1e-12
         assert abs(coarse.expectation - exact.expectation) < 0.5
+
+
+# -- complex reference ------------------------------------------------------
+
+_UNITS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def _word_ints(row, nw: int) -> tuple[int, int]:
+    """(z, x) Python ints of a packed [z-words | x-words] row."""
+    z = sum(int(row[i]) << (64 * i) for i in range(nw))
+    x = sum(int(row[nw + i]) << (64 * i) for i in range(nw))
+    return z, x
+
+
+def complex_propagate(rotations, terms: dict, delta: float) -> tuple[dict, int]:
+    """Heisenberg propagation on a dict from (z, x) ints to complex
+    coefficients: the route that real coefficients replace.
+
+    ``rotations`` holds (z, x, angle) in circuit order and acts last one
+    first.  A word P that anticommutes with the axis sigma keeps
+    cos(theta) a_P and passes i sin(theta) i^k a_P to sigma*P, with
+    op(sigma) op(P) = i^k op(sigma*P) and i^k a complex unit.  Truncation
+    follows the engine: after each branching rotation, drop resident terms
+    with |a| < delta and create a product that lands on no resident word
+    only if it reaches delta.  Returns the final terms and the peak count.
+    """
+    terms = {w: c for w, c in terms.items() if abs(c) >= delta}
+    peak = len(terms)
+    for sz, sx, angle in reversed(rotations):
+        anti = [
+            (w, c) for w, c in terms.items()
+            if ((w[0] & sx).bit_count() + (w[1] & sz).bit_count()) & 1
+        ]
+        if not anti:
+            continue
+        isin = 1.0j * float(np.sin(angle))
+        cos = float(np.cos(angle))
+        y_axis = (sz & sx).bit_count()
+        products = []
+        for (z, x), c in anti:
+            pz, px = z ^ sz, x ^ sx
+            k = ((pz & px).bit_count() - y_axis - (z & x).bit_count()
+                 + 2 * (sx & z).bit_count()) % 4
+            products.append(((pz, px), isin * _UNITS[k] * c))
+        for w, c in anti:
+            terms[w] = c * cos
+        born = []
+        for w, c in products:
+            if w in terms:
+                terms[w] = terms[w] + c
+            elif abs(c) >= delta:
+                born.append((w, c))
+        terms = {w: c for w, c in terms.items() if abs(c) >= delta}
+        terms.update(born)
+        peak = max(peak, len(terms))
+    return terms, peak
+
+
+class TestRealCoefficients:
+    @pytest.mark.parametrize("delta", [0.0, 1e-3])
+    @pytest.mark.parametrize("n", [5, 65, 127])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_complex_reference_bit_for_bit(self, seed, n, delta):
+        """Real float64 coefficients against complex arithmetic with the
+        i^k phase table: the same words, every coefficient equal to the
+        reference's real part bit for bit, and every reference imaginary
+        part exactly 0.0."""
+        rng = np.random.default_rng(2600 + 10 * seed + n)
+        # sites on both sides of the 64-bit word boundary when n > 64
+        sites = np.arange(n) if n < 12 else np.unique([0, 1, 2, 30, 61, 62, 63, 64, n - 2, n - 1])
+        gates = [mixed_gate(rng, n, sites) for _ in range(60)]
+        assert any(g.name in ("ry", "rot") for g in gates)
+        word_sites = [int(q) for q in sites]
+        terms = [
+            (PauliWord.from_sites(
+                n,
+                z=[q for q in word_sites if rng.random() < 0.4],
+                x=[q for q in word_sites if rng.random() < 0.4],
+            ), float(rng.standard_normal()))
+            for _ in range(4)
+        ]
+        obs = PauliSum.from_terms(n, terms)
+        rc = recompile(Circuit(n, tuple(Layer((g,)) for g in gates)), obs)
+        assert rc.transformed_observable.coeffs.dtype == np.float64
+        assert len(rc.rotations) > 10
+
+        nw = obs.nw
+        s = rc.transformed_observable.truncate(delta)
+        peak = s.num_terms
+        for rot in reversed(rc.rotations):
+            s = apply_rotation(s, rot.axis, rot.angle, delta)
+            peak = max(peak, s.num_terms)
+            assert s.coeffs.dtype == np.float64
+        rotations = [(*_word_ints(r.axis.row, nw), r.angle) for r in rc.rotations]
+        start = {
+            _word_ints(row, nw): complex(c)
+            for row, c in zip(rc.transformed_observable.words, rc.transformed_observable.coeffs)
+        }
+        want, want_peak = complex_propagate(rotations, start, delta)
+
+        assert peak == want_peak
+        assert all(c.imag == 0.0 for c in want.values())
+        got = {_word_ints(row, nw): float(c) for row, c in zip(s.words, s.coeffs)}
+        assert got.keys() == want.keys()
+        assert all(got[w].hex() == want[w].real.hex() for w in want)

@@ -15,6 +15,7 @@ from spdtn import (
     parse_pauli,
     ring,
 )
+from spdtn import tn
 from spdtn.oracle import exact_contract, statevector, statevector_expectation
 from spdtn.tensor import contract
 from spdtn.tn import (
@@ -287,6 +288,22 @@ class TestRunTn:
             run_tn(circuit, parse_pauli("Z0", n + 1), "mix", chi=4)
         with pytest.raises(TypeError):
             run_tn(circuit, "Z0", "mix", chi=4)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("peps", "state norm proxy 1.5 exceeds 1"), ("pepo", "operator norm proxy 1.5 exceeds 1")],
+    )
+    def test_norm_proxy_above_one_raises(self, monkeypatch, kind, message):
+        """Explicit raises, so ``python -O`` keeps the check."""
+
+        def inflated(state, opts=None):
+            value, ms = state_norm(state, opts)
+            return (1.5 if state.kind == kind else value), ms
+
+        monkeypatch.setattr(tn, "state_norm", inflated)
+        circuit = kicked_ising(chain(3), steps=1, theta_h=0.3)
+        with pytest.raises(AssertionError, match=message):
+            run_tn(circuit, parse_pauli("Z0", 3), "mix", chi=4)
 
     def test_nonconvergence_is_flagged_not_raised(self):
         n = 12
