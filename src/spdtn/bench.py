@@ -580,7 +580,9 @@ class ComparisonReport:
             lines.append(f"{t:<10.6f}{cells}{self.spreads[t]:>22.3e}")
         lines.append(f"max spread: {self.max_spread:.6e}")
         for (a, b), d in sorted(self.pairwise.items()):
-            lines.append(f"max |{a} - {b}|: {d:.6e}")
+            # a pair with the reference is printed once, below, as its deviation
+            if self.reference not in (a, b):
+                lines.append(f"max |{a} - {b}|: {d:.6e}")
         if self.reference is not None:
             for name in self.names:
                 if name != self.reference:

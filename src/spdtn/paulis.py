@@ -17,8 +17,14 @@ the two words commute.  Words carry no phase of their own.
 
 Term ordering everywhere in this package is the lexicographic order of the
 packed row ``[z_0, .., z_{w-1}, x_0, .., x_{w-1}]`` with each uint64 compared
-numerically, which equals bytewise comparison of the big-endian serialization
-produced by :func:`pack_keys`.
+numerically.  Written big-endian (dtype ``">u8"``), a row's bytes compare in
+that same order, so :func:`pack_keys` turns each row into one fixed-width
+byte string; on rows already stored big-endian and C-contiguous, as
+``spd.PauliSum`` stores them, the keys are a view of the same memory.
+
+Rows may be native or big-endian uint64.  The batch kernels below work on the
+raw bytes: AND, XOR and the parity of a popcount do not depend on the order
+of the bytes within a word, so a big-endian batch is never converted.
 """
 
 from __future__ import annotations
@@ -62,12 +68,13 @@ def pack_keys(rows: np.ndarray) -> np.ndarray:
     """Fixed-width byte keys whose bytewise order is the packed-row order.
 
     ``rows`` has shape (..., 2*nw) uint64; the result has shape (...,) with
-    dtype ``S{16*nw}``.  Serializing each word big-endian makes bytewise
-    comparison agree with numeric word-by-word comparison.
+    dtype ``S{16*nw}``.  Each word is written big-endian, so bytewise
+    comparison agrees with numeric word-by-word comparison.  Rows that are
+    already C-contiguous ``">u8"`` are not copied: the keys are a view of
+    their memory.
     """
-    be = np.ascontiguousarray(rows).astype(">u8")
-    width = be.shape[-1] * 8
-    return be.view(f"S{width}").reshape(rows.shape[:-1])
+    be = np.ascontiguousarray(rows, dtype=">u8")
+    return be.view(f"S{be.shape[-1] * 8}").reshape(be.shape[:-1])
 
 
 def y_counts(rows: np.ndarray) -> np.ndarray:
@@ -175,32 +182,60 @@ class PhasedWord:
         return f"PhasedWord({self.phase!r} * {format_pauli(self.word)!r})"
 
 
+def _raw(rows: np.ndarray, row: np.ndarray):
+    """Native-uint64 views of the memory of ``rows`` and of ``row`` written in
+    the byte order of ``rows``: bitwise results on them are the byte-swapped
+    results on the values, with the same popcounts."""
+    return rows.view(np.uint64), np.asarray(row, dtype=rows.dtype).view(np.uint64)
+
+
 def anticommute_mask(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Boolean mask of packed rows that anticommute with ``row``.
 
-    Two words anticommute iff popcount(a.z & b.x) + popcount(a.x & b.z)
-    is odd.
+    Two words anticommute iff popcount(a.z & b.x) + popcount(a.x & b.z) is
+    odd, which is the parity of one popcount of the XOR of every
+    ``a.z[w] & b.x[w]`` and ``a.x[w] & b.z[w]``.  Only the words where
+    ``row`` is nonzero enter the fold; an identity ``row`` commutes with all.
     """
-    nw = row.shape[0] // 2
-    zx = popcount(rows[..., :nw] & row[nw:]).sum(axis=-1, dtype=np.int64)
-    xz = popcount(rows[..., nw:] & row[:nw]).sum(axis=-1, dtype=np.int64)
-    return ((zx + xz) & 1).astype(bool)
+    raw, axis = _raw(np.asarray(rows), row)
+    nw = axis.shape[0] // 2
+    fold = None
+    for w in axis.nonzero()[0]:
+        # axis z word w meets the rows' x word w, axis x word w their z word w
+        term = raw[..., (w + nw) % (2 * nw)] & axis[w]
+        if fold is None:
+            fold = term
+        else:
+            fold ^= term
+    if fold is None:
+        return np.zeros(raw.shape[:-1], dtype=bool)
+    return (np.bitwise_count(fold) & 1).view(bool)
 
 
 def mul_rows(left: np.ndarray, rights: np.ndarray):
     """Products ``op(left) @ op(rights[k])`` for a batch of packed rows.
 
-    Returns ``(prod_rows, k)`` with ``op(left) op(r) = i^k op(left ^ r)``.
-    The exponent follows from counting Y-normalization factors on each
-    operand and the product plus the X-past-Z swaps:
+    Returns ``(prod_rows, k)`` with ``op(left) op(r) = i^k op(left ^ r)``;
+    ``prod_rows`` has the dtype (byte order) of ``rights``.  The exponent
+    follows from counting Y-normalization factors on each operand and the
+    product plus the X-past-Z swaps:
 
         k = y(c) - y(left) - y(r) + 2 * |left.x & r.z|   (mod 4)
+
+    On a word where ``left`` is zero, c equals r, so ``y(c) - y(r)`` and the
+    swaps are summed over the nonzero words of ``left`` only.
     """
-    nw = left.shape[0] // 2
-    prod = rights ^ left
-    swaps = popcount(rights[..., :nw] & left[nw:]).sum(axis=-1, dtype=np.int64)
-    k = y_counts(prod) - y_counts(left) - y_counts(rights) + 2 * swaps
-    return prod, np.mod(k, 4)
+    rights = np.asarray(rights)
+    raw, lraw = _raw(rights, left)
+    nw = lraw.shape[0] // 2
+    prod = raw ^ lraw
+    k = np.full(raw.shape[:-1], -y_counts(lraw), dtype=np.int64)
+    for w in (lraw[:nw] | lraw[nw:]).nonzero()[0]:
+        k += np.bitwise_count(prod[..., w] & prod[..., nw + w])
+        k -= np.bitwise_count(raw[..., w] & raw[..., nw + w])
+        if lraw[nw + w]:
+            k += 2 * np.bitwise_count(raw[..., w] & lraw[nw + w])
+    return prod.view(rights.dtype), k & 3
 
 
 def pauli_mul(a: PauliWord, b: PauliWord) -> PhasedWord:

@@ -1,20 +1,28 @@
 """Sparse Pauli dynamics: Heisenberg propagation of observable sums.
 
-A ``PauliSum`` holds N packed words (rows, lexicographically sorted and
-unique) with real coefficients.  A rotation ``exp(-i theta sigma / 2)``
-maps each stored word P that anticommutes with the axis sigma to
+A ``PauliSum`` holds N packed words (rows, sorted by packed key and unique)
+with real coefficients.  A rotation ``exp(-i theta sigma / 2)`` maps each
+stored word P that anticommutes with the axis sigma to
 
     a'_P      = cos(theta) a_P          (own coefficient damped)
     a'_{s^P} += i sin(theta) i^k a_P    with op(sigma) op(P) = i^k op(s^P)
 
-where k is 1 or 3 for anticommuting words, so ``i * i^k = k - 2`` is real;
-each gate runs in five vectorized passes: (1) mask the anticommuting
-terms and form their products sigma*P, (2) binary-search every product
-against the sorted sum, (3) update coefficients of the products found and
-build the missing ones as candidate new terms, (4) delete terms whose
-updated magnitude fell below the threshold, (5) sort the surviving new
-terms and merge the two sorted runs.  Truncation keeps |a| >= delta, so
-delta = 0 keeps everything (including exact zeros).
+where k is 1 or 3 for anticommuting words, so ``i * i^k = k - 2`` is real.
+Words are stored big-endian (``">u8"``), so each row's sort key is a view of
+its bytes and no pass re-serializes the sum.  Each gate runs as:
+
+(1) one parity fold over the axis's nonzero words gives the indices of the
+    anticommuting terms; with none, the sum is returned as it is;
+(2) their rows are gathered whole and multiplied by sigma;
+(3) every product is binary-searched among the stored keys; a product found
+    adds to its resident coefficient, and the missing ones that reach the
+    threshold are sorted as new terms;
+(4) the new terms go straight to their merged positions, each after the
+    resident terms kept below its search position and the new terms with
+    smaller keys; the kept resident terms fill the other slots in order.
+
+Truncation keeps |a| >= delta, so delta = 0 keeps everything (including
+exact zeros).
 """
 
 from __future__ import annotations
@@ -63,14 +71,20 @@ class SpdCapacityError(RuntimeError):
 
 @dataclass(frozen=True)
 class PauliSum:
-    """Sorted, duplicate-free packed Pauli words with real coefficients."""
+    """Sorted, duplicate-free packed Pauli words with real coefficients.
+
+    ``words`` is stored C-contiguous big-endian (dtype ``">u8"``); the
+    constructor converts other input once.  The numeric values are those of
+    native rows, but each row's bytes already compare in the packed-key
+    order, so :func:`pack_keys` on ``words`` is a view, not a copy.
+    """
 
     n: int
-    words: np.ndarray  # (N, 2*nw) uint64, sorted by packed key
+    words: np.ndarray  # (N, 2*nw) ">u8", sorted by packed key
     coeffs: np.ndarray  # (N,) float64
 
     def __post_init__(self):
-        words = np.asarray(self.words, dtype=np.uint64)
+        words = np.ascontiguousarray(self.words, dtype=">u8")
         coeffs = _real(self.coeffs)
         if words.ndim != 2 or words.shape[1] != 2 * nwords64(self.n):
             raise ValueError(f"words shape {words.shape} does not match n={self.n}")
@@ -93,7 +107,7 @@ class PauliSum:
                 raise ValueError(f"term on {word.n} sites in an n={n} sum")
             rows.append(word.row)
             coeffs.append(coeff)
-        words = np.array(rows, dtype=np.uint64).reshape(-1, 2 * nw)
+        words = np.array(rows, dtype=">u8").reshape(-1, 2 * nw)
         _, first, group = np.unique(pack_keys(words), return_index=True, return_inverse=True)
         summed = np.bincount(group, weights=_real(coeffs), minlength=len(first))
         return cls(n, words[first], summed)
@@ -168,61 +182,63 @@ def apply_rotation(
         raise ValueError(f"axis on {axis.n} sites, sum on {s.n}")
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    nw = s.nw
-    anti = anticommute_mask(s.words, axis.row)
-    sin_t = np.sin(theta)
-    if not anti.any():
+    anti = np.flatnonzero(anticommute_mask(s.words, axis.row))
+    if anti.size == 0:
         return s
+    sin_t = np.sin(theta)
     coeffs = s.coeffs.copy()
+    a = coeffs[anti]
+    coeffs[anti] = a * np.cos(theta)
     if sin_t == 0.0:
         # pure +-1 Clifford content: coefficients scale by cos = +-1 only
-        coeffs[anti] *= np.cos(theta)
         return PauliSum(s.n, s.words, coeffs).truncate(delta)
-    prod_words, k = mul_rows(axis.row, s.words[anti])
-    contrib = sin_t * (k - 2) * s.coeffs[anti]
-    coeffs[anti] *= np.cos(theta)
+    rows = _row_view(s.words)
+    prod_words, k = mul_rows(axis.row, _from_rows(rows[anti]))
+    contrib = sin_t * (k - 2) * a
 
     keys = pack_keys(s.words)
     prod_keys = pack_keys(prod_words)
     pos = np.searchsorted(keys, prod_keys)
-    pos_clip = np.minimum(pos, len(keys) - 1)
-    found = keys[pos_clip] == prod_keys
+    found = keys[np.minimum(pos, len(keys) - 1)] == prod_keys
     # sigma*P -> P^sigma is a bijection, so the found positions are unique
-    coeffs[pos_clip[found]] += contrib[found]
-
-    new_mask = ~found
-    new_coeffs = contrib[new_mask]
-    born = np.abs(new_coeffs) >= delta
-    new_words = prod_words[new_mask][born]
-    new_coeffs = new_coeffs[born]
-    new_keys = prod_keys[new_mask][born]
+    hit = np.flatnonzero(found)
+    coeffs[pos[hit]] += contrib[hit]
+    miss = np.flatnonzero(~found)
+    born = miss[np.abs(contrib[miss]) >= delta]
+    born = born[np.argsort(prod_keys[born], kind="stable")]
 
     keep = np.abs(coeffs) >= delta
-    old_words, old_coeffs, old_keys = s.words[keep], coeffs[keep], keys[keep]
-
-    total = len(old_coeffs) + len(new_coeffs)
+    dropped = np.flatnonzero(~keep)
+    total = len(keys) - dropped.size + born.size
     cap = _resolve_cap(max_terms)
     if total > cap:
         raise SpdCapacityError(total, cap)
-    if len(new_coeffs) == 0:
-        return PauliSum(s.n, old_words, old_coeffs)
 
-    order = np.argsort(new_keys, kind="stable")
-    new_words, new_coeffs, new_keys = new_words[order], new_coeffs[order], new_keys[order]
-
-    # one linear merge of the two sorted runs
-    insert_at = np.searchsorted(old_keys, new_keys)
-    merged_words = np.empty((total, 2 * nw), dtype=np.uint64)
+    # pos counts every resident below a product; the dropped ones leave no slot
+    below = pos[born]
+    new_at = below - np.searchsorted(dropped, below) + np.arange(born.size)
+    is_new = np.zeros(total, dtype=bool)
+    is_new[new_at] = True
+    merged_rows = np.empty(total, dtype=rows.dtype)
     merged_coeffs = np.empty(total)
-    new_dest = insert_at + np.arange(len(new_keys))
-    old_dest = np.arange(len(old_keys)) + np.cumsum(
-        np.bincount(insert_at, minlength=len(old_keys) + 1)
-    )[: len(old_keys)]
-    merged_words[new_dest] = new_words
-    merged_coeffs[new_dest] = new_coeffs
-    merged_words[old_dest] = old_words
-    merged_coeffs[old_dest] = old_coeffs
-    return PauliSum(s.n, merged_words, merged_coeffs)
+    merged_rows[new_at] = _row_view(prod_words)[born]
+    merged_coeffs[new_at] = contrib[born]
+    if dropped.size:
+        rows, coeffs = rows[keep], coeffs[keep]
+    is_old = ~is_new
+    merged_rows[is_old] = rows
+    merged_coeffs[is_old] = coeffs
+    return PauliSum(s.n, _from_rows(merged_rows), merged_coeffs)
+
+
+def _row_view(words: np.ndarray) -> np.ndarray:
+    """The rows of a C-contiguous (N, 2*nw) word array as N opaque items."""
+    return words.view(f"V{words.shape[1] * 8}")[:, 0]
+
+
+def _from_rows(rows: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_row_view` on a gathered row array."""
+    return rows.view(">u8").reshape(len(rows), rows.dtype.itemsize // 8)
 
 
 def _real(coeffs) -> np.ndarray:

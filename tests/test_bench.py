@@ -502,6 +502,27 @@ class TestCompare:
         except ValueError as exc:
             assert "('b', 0.2)" in str(exc)
 
+    def test_each_deviation_printed_once(self):
+        """With a reference, a pair that includes it is reported only as
+        that method's deviation; other pairs keep their pairwise line."""
+        tables = {
+            "spd": [make_row(expectation=0.5)],
+            "mix": chi_series([0.25], [8], method="mix", theta=0.1),
+            "exact": [make_row(method="exact", param_name="", param_value=None,
+                               expectation=0.75)],
+        }
+        lines = compare(tables, reference="exact").format().splitlines()
+        deviations = [line for line in lines if line.startswith("max |")]
+        assert deviations == [
+            "max |mix - spd|: 2.500000e-01",
+            "max |mix - exact|: 5.000000e-01",
+            "max |spd - exact|: 2.500000e-01",
+        ]
+        pairs = [frozenset(line[5:line.index("|:")].split(" - ")) for line in deviations]
+        assert len(pairs) == len(set(pairs)) == 3
+        without_ref = compare(tables).format()
+        assert "max |exact - spd|: 2.500000e-01" in without_ref
+
     def test_unknown_reference(self):
         with pytest.raises(ValueError, match="reference 'exact'"):
             compare({"a": [make_row()]}, reference="exact")
@@ -608,7 +629,8 @@ class TestCli:
         text = capsys.readouterr().out
         assert code == 0
         assert "max spread" in text
-        assert "max |spd - exact|" in text
+        assert text.count("max |spd - exact|") == 1
+        assert "max |exact - spd|" not in text
 
     def test_duplicate_method_exit_two(self, config_path, tmp_path, capsys):
         out = tmp_path / "rows.csv"

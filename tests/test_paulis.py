@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdtn import PauliWord, anticommutes, format_pauli, parse_pauli, pauli_mul
-from spdtn.paulis import mul_rows, nwords64, pack_keys, y_counts
+from spdtn.paulis import anticommute_mask, mul_rows, nwords64, pack_keys, y_counts
 
+import spd_reference as ref
 from conftest import PAULI_MATS, dense_letters, dense_word, random_word
 
 
@@ -205,3 +206,80 @@ class TestWordBasics:
             j for j in range(word.n) if word.site(j) != "I"
         )
         assert word.weight == len(word.support())
+
+
+# -- batch kernels against the popcount-sum references ---------------------
+
+KERNEL_SITES = (1, 63, 64, 65, 127, 128, 139, 200)
+
+
+@st.composite
+def row_batches(draw):
+    """A batch of packed rows with any leading shape and either byte order,
+    and one axis row: the identity, a few sites around the 64-bit word
+    boundaries, or random bits."""
+    n = draw(st.sampled_from(KERNEL_SITES))
+    nw = nwords64(n)
+    shape = draw(st.sampled_from([(), (1,), (7,), (2, 3), (4, 1)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = draw(st.sampled_from(["=u8", ">u8"]))
+    # rows: uniform bits or sparse bits, cut to n sites per half
+    rows = rng.integers(0, 2**64, size=(*shape, 2 * nw), dtype=np.uint64)
+    if draw(st.booleans()):
+        rows &= rng.integers(0, 2**64, size=rows.shape, dtype=np.uint64)
+        rows &= rng.integers(0, 2**64, size=rows.shape, dtype=np.uint64)
+    tail = n - 64 * (nw - 1)
+    if tail < 64:
+        high = np.uint64((1 << tail) - 1)
+        rows[..., nw - 1] &= high
+        rows[..., 2 * nw - 1] &= high
+    kind = draw(st.sampled_from(["identity", "boundary", "random"]))
+    if kind == "identity":
+        axis = PauliWord.identity(n)
+    elif kind == "boundary":
+        near = sorted({j for b in (0, 64, 128, 192) for j in (b - 1, b) if 0 <= j < n} | {n - 1})
+        sites = draw(st.lists(st.sampled_from(near), min_size=1, max_size=4))
+        xs = draw(st.lists(st.sampled_from(near), max_size=4))
+        axis = PauliWord.from_sites(n, z=set(sites), x=set(xs))
+    else:
+        axis = random_word(rng, n, p=draw(st.sampled_from([0.05, 0.5])))
+    axis_order = draw(st.sampled_from(["=u8", ">u8"]))
+    return rows.astype(order), axis.row.astype(axis_order)
+
+
+class TestBatchKernels:
+    @given(row_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_anticommute_mask_matches_reference(self, case):
+        rows, axis = case
+        got = anticommute_mask(rows, axis)
+        want = ref.anticommute_mask(rows.astype(np.uint64), axis.astype(np.uint64))
+        assert np.shape(got) == np.shape(want) == rows.shape[:-1]
+        assert np.asarray(got).dtype == bool
+        assert np.array_equal(got, want)
+
+    @given(row_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_mul_rows_matches_reference(self, case):
+        rights, left = case
+        prod, k = mul_rows(left, rights)
+        want_prod, want_k = ref.mul_rows(left.astype(np.uint64), rights.astype(np.uint64))
+        assert prod.dtype == rights.dtype
+        assert prod.shape == rights.shape
+        assert np.array_equal(prod, want_prod)
+        assert np.shape(k) == np.shape(want_k) == rights.shape[:-1]
+        assert np.array_equal(k, want_k)
+
+    def test_identity_axis_commutes_with_all(self, rng):
+        rows = rng.integers(0, 2**64, size=(5, 3, 6), dtype=np.uint64)
+        mask = anticommute_mask(rows.astype(">u8"), PauliWord.identity(139).row)
+        assert mask.shape == (5, 3) and not mask.any()
+
+    def test_pack_keys_is_a_view_of_stored_rows(self, rng):
+        rows = rng.integers(0, 2**64, size=(30, 4), dtype=np.uint64)
+        stored = rows.astype(">u8")
+        keys = pack_keys(stored)
+        assert np.shares_memory(keys, stored)
+        assert np.array_equal(keys, ref.pack_keys(rows))
+        assert np.array_equal(pack_keys(rows), ref.pack_keys(rows))
+        assert not np.shares_memory(pack_keys(rows), rows)

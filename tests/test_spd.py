@@ -16,9 +16,11 @@ from spdtn import (
     recompile,
     run_spd,
 )
+from spdtn import spd
 from spdtn.oracle import statevector_expectation
 from spdtn.spd import DEFAULT_MAX_TERMS, MAX_TERMS_ENV, _resolve_cap
 
+import spd_reference as ref
 from conftest import dense_word, mixed_gate, random_circuit, random_word
 
 
@@ -299,6 +301,27 @@ def complex_propagate(rotations, terms: dict, delta: float) -> tuple[dict, int]:
     return terms, peak
 
 
+def _random_recompiled(seed: int, n: int, gates: int = 60):
+    """A random circuit of ``mixed_gate``s on sites on both sides of the
+    64-bit word boundaries, with a 4-term real observable, and its
+    recompilation."""
+    rng = np.random.default_rng(seed)
+    sites = np.arange(n) if n < 12 else np.unique(
+        [0, 1, 2, 30, 61, 62, 63, min(64, n - 1), n - 2, n - 1] + ([127, 128] if n > 128 else [])
+    )
+    circuit = Circuit(n, tuple(Layer((mixed_gate(rng, n, sites),)) for _ in range(gates)))
+    word_sites = [int(q) for q in sites]
+    terms = [
+        (PauliWord.from_sites(
+            n,
+            z=[q for q in word_sites if rng.random() < 0.4],
+            x=[q for q in word_sites if rng.random() < 0.4],
+        ), float(rng.standard_normal()))
+        for _ in range(4)
+    ]
+    return circuit, recompile(circuit, PauliSum.from_terms(n, terms))
+
+
 class TestRealCoefficients:
     @pytest.mark.parametrize("delta", [0.0, 1e-3])
     @pytest.mark.parametrize("n", [5, 65, 127])
@@ -308,26 +331,12 @@ class TestRealCoefficients:
         i^k phase table: the same words, every coefficient equal to the
         reference's real part bit for bit, and every reference imaginary
         part exactly 0.0."""
-        rng = np.random.default_rng(2600 + 10 * seed + n)
-        # sites on both sides of the 64-bit word boundary when n > 64
-        sites = np.arange(n) if n < 12 else np.unique([0, 1, 2, 30, 61, 62, 63, 64, n - 2, n - 1])
-        gates = [mixed_gate(rng, n, sites) for _ in range(60)]
-        assert any(g.name in ("ry", "rot") for g in gates)
-        word_sites = [int(q) for q in sites]
-        terms = [
-            (PauliWord.from_sites(
-                n,
-                z=[q for q in word_sites if rng.random() < 0.4],
-                x=[q for q in word_sites if rng.random() < 0.4],
-            ), float(rng.standard_normal()))
-            for _ in range(4)
-        ]
-        obs = PauliSum.from_terms(n, terms)
-        rc = recompile(Circuit(n, tuple(Layer((g,)) for g in gates)), obs)
+        circuit, rc = _random_recompiled(2600 + 10 * seed + n, n)
+        assert any(g.name in ("ry", "rot") for g in circuit.gates())
         assert rc.transformed_observable.coeffs.dtype == np.float64
         assert len(rc.rotations) > 10
 
-        nw = obs.nw
+        nw = rc.transformed_observable.nw
         s = rc.transformed_observable.truncate(delta)
         peak = s.num_terms
         for rot in reversed(rc.rotations):
@@ -346,3 +355,105 @@ class TestRealCoefficients:
         got = {_word_ints(row, nw): float(c) for row, c in zip(s.words, s.coeffs)}
         assert got.keys() == want.keys()
         assert all(got[w].hex() == want[w].real.hex() for w in want)
+
+
+# -- the rotation kernel against the slow reference -------------------------
+
+
+def _schedule(rc):
+    """Heisenberg-order (axis, angle) pairs; every fourth rotation is preceded
+    by a zero-angle one on its axis, which takes the sin(theta) = 0 path."""
+    out = []
+    for i, rot in enumerate(reversed(rc.rotations)):
+        if i % 4 == 0:
+            out.append((rot.axis, 0.0 if i % 8 else -0.0))
+        out.append((rot.axis, rot.angle))
+    return out
+
+
+class TestRotationEquivalence:
+    @pytest.mark.parametrize("delta", [0.0, 1e-3])
+    @pytest.mark.parametrize("n", [5, 64, 65, 127, 139])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_reference_after_every_rotation(self, seed, n, delta):
+        _, rc = _random_recompiled(3100 + 10 * seed + n, n)
+        assert len(rc.rotations) > 10
+        s = want = rc.transformed_observable.truncate(delta)
+        zero_branching = collisions = drops = 0
+        for axis, angle in _schedule(rc):
+            before = want
+            anti = int(ref.anticommute_mask(before.words, axis.row).sum())
+            s = apply_rotation(s, axis, angle, delta)
+            want = ref.apply_rotation(before, axis, angle, delta)
+            s.validate()
+            assert s.words.dtype == np.dtype(">u8") and s.words.flags.c_contiguous
+            assert np.array_equal(s.words, want.words)
+            assert s.coeffs.tobytes() == want.coeffs.tobytes()
+            zero_branching += angle == 0.0 and anti > 0
+            # at delta = 0, a product that lands on a resident word adds no term
+            collisions += angle != 0.0 and want.num_terms < before.num_terms + anti
+            drops += bool(set(ref.pack_keys(before.words).tolist())
+                          - set(ref.pack_keys(want.words).tolist()))
+        assert zero_branching > 0
+        assert collisions > 0 if delta == 0.0 else drops > 0
+
+    @pytest.mark.parametrize("n", [5, 65, 139])
+    def test_capacity_error_at_the_same_rotation(self, n):
+        _, rc = _random_recompiled(3300 + n, n)
+        delta = 1e-3
+        s = rc.transformed_observable.truncate(delta)
+        peak = s.num_terms
+        for axis, angle in _schedule(rc):
+            s = ref.apply_rotation(s, axis, angle, delta)
+            peak = max(peak, s.num_terms)
+        cap = max(1, peak // 2)
+
+        def first_failure(rotate):
+            s = rc.transformed_observable.truncate(delta)
+            for i, (axis, angle) in enumerate(_schedule(rc)):
+                try:
+                    s = rotate(s, axis, angle, delta, max_terms=cap)
+                except SpdCapacityError as err:
+                    return i, err.needed, err.cap
+            return None
+
+        got = first_failure(apply_rotation)
+        assert got is not None
+        assert got == first_failure(ref.apply_rotation)
+        assert got[1] > cap
+
+
+class TestTraceHooks:
+    def test_run_spd_calls_kernels_through_module_names(self, monkeypatch):
+        """A tracer wraps ``anticommute_mask``, ``mul_rows`` and ``pack_keys``
+        where ``spdtn.spd`` looks them up, and counts branching rotations from
+        the ``mul_rows`` calls: one mask per rotation, one product per
+        rotation that branches (some term anticommutes and sin(theta) != 0)."""
+        _, rc = _random_recompiled(3400, 65, gates=80)
+        delta = 1e-3
+        calls = dict.fromkeys(("anticommute_mask", "mul_rows", "pack_keys"), 0)
+
+        def counting(name):
+            inner = getattr(spd, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(spd, name, counting(name))
+        result = run_spd(rc, delta)
+
+        s = rc.transformed_observable.truncate(delta)
+        branching = 0
+        for rot in reversed(rc.rotations):
+            if ref.anticommute_mask(s.words, rot.axis.row).any() and np.sin(rot.angle) != 0.0:
+                branching += 1
+            s = ref.apply_rotation(s, rot.axis, rot.angle, delta)
+        assert branching > 5
+        assert result.expectation == s.expectation()
+        assert calls["anticommute_mask"] == len(rc.rotations)
+        assert calls["mul_rows"] == branching
+        assert calls["pack_keys"] >= branching
