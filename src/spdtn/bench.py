@@ -32,6 +32,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -86,7 +87,7 @@ __all__ = [
     "loop_error_histogram",
 ]
 
-CSV_VERSION = "spdtn-csv-v1"
+CSV_VERSION = "spdtn-csv-v2"
 CSV_COLUMNS = [
     "method",
     "theta_h",
@@ -298,7 +299,8 @@ def run_point(
     param_value: float,
     angle_circuit: Callable | None = None,
 ) -> ResultRow:
-    """Evaluate one (theta_h, parameter) point; failures land in flags.
+    """Evaluate one (theta_h, parameter) point; a failure lands in flags as
+    ``error:<type>:<message>``, the message escaped by ``_escape_flag``.
 
     ``angle_circuit()`` returns this angle's circuit (see
     ``_angle_circuit``) when the caller shares it between points, as
@@ -336,7 +338,8 @@ def run_point(
             peak = res.max_bond
             flags.extend(res.flags)
     except Exception as exc:
-        flags.append(f"error:{type(exc).__name__}")
+        message = _escape_flag(str(exc))
+        flags.append(f"error:{type(exc).__name__}" + (f":{message}" if message else ""))
     wall = time.perf_counter() - t0 if config.record_timing else 0.0
     return ResultRow(
         method=config.method,
@@ -351,6 +354,16 @@ def run_point(
         wall_time_s=wall,
         flags=";".join(flags),
     )
+
+
+_FLAG_UNSAFE = re.compile(r'[%;,"\x00-\x1f\x7f]')
+
+
+def _escape_flag(text: str) -> str:
+    """Percent-escape the characters that would split a flag (``;``) or
+    its CSV row (``,``, ``"``, line breaks and other control characters),
+    and ``%`` itself, so that ``urllib.parse.unquote`` gives the text back."""
+    return _FLAG_UNSAFE.sub(lambda m: f"%{ord(m.group()):02X}", text)
 
 
 def _angle_rows(config, lattice, word, theta, params) -> Iterator[ResultRow]:

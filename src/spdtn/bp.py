@@ -19,18 +19,27 @@ site's tensors with all incoming messages except the one on the target
 bond, normalized to unit 1-norm.  The round-to-round change of a message is
 the 1-norm of the difference, and iteration stops when the largest change
 drops below the tolerance.
+
+Labels and shapes stay fixed for the whole of one ``bp_iterate`` call, so
+each directed message's update is compiled once, before the first round:
+a ``ContractionPlan`` for the contraction and, in two-norm mode, the
+permutations that symmetrize the result over its (ket, bra) split.  The
+rounds then run on plain ndarrays: replay the plan, symmetrize, normalize,
+fix the phase (one-norm mode), damp, and take the change.  Messages are
+``Tensor`` objects only where they enter (``init``) and leave (the returned
+``MessageSet``).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, contract, eigh_psd, svd_rank
+from .tensor import Tensor, contract, eigh_psd, plan_contraction, svd_rank
 
 __all__ = [
     "SiteNetwork",
@@ -149,18 +158,18 @@ def _split_ket_bra(labels: Sequence[str]) -> tuple[list[str], list[str]]:
     return kets, bras
 
 
-def _symmetrize(t: Tensor) -> Tensor:
-    kets, bras = _split_ket_bra(t.inds)
-    ordered = t.transpose_to(tuple(kets) + tuple(bras))
-    shape = ordered.data.shape
-    d = math.prod(shape[: len(kets)]) if kets else 1
-    m = ordered.data.reshape(d, d)
-    m = (m + m.conj().T) / 2.0
-    return Tensor(m.reshape(shape), ordered.inds)
-
-
-def _one_norm(t: Tensor) -> float:
-    return float(np.sum(np.abs(t.data)))
+def _symmetrizer(
+    labels: tuple[str, ...], shape: tuple[int, ...]
+) -> tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]:
+    """How to Hermitian-symmetrize a message array over ``labels``: the
+    permutation to (kets..., bras...), the fused ket dimension, the permuted
+    shape and the permutation back."""
+    kets, bras = _split_ket_bra(labels)
+    ordered = tuple(kets) + tuple(bras)
+    to_pairs = tuple(labels.index(l) for l in ordered)
+    d = math.prod(shape[k] for k in to_pairs[: len(kets)])
+    back = tuple(ordered.index(l) for l in labels)
+    return to_pairs, d, tuple(shape[k] for k in to_pairs), back
 
 
 def bp_iterate(
@@ -183,46 +192,64 @@ def bp_iterate(
         raise ValueError(f"network has dangling labels {sn.dangling[:8]}")
     directed = [(i, j) for i, j in sn.edges] + [(j, i) for i, j in sn.edges]
     directed.sort()
-    messages: dict[tuple[Any, Any], Tensor] = {}
+    start: dict[tuple[Any, Any], Tensor] = {}
     for i, j in directed:
         labels = sn.bond_labels(i, j)
         if init is not None and (i, j) in init:
-            messages[(i, j)] = init[(i, j)].transpose_to(labels)
+            start[(i, j)] = init[(i, j)].transpose_to(labels)
         else:
-            messages[(i, j)] = _uniform_message(sn, labels)
-    ms = MessageSet(messages)
-    for it in range(1, max_iter + 1):
-        fresh: dict[tuple[Any, Any], Tensor] = {}
+            start[(i, j)] = _uniform_message(sn, labels)
+    # one compiled update per directed message: its key, contraction plan,
+    # site arrays, incoming message keys and (two-norm) symmetrizer
+    updates = []
+    for j, k in directed:
+        labels = sn.bond_labels(j, k)
+        incoming = [(l, j) for l in sn.neighbors(j) if l != k]
+        plan = plan_contraction(sn.sites[j] + [start[m] for m in incoming], labels)
+        sym = None
+        if mode == "two-norm":
+            sym = _symmetrizer(labels, tuple(sn.dims[l] for l in labels))
+        updates.append(((j, k), plan, [t.data for t in sn.sites[j]], incoming, sym))
+
+    messages = {key: t.data for key, t in start.items()}
+    iterations, max_delta, converged = 0, math.inf, False
+    for iterations in range(1, max_iter + 1):
+        fresh: dict[tuple[Any, Any], np.ndarray] = {}
         max_delta = 0.0
-        for j, k in directed:
-            labels = sn.bond_labels(j, k)
-            inputs = list(sn.sites[j])
-            inputs += [messages[(l, j)] for l in sn.neighbors(j) if l != k]
-            new = contract(inputs, output=labels)
-            if mode == "two-norm":
-                new = _symmetrize(new).transpose_to(labels)
-            nrm = _one_norm(new)
+        for key, plan, site, incoming, sym in updates:
+            new = plan.run(site + [messages[m] for m in incoming])
+            if sym is not None:
+                to_pairs, d, shape, back = sym
+                m = new.transpose(to_pairs).reshape(d, d)
+                m = (m + m.conj().T) / 2.0
+                new = m.reshape(shape).transpose(back)
+            nrm = float(np.abs(new).sum())
             if nrm > 0.0:
-                new = Tensor(new.data / nrm, labels)
-            if mode == "one-norm":
-                # fix the free global phase (largest entry real positive) so
-                # a phase-rotating fixed point still registers as converged;
-                # the Bethe ratio is invariant under per-message rescaling
-                flat = new.data.reshape(-1)
+                new = new / nrm
+            if sym is None:
+                # one-norm mode: fix the free global phase (largest entry
+                # real positive) so a phase-rotating fixed point still
+                # registers as converged; the Bethe ratio is invariant
+                # under per-message rescaling
+                flat = new.reshape(-1)
                 lead = flat[np.argmax(np.abs(flat))]
                 if lead != 0.0:
-                    new = Tensor(new.data * (lead.conjugate() / abs(lead)), labels)
-            old = messages[(j, k)]
+                    new = new * (lead.conjugate() / abs(lead))
+            old = messages[key]
             if damping > 0.0:
-                new = Tensor((1.0 - damping) * new.data + damping * old.data, labels)
-            max_delta = max(max_delta, _one_norm(Tensor(new.data - old.data, labels)))
-            fresh[(j, k)] = new
+                new = (1.0 - damping) * new + damping * old
+            max_delta = max(max_delta, float(np.abs(new - old).sum()))
+            fresh[key] = new
         messages = fresh
-        ms = MessageSet(messages, iterations=it, max_delta=max_delta)
         if max_delta <= tol:
-            ms.converged = True
+            converged = True
             break
-    return ms
+    return MessageSet(
+        {key: Tensor(data, sn.bond_labels(*key)) for key, data in messages.items()},
+        iterations=iterations,
+        max_delta=max_delta,
+        converged=converged,
+    )
 
 
 def l1bp_value(sn: SiteNetwork, ms: MessageSet) -> complex:

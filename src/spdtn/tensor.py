@@ -1,4 +1,4 @@
-"""Dense labeled tensors, greedy contraction, and truncated factorizations.
+"""Dense labeled tensors, planned contraction, and truncated factorizations.
 
 A ``Tensor`` is an ndarray plus one string label per axis.  ``contract``
 follows einsum semantics over a list of tensors: labels shared by two
@@ -7,16 +7,25 @@ tensor is traced (or reduced to its diagonal if still needed), and labels
 absent from the output are summed out.  Hyperedges (one label on three or
 more tensors) are rejected.
 
-Contraction order comes from a greedy pairwise path: repeatedly contract
-the pair sharing at least one label whose result is smallest (ties broken
-by fewer multiply-adds).  A path is a list of position pairs (i, j) into
-the current tensor list; each step removes both operands and appends the
+Contraction is plan, then run.  ``plan_contraction`` reads only labels and
+shapes: it checks the network, compiles each input's trace or sum-out into
+an einsum expression, orders the pairwise contractions and turns every
+step into ``np.tensordot`` axes.  ``ContractionPlan.run`` replays that on
+plain ndarrays of the planned shapes, so a caller contracting the same
+structure many times (a BP message update) plans once.  ``contract`` is
+plan, run and wrap the result in a ``Tensor``.
+
+The order comes from a greedy pairwise path: repeatedly contract the pair
+sharing at least one label whose result is smallest (ties broken by fewer
+multiply-adds).  A path is a list of position pairs (i, j) into the
+current tensor list; each step removes both operands and appends the
 result at the end, like the einsum-path convention.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -25,7 +34,9 @@ import numpy as np
 __all__ = [
     "Tensor",
     "CapacityError",
+    "ContractionPlan",
     "contract",
+    "plan_contraction",
     "greedy_path",
     "truncated_svd",
     "svd_rank",
@@ -82,56 +93,6 @@ class Tensor:
         return complex(self.data)
 
 
-def _letters(labels: Iterable[str]) -> dict[str, str]:
-    import string
-
-    pool = string.ascii_letters
-    table = {}
-    for l in labels:
-        if l not in table:
-            if len(table) >= len(pool):
-                raise CapacityError("too many distinct labels for one reduction")
-            table[l] = pool[len(table)]
-    return table
-
-
-def _reduce_tensor(t: Tensor, needed: set[str]) -> Tensor:
-    """Trace repeated labels and sum out labels nobody else needs."""
-    repeated = {l for l in t.inds if t.inds.count(l) > 1}
-    drop = {l for l in set(t.inds) if l not in needed}
-    if not repeated and not drop:
-        return t
-    table = _letters(t.inds)
-    out_labels = []
-    for l in t.inds:
-        if l in out_labels or l in drop:
-            continue
-        out_labels.append(l)
-    expr = "".join(table[l] for l in t.inds) + "->" + "".join(table[l] for l in out_labels)
-    return Tensor(np.einsum(expr, t.data), tuple(out_labels))
-
-
-def _pair_sum_labels(a: Tensor, b: Tensor, needed_outside: set[str]) -> list[str]:
-    shared = [l for l in a.inds if l in b.inds]
-    keep = [l for l in shared if l in needed_outside]
-    if keep:
-        raise ValueError(
-            f"labels {keep} are shared by the contracting pair but still needed"
-        )
-    return shared
-
-
-def _pair_contract(a: Tensor, b: Tensor, needed_outside: set[str]) -> Tensor:
-    summed = _pair_sum_labels(a, b, needed_outside)
-    ax_a = [a.inds.index(l) for l in summed]
-    ax_b = [b.inds.index(l) for l in summed]
-    data = np.tensordot(a.data, b.data, axes=(ax_a, ax_b))
-    inds = tuple(l for l in a.inds if l not in summed) + tuple(
-        l for l in b.inds if l not in summed
-    )
-    return Tensor(data, inds)
-
-
 def greedy_path(
     tensors: Sequence[Tensor],
     output: Sequence[str] = (),
@@ -149,20 +110,19 @@ def greedy_path(
     output = set(output)
     path: list[tuple[int, int]] = []
     while len(live) > 1:
+        # a label the pair shares stays if the output or a third tensor has it
+        owners = Counter(l for part in live for l in part)
         best = None
         for i in range(len(live)):
             for j in range(i + 1, len(live)):
-                shared = set(live[i]) & set(live[j])
+                shared = live[i].keys() & live[j].keys()
                 if not shared:
                     continue
-                outside = output.union(
-                    *(set(live[k]) for k in range(len(live)) if k not in (i, j))
-                )
                 kept = {
                     l: d
                     for part in (live[i], live[j])
                     for l, d in part.items()
-                    if l in outside or l not in shared
+                    if l not in shared or l in output or owners[l] > 2
                 }
                 size = math.prod(kept.values()) if kept else 1
                 union = dict(live[i])
@@ -193,17 +153,130 @@ def greedy_path(
     return path
 
 
-def contract(
+def _letters(labels: Iterable[str]) -> dict[str, str]:
+    import string
+
+    pool = string.ascii_letters
+    table = {}
+    for l in labels:
+        if l not in table:
+            if len(table) >= len(pool):
+                raise CapacityError("too many distinct labels for one reduction")
+            table[l] = pool[len(table)]
+    return table
+
+
+def _reduction(
+    inds: tuple[str, ...], needed: set[str]
+) -> tuple[str | None, tuple[str, ...]]:
+    """Einsum expression that traces repeated labels and sums out labels
+    nobody else needs (``None`` when there are none), and its output labels."""
+    if len(set(inds)) == len(inds) and needed.issuperset(inds):
+        return None, inds
+    table = _letters(inds)
+    out_labels: list[str] = []
+    for l in inds:
+        if l not in out_labels and l in needed:
+            out_labels.append(l)
+    expr = "".join(table[l] for l in inds) + "->" + "".join(table[l] for l in out_labels)
+    return expr, tuple(out_labels)
+
+
+def _pair_step(
+    a: dict[str, int], b: dict[str, int], output: set[str]
+) -> tuple[tuple, dict[str, int]]:
+    """One pairwise contraction summing every label the pair shares, as the
+    transposes, matrix shapes and result shape ``np.tensordot`` would use,
+    plus the result's labels and dimensions."""
+    summed = [l for l in a if l in b]
+    keep = [l for l in summed if l in output]
+    if keep:
+        raise ValueError(
+            f"labels {keep} are shared by the contracting pair but still needed"
+        )
+    bad = [l for l in summed if a[l] != b[l]]
+    if bad:
+        raise ValueError(f"labels {bad} have different dimensions on the pair")
+    a_inds, b_inds = list(a), list(b)
+    ax_a = [a_inds.index(l) for l in summed]
+    ax_b = [b_inds.index(l) for l in summed]
+    rest_a = [k for k in range(len(a_inds)) if k not in ax_a]
+    rest_b = [k for k in range(len(b_inds)) if k not in ax_b]
+    a_dims, b_dims = list(a.values()), list(b.values())
+    n_sum = math.prod(a_dims[k] for k in ax_a)
+    merged = {a_inds[k]: a_dims[k] for k in rest_a}
+    merged.update((b_inds[k], b_dims[k]) for k in rest_b)
+    step = (
+        tuple(rest_a + ax_a),
+        (math.prod(a_dims[k] for k in rest_a), n_sum),
+        tuple(ax_b + rest_b),
+        (n_sum, math.prod(b_dims[k] for k in rest_b)),
+        tuple(merged.values()),
+    )
+    return step, merged
+
+
+@dataclass(frozen=True)
+class ContractionPlan:
+    """One contraction compiled for fixed input labels and shapes.
+
+    ``reduces`` holds one einsum expression (or ``None``) per input.
+    ``steps`` is the path: each ``(i, j, *pair)`` removes positions i and
+    j and appends their contraction, and ``tail`` joins the pieces a partial
+    path leaves, in order, onto the first.  A pair is ``(perm_a, mat_a,
+    perm_b, mat_b, shape)``: transpose and reshape each operand to a
+    matrix, multiply, reshape, which is ``np.tensordot`` with its axis
+    bookkeeping done at plan time.  ``final`` is the last reduction and
+    ``perm`` the transpose to ``inds``.
+    """
+
+    reduces: tuple[str | None, ...]
+    steps: tuple[tuple, ...]
+    tail: tuple[tuple, ...]
+    final: str | None
+    perm: tuple[int, ...]
+    inds: tuple[str, ...]
+
+    def run(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """Contract arrays in the planned shapes, in the planned order."""
+        if not self.reduces:
+            return np.asarray(1.0 + 0.0j)
+        live = [a if e is None else np.einsum(e, a) for e, a in zip(self.reduces, arrays)]
+        dot = np.dot
+        for i, j, pa, ma, pb, mb, shape in self.steps:
+            a, b = live[i], live[j]
+            del live[j], live[i]
+            ab = dot(a.transpose(pa).reshape(ma), b.transpose(pb).reshape(mb))
+            live.append(ab.reshape(shape))
+        out = live[0]
+        for (pa, ma, pb, mb, shape), b in zip(self.tail, live[1:]):
+            out = dot(out.transpose(pa).reshape(ma), b.transpose(pb).reshape(mb)).reshape(shape)
+        if self.final is not None:
+            out = np.einsum(self.final, out)
+        return out.transpose(self.perm)
+
+
+def _shape_only(dims: dict[str, int]) -> Tensor:
+    return Tensor(np.broadcast_to(np.empty(()), tuple(dims.values())), tuple(dims))
+
+
+def plan_contraction(
     tensors: Sequence[Tensor],
     output: Sequence[str] = (),
     path: Sequence[tuple[int, int]] | None = None,
-) -> Tensor:
-    """Contract a tensor list down to the given output labels."""
+) -> ContractionPlan:
+    """Compile the contraction of tensors with these labels and shapes.
+
+    Every check happens here, before any arithmetic: hyperedges, absent or
+    repeated output labels, a pair label still needed, mismatched pair
+    dimensions and the reduction label limit.  Only the labels and shapes
+    of ``tensors`` are read.
+    """
     output = tuple(output)
     if not tensors:
         if output:
             raise ValueError(f"no tensors supply output labels {output}")
-        return Tensor(np.asarray(1.0 + 0.0j), ())
+        return ContractionPlan((), (), (), None, (), ())
     counts: dict[str, int] = {}
     for t in tensors:
         for l in t.inds:
@@ -217,25 +290,44 @@ def contract(
         if c > 2:
             raise ValueError(f"label {l!r} appears {c} times (hyperedges unsupported)")
 
-    live = []
+    keep = set(output)
+    reduces, live = [], []
     for t in tensors:
-        needed = set(output) | {l for l in t.inds if counts[l] > t.inds.count(l)}
-        live.append(_reduce_tensor(t, needed))
+        needed = keep | {l for l in t.inds if counts[l] > t.inds.count(l)}
+        expr, inds = _reduction(t.inds, needed)
+        reduces.append(expr)
+        live.append({l: t.dim(l) for l in inds})
     if path is None:
-        path = greedy_path(live, output)
-    for i, j in path:
-        needed_outside = set(output).union(
-            *(set(live[k].inds) for k in range(len(live)) if k not in (i, j))
+        path = greedy_path(
+            [t if e is None else _shape_only(d) for t, e, d in zip(tensors, reduces, live)],
+            output,
         )
-        merged = _pair_contract(live[i], live[j], needed_outside)
+    # with no hyperedges, a label the pair shares is on no third tensor, so
+    # only the output can still need it
+    steps = []
+    for i, j in path:
+        pair, merged = _pair_step(live[i], live[j], keep)
+        steps.append((i, j) + pair)
         del live[j], live[i]
         live.append(merged)
-    result = live[0]
+    dims = live[0]
+    tail = []
     for extra in live[1:]:
-        result = _pair_contract(result, extra, set(output))
-    # sum out anything not requested (einsum semantics for dangling labels)
-    result = _reduce_tensor(result, set(output))
-    return result.transpose_to(output)
+        pair, dims = _pair_step(dims, extra, keep)
+        tail.append(pair)
+    final, inds = _reduction(tuple(dims), keep)
+    perm = tuple(inds.index(l) for l in output)
+    return ContractionPlan(tuple(reduces), tuple(steps), tuple(tail), final, perm, output)
+
+
+def contract(
+    tensors: Sequence[Tensor],
+    output: Sequence[str] = (),
+    path: Sequence[tuple[int, int]] | None = None,
+) -> Tensor:
+    """Contract a tensor list down to the given output labels."""
+    plan = plan_contraction(tensors, output, path)
+    return Tensor(plan.run([t.data for t in tensors]), plan.inds)
 
 
 def svd_rank(s: np.ndarray, chi: int | None, kappa: float) -> int:

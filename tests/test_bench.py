@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from urllib.parse import unquote
 
 import pytest
 
@@ -257,7 +258,10 @@ class TestSweep:
         path = tmp_path / "run.csv"
         rows = sweep(cfg, out=path)
         assert rows[0].expectation == 1.0 and not rows[0].flagged
-        assert rows[1].flags == "error:SpdCapacityError"
+        assert rows[1].flags == (
+            "error:SpdCapacityError:sparse Pauli dynamics needs 10 terms%2C cap is 8 "
+            "(raise via the SIM_MAX_TERMS environment variable or max_terms)"
+        )
         assert rows[1].expectation is None
         back = read_rows(path)
         assert back == rows
@@ -317,9 +321,34 @@ class TestSweep:
         rows = sweep(spd_config(theta_h=[0.1, 0.3, 0.5], deltas=[1e-2, 0.0]))
         # a failed build is retried by the angle's next point
         assert built == [0.1, 0.3, 0.3, 0.5]
-        assert [r.flags for r in rows] == ["", "", "error:ValueError",
-                                           "error:ValueError", "", ""]
+        failed = "error:ValueError:no circuit at this angle"
+        assert [r.flags for r in rows] == ["", "", failed, failed, "", ""]
         assert rows[2].expectation is None and rows[4].expectation is not None
+
+    def test_error_message_is_escaped_into_one_flag(self, monkeypatch, tmp_path):
+        """A failed point's flag carries the exception's message, escaped so
+        that ``;`` still separates flags and the CSV row stays one line."""
+        from spdtn import bench
+
+        message = 'bad "angle"; chi=4, 50% lost\nsecond line'
+
+        def build(lattice, steps, theta, extra_x_layer=False):
+            if theta == 0.3:
+                raise ValueError(message)
+            return kicked_ising(lattice, steps, theta, extra_x_layer)
+
+        monkeypatch.setattr(bench, "kicked_ising", build)
+        path = tmp_path / "run.csv"
+        rows = sweep(spd_config(theta_h=[0.1, 0.3], deltas=[1e-2]), out=path)
+        flag = rows[1].flags
+        assert flag.split(";") == [flag]
+        assert flag.startswith("error:ValueError:")
+        assert unquote(flag.removeprefix("error:ValueError:")) == message
+        assert not set(flag) & set(';,"\n\r')
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2 + len(rows)
+        assert lines[-1].endswith("," + flag)
+        assert read_rows(path) == rows
 
     def test_timing_recorded_only_on_request(self, tmp_path):
         quiet = sweep(spd_config(theta_h=[0.3]))

@@ -15,8 +15,10 @@ from spdtn.bp import (
     doubled_sites,
     l1bp_value,
 )
+from spdtn import tensor
 from spdtn.tensor import contract
 
+import tn_reference as ref
 from conftest import naive_contract, random_tree_sites
 
 
@@ -310,3 +312,118 @@ class TestCompressBond:
         m = Tensor(np.eye(2, dtype=complex), ("k", "q"))
         with pytest.raises(ValueError, match="star pairs"):
             compress_bond(m, m, None, 0.0)
+
+
+def random_ring_sites(rng, n_sites, max_dim=3, phys=False):
+    """Random loopy site network: a ring plus one chord, bond dimensions in
+    2..max_dim, and on some sites the tensor split in two over an internal
+    label.  With ``phys`` every site also gets a dangling physical label
+    ``p<k>``, for doubling; returns (sites, physical labels)."""
+    edges = [(k, (k + 1) % n_sites) for k in range(n_sites)] + [(0, n_sites // 2)]
+    dims = {}
+    legs: dict[int, list[str]] = {k: [] for k in range(n_sites)}
+    for u, v in edges:
+        label = f"r{u}_{v}"
+        dims[label] = int(rng.integers(2, max_dim + 1))
+        legs[u].append(label)
+        legs[v].append(label)
+    outer = []
+    sites = {}
+    for k in range(n_sites):
+        labels = list(legs[k])
+        if phys:
+            outer.append(f"p{k}")
+            dims[f"p{k}"] = 2
+            labels.append(f"p{k}")
+        rng.shuffle(labels)
+        groups = [labels]
+        if len(labels) > 1 and rng.random() < 0.5:
+            cut = int(rng.integers(1, len(labels)))
+            dims[f"i{k}"] = int(rng.integers(1, max_dim + 1))
+            groups = [labels[:cut] + [f"i{k}"], [f"i{k}"] + labels[cut:]]
+        tensors = []
+        for group in groups:
+            shape = tuple(dims[l] for l in group)
+            data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            tensors.append(Tensor(data, tuple(group)))
+        sites[k] = tensors
+    return sites, outer
+
+
+def assert_same_messages(got, want):
+    assert got.iterations == want.iterations
+    assert got.max_delta == want.max_delta
+    assert got.converged == want.converged
+    assert got.messages.keys() == want.messages.keys()
+    for key, t in want.messages.items():
+        g = got.messages[key]
+        assert g.inds == t.inds
+        assert g.data.shape == t.data.shape and g.data.dtype == t.data.dtype
+        assert g.data.tobytes() == t.data.tobytes()
+
+
+class TestPlannedBp:
+    """``bp_iterate`` compiles each message update once and runs the rounds
+    on arrays; messages, ``iterations`` and ``max_delta`` must carry the
+    bits of the earlier re-planning loop kept in ``tn_reference``."""
+
+    @staticmethod
+    def network(kind, seed, mode):
+        rng = np.random.default_rng(seed)
+        if kind == "tree":
+            sites, _ = random_tree_sites(rng, n_sites=7, max_dim=3)
+            outer = ()
+        else:
+            sites, outer = random_ring_sites(rng, 5, phys=mode == "two-norm")
+        if mode == "two-norm":
+            sites = doubled_sites(sites, outer=outer)
+        return SiteNetwork(sites)
+
+    @pytest.mark.parametrize("mode", ["one-norm", "two-norm"])
+    @pytest.mark.parametrize("kind", ["tree", "ring"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_bits(self, kind, mode, seed):
+        sn = self.network(kind, 4100 + seed, mode)
+        for kwargs in (
+            dict(tol=1e-11, max_iter=60),
+            dict(tol=1e-11, max_iter=60, damping=0.25),
+            dict(tol=1e-3, max_iter=3),
+            dict(max_iter=0),
+        ):
+            assert_same_messages(
+                bp_iterate(sn, mode=mode, **kwargs), ref.bp_iterate(sn, mode=mode, **kwargs)
+            )
+
+    @pytest.mark.parametrize("mode", ["one-norm", "two-norm"])
+    @pytest.mark.parametrize("kind", ["tree", "ring"])
+    def test_from_init_matches_reference_bits(self, kind, mode):
+        sn = self.network(kind, 4200, mode)
+        start = ref.bp_iterate(sn, mode=mode, tol=1e-2, max_iter=4)
+        # init messages in their reversed label order, and one left out
+        init = {key: t.transpose_to(t.inds[::-1]) for key, t in start.messages.items()}
+        del init[min(init)]
+        kwargs = dict(mode=mode, tol=1e-11, max_iter=40, damping=0.1, init=init)
+        assert_same_messages(bp_iterate(sn, **kwargs), ref.bp_iterate(sn, **kwargs))
+
+    def test_plans_once_per_directed_message(self, monkeypatch):
+        """A tracer counts ``greedy_path`` where ``spdtn.tensor`` looks it
+        up; one ``bp_iterate`` call plans each directed message once,
+        however many rounds it runs."""
+        calls = []
+        inner = tensor.greedy_path
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, "greedy_path", counting)
+        sn = self.network("ring", 4300, "two-norm")
+        for max_iter in (1, 200):
+            calls.clear()
+            ms = bp_iterate(sn, tol=1e-12, max_iter=max_iter, mode="two-norm")
+            assert ms.iterations == 1 or ms.iterations > 10
+            assert len(calls) == 2 * len(sn.edges)
+        calls.clear()
+        l1bp_value(sn, ms)
+        assert len(calls) == len(sn.sites) + len(sn.edges)
+

@@ -6,13 +6,16 @@ import pytest
 from spdtn import Tensor
 from spdtn.tensor import (
     CapacityError,
+    ContractionPlan,
     contract,
     eigh_psd,
     greedy_path,
+    plan_contraction,
     svd_rank,
     truncated_svd,
 )
 
+import tn_reference as ref
 from conftest import naive_contract
 
 
@@ -144,6 +147,117 @@ class TestContract:
             contract([t], output=("z",))
         with pytest.raises(ValueError, match="repeated"):
             contract([t], output=("a", "a"))
+
+
+def random_open_network(rng):
+    """Random network with traces, diagonals, dangling labels summed out or
+    kept, and often disconnected pieces; returns (tensors, output)."""
+    labels = [f"l{k}" for k in range(int(rng.integers(3, 9)))]
+    dims = {l: int(rng.integers(1, 4)) for l in labels}
+    slots = {l: int(rng.integers(1, 3)) for l in labels}
+    inds: list[list[str]] = [[] for _ in range(int(rng.integers(1, 6)))]
+    for l in labels:
+        if slots[l] == 2 and rng.random() < 0.2:
+            inds[int(rng.integers(len(inds)))] += [l, l]  # a trace or diagonal
+        else:
+            for k in rng.choice(len(inds), size=min(slots[l], len(inds)), replace=False):
+                inds[int(k)].append(l)
+    for ls in inds:
+        rng.shuffle(ls)
+    tensors = [random_tensor(rng, tuple(ls), dims) for ls in inds]
+    counts = {}
+    for ls in inds:
+        for l in ls:
+            counts[l] = counts.get(l, 0) + 1
+    # kept labels: dangling ones, or a label traced within one tensor
+    candidates = [
+        l for l in labels
+        if counts.get(l, 0) == 1 or any(ls.count(l) == 2 for ls in inds)
+    ]
+    take = int(rng.integers(0, len(candidates) + 1))
+    output = tuple(rng.permutation(candidates)[:take].tolist()) if candidates else ()
+    return tensors, output
+
+
+def random_path(rng, n):
+    """A random (possibly partial) path in the position convention."""
+    path = []
+    for _ in range(int(rng.integers(0, n))):
+        i, j = sorted(int(k) for k in rng.choice(n, size=2, replace=False))
+        path.append((i, j))
+        n -= 1
+    return path
+
+
+def assert_same_tensor(got, want):
+    assert got.inds == want.inds
+    assert got.data.shape == want.data.shape
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+class TestPlannedContraction:
+    """``contract`` is plan then run; it must give the bits of the earlier
+    re-planning ``contract`` kept in ``tn_reference``."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_reference_bits(self, seed):
+        rng = np.random.default_rng(3100 + seed)
+        tensors, output = random_open_network(rng)
+        assert_same_tensor(contract(tensors, output), ref.contract(tensors, output))
+        assert_same_tensor(contract(tensors), ref.contract(tensors))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_explicit_path_matches_reference_bits(self, seed):
+        rng = np.random.default_rng(3200 + seed)
+        tensors, output = random_open_network(rng)
+        path = random_path(rng, len(tensors))
+        assert_same_tensor(
+            contract(tensors, output, path=path), ref.contract(tensors, output, path=path)
+        )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_greedy_path_matches_reference(self, seed):
+        rng = np.random.default_rng(3300 + seed)
+        tensors = random_network(rng, n_tensors=7, n_labels=10, max_dim=4)
+        output = tuple(t.inds[0] for t in tensors[:2] if t.inds)
+        assert greedy_path(tensors, output) == ref.greedy_path(tensors, output)
+
+    def test_plan_reads_shapes_and_replays(self, rng):
+        dims = {"a": 2, "b": 3, "c": 4, "d": 2, "e": 3, "f": 2}
+        t1 = random_tensor(rng, ("a", "e", "e"), dims)
+        t2 = random_tensor(rng, ("b", "c", "d"), dims)
+        t3 = random_tensor(rng, ("c", "f", "a"), dims)
+        plan = plan_contraction([t1, t2, t3], output=("d", "b"))
+        assert isinstance(plan, ContractionPlan)
+        assert plan.inds == ("d", "b")
+        for _ in range(3):
+            fresh = [random_tensor(rng, t.inds, dims) for t in (t1, t2, t3)]
+            got = plan.run([t.data for t in fresh])
+            want = ref.contract(fresh, ("d", "b"))
+            assert got.tobytes() == want.data.tobytes()
+
+    def test_checks_run_at_plan_time(self, rng):
+        t = random_tensor(rng, ("a", "b"), {"a": 2, "b": 2})
+        with pytest.raises(ValueError, match="hyperedges"):
+            plan_contraction([t, t, t])
+        with pytest.raises(ValueError, match="absent"):
+            plan_contraction([t], output=("z",))
+        with pytest.raises(ValueError, match="repeated"):
+            plan_contraction([t], output=("a", "a"))
+        with pytest.raises(ValueError, match="still needed"):
+            plan_contraction([t, t], output=("a",), path=[(0, 1)])
+        with pytest.raises(ValueError, match="no tensors"):
+            plan_contraction([], output=("a",))
+        u = random_tensor(rng, ("a", "c"), {"a": 3, "c": 2})
+        with pytest.raises(ValueError, match="different dimensions"):
+            plan_contraction([t, u])
+        wide = Tensor(np.zeros((1,) * 53), tuple(f"w{k}" for k in range(53)))
+        with pytest.raises(CapacityError, match="too many distinct labels"):
+            plan_contraction([wide])
+
+    def test_empty_plan_runs_to_one(self):
+        assert plan_contraction([]).run([]) == 1.0
 
 
 class TestGreedyPath:

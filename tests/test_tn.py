@@ -313,3 +313,36 @@ class TestRunTn:
         assert res.flags
         assert not res.converged
         assert any("nonconverged" in f for f in res.flags)
+
+
+class TestTraceHooks:
+    def test_run_tn_calls_layers_through_module_names(self, monkeypatch):
+        """A tracer wraps ``bp_iterate``, ``compress_bond``, ``l1bp_value``
+        and ``contract`` where ``spdtn.tn`` looks them up, ``contract`` also
+        where ``spdtn.bp`` does, and reads the BP mode from the keyword
+        arguments; a truncating ``mix`` run must cross every one of them."""
+        from spdtn import bp
+
+        calls: dict[str, list] = {}
+
+        def counting(module, name):
+            inner = getattr(module, name)
+            key = f"{module.__name__}.{name}"
+            calls[key] = []
+
+            def wrapper(*args, **kwargs):
+                calls[key].append(kwargs.get("mode"))
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("bp_iterate", "compress_bond", "l1bp_value", "contract"):
+            counting(tn, name)
+        counting(bp, "contract")
+        n = 6
+        circuit = kicked_ising(chain(n), steps=3, theta_h=0.35)
+        res = run_tn(circuit, parse_pauli("Z2", n), "mix", chi=2, bp_tol=1e-6)
+        assert math.isfinite(res.expectation)
+        assert all(calls.values()), {key: len(c) for key, c in calls.items()}
+        modes = set(calls["spdtn.tn.bp_iterate"])
+        assert modes == {"two-norm", "one-norm"}
