@@ -21,13 +21,15 @@ the 1-norm of the difference, and iteration stops when the largest change
 drops below the tolerance.
 
 Labels and shapes stay fixed for the whole of one ``bp_iterate`` call, so
-each directed message's update is compiled once, before the first round:
-a ``ContractionPlan`` for the contraction and, in two-norm mode, the
-permutations that symmetrize the result over its (ket, bra) split.  The
-rounds then run on plain ndarrays: replay the plan, symmetrize, normalize,
-fix the phase (one-norm mode), damp, and take the change.  Messages are
-``Tensor`` objects only where they enter (``init``) and leave (the returned
-``MessageSet``).
+each directed message's update is set up once, before the first round: a
+``ContractionPlan`` for the contraction and, in two-norm mode, the
+permutations that symmetrize the result over its (ket, bra) split.  Plans
+are looked up per structure in ``tensor``'s process-wide cache, so messages
+of the same structure, later calls on the same network and ``l1bp_value``
+plan only what has not been seen before.  The rounds then run on plain
+ndarrays: replay the plan, symmetrize, normalize, fix the phase (one-norm
+mode), damp, and take the change.  Messages are ``Tensor`` objects only
+where they enter (``init``) and leave (the returned ``MessageSet``).
 """
 
 from __future__ import annotations
@@ -199,8 +201,8 @@ def bp_iterate(
             start[(i, j)] = init[(i, j)].transpose_to(labels)
         else:
             start[(i, j)] = _uniform_message(sn, labels)
-    # one compiled update per directed message: its key, contraction plan,
-    # site arrays, incoming message keys and (two-norm) symmetrizer
+    # one update per directed message: its key, contraction plan, site
+    # arrays, incoming message keys and (two-norm) symmetrizer
     updates = []
     for j, k in directed:
         labels = sn.bond_labels(j, k)

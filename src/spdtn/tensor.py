@@ -15,6 +15,20 @@ plain ndarrays of the planned shapes, so a caller contracting the same
 structure many times (a BP message update) plans once.  ``contract`` is
 plan, run and wrap the result in a ``Tensor``.
 
+Plans are cached per process, keyed by the network's structure: each
+input's labels renumbered in order of first appearance, each input's shape,
+the output's labels in the same numbering, and the explicit path if one is
+given.  Two networks that differ only in label names share a key, and a hit
+returns the cached plan with ``inds`` set to the caller's output labels.  A
+hit is bit-identical to planning afresh: a plan reads labels only through
+their positions (greedy tie-breaks follow tensor order, einsum letters
+follow first appearance, ``tensordot`` axes are positions), so it is a
+function of the key.  Only a network that passed every check is cached,
+and every check is a function of the key too, so an invalid network never
+hits: it raises, naming its own labels, on every call.  The cache holds the
+``PLAN_CACHE_SIZE`` most recently used plans and is shared by threads; two
+threads that miss on one structure both plan it, to the same plan.
+
 The order comes from a greedy pairwise path: repeatedly contract the pair
 sharing at least one label whose result is smallest (ties broken by fewer
 multiply-adds).  A path is a list of position pairs (i, j) into the
@@ -25,8 +39,9 @@ result at the end, like the einsum-path convention.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+import threading
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,6 +52,7 @@ __all__ = [
     "ContractionPlan",
     "contract",
     "plan_contraction",
+    "clear_plan_cache",
     "greedy_path",
     "truncated_svd",
     "svd_rank",
@@ -260,19 +276,69 @@ def _shape_only(dims: dict[str, int]) -> Tensor:
     return Tensor(np.broadcast_to(np.empty(()), tuple(dims.values())), tuple(dims))
 
 
+PLAN_CACHE_SIZE = 2048
+_plans: OrderedDict[tuple, ContractionPlan] = OrderedDict()
+_plans_lock = threading.Lock()
+
+
+def clear_plan_cache() -> None:
+    """Forget every cached contraction plan."""
+    with _plans_lock:
+        _plans.clear()
+
+
+def _structure_key(
+    tensors: Sequence[Tensor], output: tuple[str, ...], path: tuple | None
+) -> tuple:
+    """The labels renumbered by first appearance, the shapes, the output in
+    that numbering (-1 for an absent label) and the path."""
+    ids: dict[str, int] = {}
+    labels = tuple(tuple([ids.setdefault(l, len(ids)) for l in t.inds]) for t in tensors)
+    return (
+        labels,
+        tuple(t.data.shape for t in tensors),
+        tuple(ids.get(l, -1) for l in output),
+        path,
+    )
+
+
 def plan_contraction(
     tensors: Sequence[Tensor],
     output: Sequence[str] = (),
     path: Sequence[tuple[int, int]] | None = None,
 ) -> ContractionPlan:
-    """Compile the contraction of tensors with these labels and shapes.
+    """Compile the contraction of tensors with these labels and shapes, or
+    look it up by structure (see the module docstring).
 
-    Every check happens here, before any arithmetic: hyperedges, absent or
-    repeated output labels, a pair label still needed, mismatched pair
-    dimensions and the reduction label limit.  Only the labels and shapes
-    of ``tensors`` are read.
+    Every check happens when a structure is first planned, before any
+    arithmetic: hyperedges, absent or repeated output labels, a pair label
+    still needed, mismatched pair dimensions and the reduction label limit.
+    Only the labels and shapes of ``tensors`` are read.
     """
     output = tuple(output)
+    if path is not None:
+        path = tuple(tuple(step) for step in path)
+    key = _structure_key(tensors, output, path)
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is not None:
+            _plans.move_to_end(key)
+    if plan is None:
+        plan = _plan(tensors, output, path)
+        with _plans_lock:
+            _plans[key] = plan
+            if len(_plans) > PLAN_CACHE_SIZE:
+                _plans.popitem(last=False)
+    if plan.inds == output:
+        return plan
+    return replace(plan, inds=output)
+
+
+def _plan(
+    tensors: Sequence[Tensor],
+    output: tuple[str, ...],
+    path: Sequence[tuple[int, int]] | None,
+) -> ContractionPlan:
     if not tensors:
         if output:
             raise ValueError(f"no tensors supply output labels {output}")

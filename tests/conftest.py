@@ -318,3 +318,31 @@ def _edge_of(label: str) -> tuple[int, int]:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture
+def empty_plan_cache():
+    """Start and end a test with no cached contraction plan, so what it
+    counts or races does not depend on the tests run before it."""
+    from spdtn import tensor
+
+    tensor.clear_plan_cache()
+    yield
+    tensor.clear_plan_cache()
+
+
+@pytest.fixture
+def greedy_calls(monkeypatch, empty_plan_cache) -> list:
+    """A list that grows by one on each ``greedy_path`` call made through
+    ``spdtn.tensor``, that is, on each contraction planned afresh."""
+    from spdtn import tensor
+
+    calls: list = []
+    inner = tensor.greedy_path
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(tensor, "greedy_path", counting)
+    return calls

@@ -21,6 +21,7 @@ from spdtn import (
     statevector_expectation,
     sweep,
 )
+from spdtn import tensor
 from spdtn.bench import CSV_COLUMNS, CSV_VERSION, DEFAULT_THETA_GRID
 from spdtn.cli import main as cli_main
 
@@ -300,11 +301,21 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_multi_delta_csv_same_for_any_workers(self, tmp_path, workers):
-        cfg = spd_config(theta_h=[0.0, 0.3, 0.6, 1.2], deltas=[1e-2, 1e-3])
-        one, many = tmp_path / "one.csv", tmp_path / "many.csv"
-        sweep(cfg, out=one, workers=1)
-        sweep(cfg, out=many, workers=workers)
-        assert one.read_bytes() == many.read_bytes()
+        """Also for ``mix``, whose angles' threads share the contraction plan
+        cache: from a cold cache they race to plan the same structures."""
+        theta_h = [0.0, 0.3, 0.6, 1.2]
+        for cfg in (
+            spd_config(theta_h=theta_h, deltas=[1e-2, 1e-3]),
+            spd_config(
+                lattice={"kind": "heavy_hex", "rows": 1, "cols": 1},
+                method="mix", theta_h=theta_h, deltas=[], chis=[2, 4],
+            ),
+        ):
+            tensor.clear_plan_cache()
+            one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+            sweep(cfg, out=many, workers=workers)
+            sweep(cfg, out=one, workers=1)
+            assert one.read_bytes() == many.read_bytes()
 
     def test_failed_angle_flags_each_of_its_points(self, monkeypatch):
         from spdtn import bench

@@ -350,6 +350,22 @@ def random_ring_sites(rng, n_sites, max_dim=3, phys=False):
     return sites, outer
 
 
+def uniform(sn, labels):
+    return Tensor(np.ones(tuple(sn.dims[l] for l in labels), dtype=complex), labels)
+
+
+def structures(networks):
+    """The distinct (labels numbered by first appearance, shapes, output in
+    that numbering) among (tensors, output) pairs."""
+    found = set()
+    for tensors, output in networks:
+        ids = {}
+        labels = tuple(tuple(ids.setdefault(l, len(ids)) for l in t.inds) for t in tensors)
+        shapes = tuple(t.data.shape for t in tensors)
+        found.add((labels, shapes, tuple(ids[l] for l in output)))
+    return found
+
+
 def assert_same_messages(got, want):
     assert got.iterations == want.iterations
     assert got.max_delta == want.max_delta
@@ -363,9 +379,10 @@ def assert_same_messages(got, want):
 
 
 class TestPlannedBp:
-    """``bp_iterate`` compiles each message update once and runs the rounds
-    on arrays; messages, ``iterations`` and ``max_delta`` must carry the
-    bits of the earlier re-planning loop kept in ``tn_reference``."""
+    """``bp_iterate`` looks up each message update's plan by structure and
+    runs the rounds on arrays; messages, ``iterations`` and ``max_delta``
+    must carry the bits of the earlier re-planning loop kept in
+    ``tn_reference``."""
 
     @staticmethod
     def network(kind, seed, mode):
@@ -405,25 +422,45 @@ class TestPlannedBp:
         kwargs = dict(mode=mode, tol=1e-11, max_iter=40, damping=0.1, init=init)
         assert_same_messages(bp_iterate(sn, **kwargs), ref.bp_iterate(sn, **kwargs))
 
-    def test_plans_once_per_directed_message(self, monkeypatch):
-        """A tracer counts ``greedy_path`` where ``spdtn.tensor`` looks it
-        up; one ``bp_iterate`` call plans each directed message once,
-        however many rounds it runs."""
-        calls = []
-        inner = tensor.greedy_path
+    @staticmethod
+    def uniform_ring(n_sites):
+        """A doubled ring of identical sites, whose messages in each
+        direction all share one structure."""
+        rng = np.random.default_rng(4310)
+        sites, outer = {}, []
+        for k in range(n_sites):
+            data = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+            sites[k] = [Tensor(data, (f"b{(k - 1) % n_sites}", f"b{k}", f"p{k}"))]
+            outer.append(f"p{k}")
+        return SiteNetwork(doubled_sites(sites, outer=outer))
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(tensor, "greedy_path", counting)
-        sn = self.network("ring", 4300, "two-norm")
-        for max_iter in (1, 200):
-            calls.clear()
-            ms = bp_iterate(sn, tol=1e-12, max_iter=max_iter, mode="two-norm")
-            assert ms.iterations == 1 or ms.iterations > 10
-            assert len(calls) == 2 * len(sn.edges)
-        calls.clear()
-        l1bp_value(sn, ms)
-        assert len(calls) == len(sn.sites) + len(sn.edges)
+    def test_plans_once_per_directed_message(self, greedy_calls):
+        """Plans are looked up by structure: the first ``bp_iterate`` call
+        plans each distinct message structure once, however many rounds it
+        runs, a repeat call plans nothing, and ``l1bp_value`` plans only the
+        structures not seen before."""
+        ring = self.network("ring", 4300, "two-norm")
+        for sn, distinct in ((ring, 12), (self.uniform_ring(6), 2)):
+            assert len(sn.edges) == 6
+            tensor.clear_plan_cache()
+            messages = []
+            for j, k in sorted(list(sn.edges) + [(j, i) for i, j in sn.edges]):
+                incoming = [uniform(sn, sn.bond_labels(l, j)) for l in sn.neighbors(j) if l != k]
+                messages.append((sn.sites[j] + incoming, sn.bond_labels(j, k)))
+            seen = structures(messages)
+            assert len(seen) == distinct
+            for expected in (distinct, 0):
+                greedy_calls.clear()
+                ms = bp_iterate(sn, tol=1e-12, max_iter=200, mode="two-norm")
+                assert ms.iterations > 10
+                assert len(greedy_calls) == expected
+            sites = [
+                (sn.sites[s] + [ms.messages[(l, s)] for l in sn.neighbors(s)], ())
+                for s in sn.sites
+            ]
+            bonds = [([ms.messages[(i, j)], ms.messages[(j, i)]], ()) for i, j in sn.edges]
+            for expected in (len(structures(sites + bonds) - seen), 0):
+                greedy_calls.clear()
+                l1bp_value(sn, ms)
+                assert len(greedy_calls) == expected
 

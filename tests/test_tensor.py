@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spdtn import Tensor
+from spdtn import Tensor, tensor
 from spdtn.tensor import (
     CapacityError,
     ContractionPlan,
@@ -189,6 +189,13 @@ def random_path(rng, n):
     return path
 
 
+def renamed(rng, tensors, output):
+    """The network with its labels renamed by a random bijection."""
+    labels = sorted({l for t in tensors for l in t.inds})
+    names = dict(zip(labels, (f"m{k}" for k in rng.permutation(len(labels)))))
+    return [t.relabel(names) for t in tensors], tuple(names[l] for l in output)
+
+
 def assert_same_tensor(got, want):
     assert got.inds == want.inds
     assert got.data.shape == want.data.shape
@@ -197,24 +204,51 @@ def assert_same_tensor(got, want):
 
 
 class TestPlannedContraction:
-    """``contract`` is plan then run; it must give the bits of the earlier
-    re-planning ``contract`` kept in ``tn_reference``."""
+    """``contract`` is plan then run, with plans cached by structure; fresh
+    plans and cache hits must give the bits of the earlier re-planning
+    ``contract`` kept in ``tn_reference``."""
 
     @pytest.mark.parametrize("seed", range(60))
-    def test_matches_reference_bits(self, seed):
+    def test_matches_reference_bits(self, seed, greedy_calls):
         rng = np.random.default_rng(3100 + seed)
         tensors, output = random_open_network(rng)
         assert_same_tensor(contract(tensors, output), ref.contract(tensors, output))
         assert_same_tensor(contract(tensors), ref.contract(tensors))
+        planned = len(greedy_calls)
+        # the same structure under other label names is a cache hit, and
+        # the hit carries the caller's output labels
+        other, other_out = renamed(rng, tensors, output)
+        assert_same_tensor(contract(other, other_out), ref.contract(other, other_out))
+        assert_same_tensor(contract(other), ref.contract(other))
+        assert len(greedy_calls) == planned
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_explicit_path_matches_reference_bits(self, seed):
+    def test_explicit_path_matches_reference_bits(self, seed, greedy_calls):
         rng = np.random.default_rng(3200 + seed)
         tensors, output = random_open_network(rng)
         path = random_path(rng, len(tensors))
-        assert_same_tensor(
-            contract(tensors, output, path=path), ref.contract(tensors, output, path=path)
-        )
+        other, other_out = renamed(rng, tensors, output)
+        for net, out in ((tensors, output), (other, other_out)):
+            assert_same_tensor(
+                contract(net, out, path=path), ref.contract(net, out, path=path)
+            )
+        assert greedy_calls == []  # an explicit path, even a partial one, is kept
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_new_dimensions_plan_anew(self, seed, greedy_calls):
+        rng = np.random.default_rng(3250 + seed)
+        tensors, output = random_open_network(rng)
+        contract(tensors, output)
+        planned = len(greedy_calls)
+        # one label one longer on every tensor that carries it
+        labels = sorted({l for t in tensors for l in t.inds})
+        label = labels[int(rng.integers(len(labels)))]
+        wider = []
+        for t in tensors:
+            shape = tuple(d + (l == label) for l, d in zip(t.inds, t.data.shape))
+            wider.append(random_tensor(rng, t.inds, dict(zip(t.inds, shape))))
+        assert_same_tensor(contract(wider, output), ref.contract(wider, output))
+        assert len(greedy_calls) == planned + 1
 
     @pytest.mark.parametrize("seed", range(10))
     def test_greedy_path_matches_reference(self, seed):
@@ -223,7 +257,17 @@ class TestPlannedContraction:
         output = tuple(t.inds[0] for t in tensors[:2] if t.inds)
         assert greedy_path(tensors, output) == ref.greedy_path(tensors, output)
 
-    def test_plan_reads_shapes_and_replays(self, rng):
+    def test_cache_keeps_most_recent_plans(self, rng, monkeypatch, greedy_calls):
+        monkeypatch.setattr(tensor, "PLAN_CACHE_SIZE", 2)
+        nets = [[random_tensor(rng, ("a", "b"), {"a": 2, "b": d})] for d in (2, 3, 4)]
+        for k in (0, 1, 0, 2):  # the third plan evicts the least recently used
+            contract(nets[k])
+        assert len(greedy_calls) == 3
+        for k, planned in ((0, 3), (2, 3), (1, 4)):
+            contract(nets[k])
+            assert len(greedy_calls) == planned
+
+    def test_plan_reads_shapes_and_replays(self, rng, empty_plan_cache):
         dims = {"a": 2, "b": 3, "c": 4, "d": 2, "e": 3, "f": 2}
         t1 = random_tensor(rng, ("a", "e", "e"), dims)
         t2 = random_tensor(rng, ("b", "c", "d"), dims)
@@ -231,30 +275,42 @@ class TestPlannedContraction:
         plan = plan_contraction([t1, t2, t3], output=("d", "b"))
         assert isinstance(plan, ContractionPlan)
         assert plan.inds == ("d", "b")
+        names = {"a": "x", "b": "d", "c": "b", "d": "a", "e": "y", "f": "z"}
+        hit = plan_contraction([t.relabel(names) for t in (t1, t2, t3)], output=("a", "d"))
+        assert hit.inds == ("a", "d")
+        assert hit.steps == plan.steps and hit.perm == plan.perm
+        assert plan_contraction([t1, t2, t3], output=("d", "b")).inds == ("d", "b")
         for _ in range(3):
             fresh = [random_tensor(rng, t.inds, dims) for t in (t1, t2, t3)]
             got = plan.run([t.data for t in fresh])
             want = ref.contract(fresh, ("d", "b"))
             assert got.tobytes() == want.data.tobytes()
 
-    def test_checks_run_at_plan_time(self, rng):
+    def test_checks_run_at_plan_time(self, rng, empty_plan_cache):
         t = random_tensor(rng, ("a", "b"), {"a": 2, "b": 2})
-        with pytest.raises(ValueError, match="hyperedges"):
-            plan_contraction([t, t, t])
-        with pytest.raises(ValueError, match="absent"):
-            plan_contraction([t], output=("z",))
-        with pytest.raises(ValueError, match="repeated"):
-            plan_contraction([t], output=("a", "a"))
-        with pytest.raises(ValueError, match="still needed"):
-            plan_contraction([t, t], output=("a",), path=[(0, 1)])
-        with pytest.raises(ValueError, match="no tensors"):
-            plan_contraction([], output=("a",))
         u = random_tensor(rng, ("a", "c"), {"a": 3, "c": 2})
-        with pytest.raises(ValueError, match="different dimensions"):
-            plan_contraction([t, u])
+        # the same labels with matching dimensions, planned first
+        plan_contraction([t, random_tensor(rng, ("a", "c"), {"a": 2, "c": 2})])
         wide = Tensor(np.zeros((1,) * 53), tuple(f"w{k}" for k in range(53)))
-        with pytest.raises(CapacityError, match="too many distinct labels"):
-            plan_contraction([wide])
+        cases = [
+            (ValueError, "hyperedges", ([t, t, t],), {}),
+            (ValueError, "absent", ([t],), dict(output=("z",))),
+            (ValueError, "repeated", ([t],), dict(output=("a", "a"))),
+            (ValueError, "still needed", ([t, t],), dict(output=("a",), path=[(0, 1)])),
+            (ValueError, "no tensors", ([],), dict(output=("a",))),
+            (ValueError, "different dimensions", ([t, u],), {}),
+            (CapacityError, "too many distinct labels", ([wide],), {}),
+        ]
+        # an invalid network is never cached: it raises, naming its own
+        # labels, on every call
+        for _ in range(2):
+            for error, match, args, kwargs in cases:
+                with pytest.raises(error, match=match):
+                    plan_contraction(*args, **kwargs)
+        with pytest.raises(ValueError, match=r"\['a'\] have different dimensions"):
+            plan_contraction([t, u])
+        with pytest.raises(ValueError, match=r"\['q'\] have different dimensions"):
+            plan_contraction([t.relabel({"a": "q"}), u.relabel({"a": "q"})])
 
     def test_empty_plan_runs_to_one(self):
         assert plan_contraction([]).run([]) == 1.0
