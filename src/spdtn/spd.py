@@ -16,10 +16,19 @@ its bytes and no pass re-serializes the sum.  Each gate runs as:
 (2) their rows are gathered whole and multiplied by sigma;
 (3) every product is binary-searched among the stored keys; a product found
     adds to its resident coefficient, and the missing ones that reach the
-    threshold are sorted as new terms;
+    threshold are the new terms, ranked by key.  The rest of the product
+    batch is released here;
 (4) the new terms go straight to their merged positions, each after the
     resident terms kept below its search position and the new terms with
-    smaller keys; the kept resident terms fill the other slots in order.
+    smaller keys; the kept resident terms fill the other slots in order, a
+    fixed-size chunk at a time.  Rows are merged first, then coefficients.
+
+Working memory: apart from its input and output, a rotation holds the
+product batch during (2)-(3).  During (4) it holds the new terms (row,
+coefficient and two slot indices each) and a working copy of the resident
+coefficients, which stands in for the output coefficients until the rows
+are merged.  That is row bytes + 16 per new term, 16 bytes per dropped term
+and chunk-sized scratch: 48 bytes per new term on 127 qubits at delta = 0.
 
 Truncation keeps |a| >= delta, so delta = 0 keeps everything (including
 exact zeros).
@@ -177,58 +186,127 @@ def apply_rotation(
     delta: float = 0.0,
     max_terms: int | None = None,
 ) -> PauliSum:
-    """One Heisenberg rotation update with threshold truncation."""
+    """One Heisenberg rotation update with threshold truncation.
+
+    The input sum is only read: every in-place step works on an array this
+    call made.
+    """
     if axis.n != s.n:
         raise ValueError(f"axis on {axis.n} sites, sum on {s.n}")
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    anti = np.flatnonzero(anticommute_mask(s.words, axis.row))
+    anti = anticommute_mask(s.words, axis.row).nonzero()[0]
     if anti.size == 0:
         return s
     sin_t = np.sin(theta)
-    coeffs = s.coeffs.copy()
-    a = coeffs[anti]
-    coeffs[anti] = a * np.cos(theta)
     if sin_t == 0.0:
         # pure +-1 Clifford content: coefficients scale by cos = +-1 only
+        coeffs = s.coeffs.copy()
+        coeffs[anti] *= np.cos(theta)
         return PauliSum(s.n, s.words, coeffs).truncate(delta)
     rows = _row_view(s.words)
-    prod_words, k = mul_rows(axis.row, _from_rows(rows[anti]))
-    contrib = sin_t * (k - 2) * a
+    prod, k = mul_rows(axis.row, _from_rows(rows.take(anti)))
+    # copied only now, so that the copy and the temporaries of mul_rows are
+    # never alive together
+    coeffs = s.coeffs.copy()
+    a = coeffs.take(anti)
+    coeffs[anti] = a * np.cos(theta)
+    k -= 2
+    contrib = sin_t * k  # sin(theta) (k - 2) a, as i sin(theta) i^k is real
+    contrib *= a
+    del anti, a, k
 
     keys = pack_keys(s.words)
-    prod_keys = pack_keys(prod_words)
-    pos = np.searchsorted(keys, prod_keys)
-    found = keys[np.minimum(pos, len(keys) - 1)] == prod_keys
+    prod_keys = pack_keys(prod)
+    pos = keys.searchsorted(prod_keys)
+    found = _found(keys, prod_keys, pos)
     # sigma*P -> P^sigma is a bijection, so the found positions are unique
-    hit = np.flatnonzero(found)
-    coeffs[pos[hit]] += contrib[hit]
-    miss = np.flatnonzero(~found)
-    born = miss[np.abs(contrib[miss]) >= delta]
-    born = born[np.argsort(prod_keys[born], kind="stable")]
+    hit = found.nonzero()[0]
+    coeffs[pos.take(hit)] += contrib.take(hit)
+    born = (~found).nonzero()[0]
+    born = born[np.abs(contrib.take(born)) >= delta]
+    born_coeffs = contrib.take(born)
+    below = pos.take(born)
+    # keys are views of the rows, so the born keys are the born rows; they
+    # stay in product order, ranked by order and placed by slots below
+    born_rows = prod_keys.take(born) if born.size < prod_keys.size else prod_keys
+    # of the product batch only the born terms go on to the merge
+    del prod, prod_keys, contrib, pos, found, hit, born
+    order = born_rows.argsort(kind="stable")
+    born_rows = born_rows.view(rows.dtype)
 
-    keep = np.abs(coeffs) >= delta
-    dropped = np.flatnonzero(~keep)
-    total = len(keys) - dropped.size + born.size
+    # |c| >= delta, without an N-sized float temporary
+    keep = coeffs >= delta
+    keep |= coeffs <= -delta
+    dropped = (~keep).nonzero()[0]
+    del keep
+    total = len(coeffs) - dropped.size + born_coeffs.size
     cap = _resolve_cap(max_terms)
     if total > cap:
         raise SpdCapacityError(total, cap)
+    # A born term goes after the kept residents below it and the born terms
+    # with smaller keys: pos counted every resident below a product, and the
+    # dropped ones leave no slot.
+    below -= dropped.searchsorted(below)
+    slots = below.copy()
+    slots[order] += np.arange(order.size)
+    kept_below = below.take(order)
+    del below, order
 
-    # pos counts every resident below a product; the dropped ones leave no slot
-    below = pos[born]
-    new_at = below - np.searchsorted(dropped, below) + np.arange(born.size)
-    is_new = np.zeros(total, dtype=bool)
-    is_new[new_at] = True
+    # rows first, while the working copy of the coefficients holds the place
+    # of the output coefficients
     merged_rows = np.empty(total, dtype=rows.dtype)
+    _merge(merged_rows, rows, born_rows, slots, kept_below, dropped)
+    del born_rows
     merged_coeffs = np.empty(total)
-    merged_rows[new_at] = _row_view(prod_words)[born]
-    merged_coeffs[new_at] = contrib[born]
-    if dropped.size:
-        rows, coeffs = rows[keep], coeffs[keep]
-    is_old = ~is_new
-    merged_rows[is_old] = rows
-    merged_coeffs[is_old] = coeffs
+    _merge(merged_coeffs, coeffs, born_coeffs, slots, kept_below, dropped)
     return PauliSum(s.n, _from_rows(merged_rows), merged_coeffs)
+
+
+_CHUNK = 1 << 14  # items per step of the chunked passes below
+
+
+def _found(keys, prod_keys, pos) -> np.ndarray:
+    """``keys[pos] == prod_keys`` (False where pos is past the end), taken
+    ``_CHUNK`` products at a time."""
+    found = np.empty(pos.size, dtype=bool)
+    for c in range(0, pos.size, _CHUNK):
+        part = slice(c, c + _CHUNK)
+        np.equal(keys.take(pos[part], mode="clip"), prod_keys[part], out=found[part])
+    return found
+
+
+def _merge(out, residents, born, slots, kept_below, dropped) -> None:
+    """Fill ``out`` with ``born`` at ``slots`` and, in the other slots in
+    order, the ``residents`` less the ``dropped`` ones.
+
+    ``kept_below`` is ``slots`` sorted less each born term's rank: the number
+    of kept residents before it.  Residents are placed ``_CHUNK`` at a time,
+    so no temporary grows with their number.
+    """
+    out[slots] = born
+    n = len(residents)
+    k = j = d = 0  # kept residents, born terms and dropped residents passed
+    for i0 in range(0, n, _CHUNK):
+        i1 = min(i0 + _CHUNK, n)
+        part = residents[i0:i1]
+        d1 = dropped.searchsorted(i1) if i1 < n else dropped.size
+        if d1 > d:
+            gone = np.zeros(len(part), dtype=bool)
+            gone[dropped[d:d1] - i0] = True
+            part = part[~gone]
+            d = d1
+        # the last chunk's span runs to the end, past any born terms after it
+        j1 = kept_below.searchsorted(k + len(part)) if i1 < n else kept_below.size
+        span = out[k + j : k + len(part) + j1]
+        if j1 > j:
+            taken = np.zeros(len(span), dtype=bool)
+            taken[kept_below[j:j1] + np.arange(-k, j1 - j - k)] = True
+            span[~taken] = part
+        else:
+            span[:] = part
+        k += len(part)
+        j = j1
 
 
 def _row_view(words: np.ndarray) -> np.ndarray:
@@ -285,8 +363,9 @@ def run_spd(
     t0 = time.perf_counter()
     s = rc.transformed_observable.truncate(delta)
     peak = s.num_terms
+    cap = _resolve_cap(max_terms)
     for rot in reversed(rc.rotations):
-        s = apply_rotation(s, rot.axis, rot.angle, delta, max_terms)
+        s = apply_rotation(s, rot.axis, rot.angle, delta, cap)
         if s.num_terms > peak:
             peak = s.num_terms
     return SpdResult(

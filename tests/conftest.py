@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,3 +347,22 @@ def greedy_calls(monkeypatch, empty_plan_cache) -> list:
 
     monkeypatch.setattr(tensor, "greedy_path", counting)
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn, *args)`` runs ``fn(*args)`` under ``tracemalloc``
+    and returns its result and the peak of the bytes allocated during the
+    call, result included; what existed before the call is not counted."""
+
+    def run(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn(*args, **kwargs)
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    return run

@@ -457,3 +457,138 @@ class TestTraceHooks:
         assert calls["anticommute_mask"] == len(rc.rotations)
         assert calls["mul_rows"] == branching
         assert calls["pack_keys"] >= branching
+
+
+# -- chunked merge, purity and working memory ---------------------------------
+
+
+class TestChunkedMerge:
+    @pytest.mark.parametrize("delta", [0.0, 1e-3])
+    @pytest.mark.parametrize("chunk", [1, 3, 16])
+    @pytest.mark.parametrize("n", [65, 127])
+    def test_small_chunks_match_reference(self, monkeypatch, n, chunk, delta):
+        """Chunks of a few items put chunk edges between born terms, hits
+        and dropped terms, and leave chunks with every resident dropped."""
+        monkeypatch.setattr(spd, "_CHUNK", chunk)
+        _, rc = _random_recompiled(3500 + n, n)
+        s = want = rc.transformed_observable.truncate(delta)
+        drops = 0
+        for axis, angle in _schedule(rc):
+            before = want
+            s = apply_rotation(s, axis, angle, delta)
+            want = ref.apply_rotation(before, axis, angle, delta)
+            assert np.array_equal(s.words, want.words)
+            assert s.coeffs.tobytes() == want.coeffs.tobytes()
+            drops += bool(set(ref.pack_keys(before.words).tolist())
+                          - set(ref.pack_keys(want.words).tolist()))
+        assert drops > 0 if delta else want.num_terms > 4 * chunk
+
+
+def _wide_sum(rng, n_terms: int, n: int = 127, paired: float = 0.05):
+    """A sum of random words on n sites, a random axis, and about
+    ``paired * n_terms`` pairs (P, axis*P) of terms that anticommute with the
+    axis, so that products hit resident words.  Coefficients are standard
+    normal; the caller truncates."""
+    nw = (n + 63) // 64
+    top = np.uint64((1 << (n - 64 * (nw - 1))) - 1) if n % 64 else np.uint64(2**64 - 1)
+    raw = rng.integers(0, 2**64, size=(n_terms + 1, 2 * nw), dtype=np.uint64)
+    raw[:, nw - 1] &= top
+    raw[:, 2 * nw - 1] &= top
+    axis = PauliWord(n, raw[-1])
+    words = raw[:-1]
+    anti = ref.anticommute_mask(words, axis.row)
+    pick = words[anti][: int(paired * n_terms)]
+    words = np.concatenate([words, ref.mul_rows(axis.row, pick)[0]])
+    _, first = np.unique(ref.pack_keys(words), return_index=True)
+    words = words[first]
+    return PauliSum(n, words, rng.standard_normal(len(words))), axis
+
+
+def _kept_and_born(s: PauliSum, out: PauliSum) -> tuple[int, int]:
+    """How many of ``s``'s words are in ``out``, and how many of ``out``'s
+    are new."""
+    keys, out_keys = ref.pack_keys(s.words), ref.pack_keys(out.words)
+    pos = np.minimum(np.searchsorted(keys, out_keys), len(keys) - 1)
+    kept = int((keys[pos] == out_keys).sum())
+    return kept, out.num_terms - kept
+
+
+class TestPurity:
+    @pytest.mark.parametrize(
+        "theta, delta",
+        [(0.7, 0.0), (0.5, 0.3), (0.0, 0.0), (math.pi, 0.0), (0.0, 0.3)],
+        ids=["hit-born", "hit-born-dropped", "zero", "half-turn", "zero-dropped"],
+    )
+    def test_input_bytes_are_untouched(self, theta, delta):
+        """Every in-place step of ``apply_rotation`` works on its own arrays,
+        on each path: products that hit, are born or fall short, dropped
+        residents, and sin(theta) = 0."""
+        rng = np.random.default_rng(3600)
+        s, axis = _wide_sum(rng, 3000, paired=0.2)
+        anti = ref.anticommute_mask(s.words, axis.row)
+        products = ref.pack_keys(ref.mul_rows(axis.row, s.words[anti])[0])
+        assert np.isin(products, ref.pack_keys(s.words)).sum() > 100  # hits
+        words, coeffs = s.words.tobytes(), s.coeffs.tobytes()
+        out = apply_rotation(s, axis, theta, delta)
+        assert s.words.tobytes() == words and s.coeffs.tobytes() == coeffs
+        want = ref.apply_rotation(s, axis, theta, delta)
+        assert np.array_equal(out.words, want.words)
+        assert out.coeffs.tobytes() == want.coeffs.tobytes()
+        kept, born = _kept_and_born(s, out)
+        assert (born > 0) == (np.sin(theta) != 0.0)
+        assert (kept < s.num_terms) == (delta > 0)
+
+
+class TestWorkingMemory:
+    """Above input and output, the traced peak of a rotation is at most
+    row + coefficient + slot index bytes per born term, 16 bytes per dropped
+    term and a fixed slack: no array of the product batch or of the
+    resident count outlives the product phase."""
+
+    SLACK = 1 << 20  # chunk-sized scratch and numpy's fancy-index buffers
+
+    @pytest.mark.parametrize("theta, delta", [(0.7, 0.0), (0.5, 0.3)], ids=["exact", "dropping"])
+    def test_peak_above_input_and_output(self, traced_peak, theta, delta):
+        rng = np.random.default_rng(3700)
+        s, axis = _wide_sum(rng, 300_000)
+        s = s.truncate(delta)
+        # an N-sized float array held into the merge would exceed the slack
+        assert 8 * s.num_terms > self.SLACK
+        out, peak = traced_peak(apply_rotation, s, axis, theta, delta)
+        want = ref.apply_rotation(s, axis, theta, delta)
+        assert np.array_equal(out.words, want.words)
+        assert out.coeffs.tobytes() == want.coeffs.tobytes()
+
+        kept, born = _kept_and_born(s, out)
+        dropped = s.num_terms - kept
+        anti = int(ref.anticommute_mask(s.words, axis.row).sum())
+        assert born > 0.75 * anti if delta == 0 else born > 0.5 * anti and dropped > 1000
+        row_bytes = s.words.shape[1] * 8
+        extra = peak - (out.words.nbytes + out.coeffs.nbytes)
+        assert extra <= born * (row_bytes + 8 + 8) + 16 * dropped + self.SLACK
+
+
+class TestCapOnce:
+    def test_run_spd_reads_the_environment_once(self, monkeypatch):
+        """``run_spd`` resolves the cap before its loop; the rotations get it
+        as a number and never look at the environment themselves."""
+        _, rc = _random_recompiled(3800, 65)
+        unresolved = []
+        inner = spd._resolve_cap
+
+        def counting(max_terms):
+            if max_terms is None:
+                unresolved.append(max_terms)
+            return inner(max_terms)
+
+        monkeypatch.setattr(spd, "_resolve_cap", counting)
+        monkeypatch.setenv(MAX_TERMS_ENV, "1")
+        with pytest.raises(SpdCapacityError) as err:
+            run_spd(rc, 0.0)
+        assert err.value.cap == 1
+        assert len(unresolved) == 1
+        monkeypatch.delenv(MAX_TERMS_ENV)
+        unresolved.clear()
+        result = run_spd(rc, 1e-3)
+        assert len(unresolved) == 1
+        assert result.num_rotations > 10
