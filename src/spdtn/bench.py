@@ -34,11 +34,13 @@ import json
 import math
 import re
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cache, partial
 from itertools import groupby
 from pathlib import Path
+from threading import Lock
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -55,7 +57,7 @@ from .circuits import (
     load_lattice,
     ring,
 )
-from .clifford import recompile
+from .clifford import RecompiledCircuit, Rotation, fold_angle, recompile
 from .oracle import exact_contract, statevector_expectation
 from .paulis import PauliWord, parse_pauli
 from .spd import run_spd
@@ -279,15 +281,105 @@ def _parse_opt(text: str) -> float | None:
     return float(text) if text else None
 
 
-def _angle_circuit(config: RunConfig, lattice: Lattice, word: PauliWord, theta: float):
-    """The circuit of one kick angle: light-cone pruned for ``spd`` and
-    ``exact`` (``run_tn`` prunes its own), and for ``spd`` recompiled."""
+def _kicked_circuit(config: RunConfig, lattice: Lattice, word: PauliWord, theta: float):
+    """The kicked-Ising circuit of one angle, light-cone pruned for ``spd``
+    and ``exact`` (``run_tn`` prunes its own)."""
     circuit = kicked_ising(lattice, config.steps, theta, config.extra_x_layer)
     if config.method in ("spd", "exact") and config.lightcone:
         circuit = lightcone_prune(circuit, word.support())
-    if config.method == "spd":
-        return recompile(circuit, word)
     return circuit
+
+
+def _fold(theta: float) -> tuple[float, int]:
+    """``fold_angle(theta) = (theta', k)`` with the fold class ``k % 4``
+    given as -1..2: there ``k*pi/2 + pi/8`` folds to exactly pi/8, while at
+    k = 3 it folds to one ulp more."""
+    theta_p, k = fold_angle(theta)
+    return theta_p, (k + 1) % 4 - 1
+
+
+def _spd_template(
+    config: RunConfig, lattice: Lattice, word: PauliWord, fold: int
+) -> RecompiledCircuit:
+    """The recompiled circuit of the fold class ``fold`` (see
+    ``_angle_circuit``), built at the class's angle ``fold*pi/2 + pi/8``.
+
+    Its residual angle pi/8 is nonzero, so every kick gate in the circuit
+    leaves one rotation, of angle +-pi/8; any other rotation raises.
+    """
+    theta = fold * math.pi / 2 + math.pi / 8
+    rc = recompile(_kicked_circuit(config, lattice, word, theta), word)
+    for rot in rc.rotations:
+        if abs(rot.angle) != math.pi / 8:
+            raise RuntimeError(
+                f"rotation of angle {rot.angle!r} at kick angle {theta!r} does not "
+                "come from a kick gate"
+            )
+    return rc
+
+
+class _Templates:
+    """The ``spd`` templates of one sweep, by fold class.
+
+    A template is built on first use, and again on the next use after a
+    failed build.  It is dropped once every angle of its class has taken
+    it, so that the sweep holds only the templates its remaining angles
+    need.  Two threads may build the same class at once; the results are
+    equal, so either may be kept.
+    """
+
+    def __init__(self, config: RunConfig, lattice: Lattice, word: PauliWord, thetas):
+        self._build = partial(_spd_template, config, lattice, word)
+        # a non-finite angle fails in its own points, before taking a template
+        self._left = Counter(_fold(t)[1] for t in thetas if math.isfinite(t))
+        self._built: dict[int, RecompiledCircuit] = {}
+        self._lock = Lock()
+
+    def __call__(self, fold: int) -> RecompiledCircuit:
+        with self._lock:
+            rc = self._built.get(fold)
+        if rc is None:
+            rc = self._build(fold)
+        with self._lock:
+            self._left[fold] -= 1
+            if self._left[fold] > 0:
+                self._built[fold] = rc
+            else:
+                self._built.pop(fold, None)
+        return rc
+
+
+def _angle_circuit(
+    config: RunConfig,
+    lattice: Lattice,
+    word: PauliWord,
+    theta: float,
+    template: Callable[[int], RecompiledCircuit] | None = None,
+):
+    """The circuit of one kick angle (see ``_kicked_circuit``), for ``spd``
+    recompiled.
+
+    With ``fold_angle(theta) = (theta', k)``, the rotation axes and signs,
+    the residual Clifford and the transformed observable of the recompiled
+    circuit depend on theta only through its fold class ``k % 4``.  They
+    come from ``template(fold)`` (``_spd_template`` when not given), and
+    each rotation gets the angle ``sign * theta'`` that ``recompile`` would
+    give it, so the result is bit-identical to recompiling this angle's
+    circuit; at theta' = 0 no rotation is left.
+    """
+    if config.method != "spd":
+        return _kicked_circuit(config, lattice, word, theta)
+    theta_p, fold = _fold(theta)
+    if template is None:
+        template = partial(_spd_template, config, lattice, word)
+    rc = template(fold)
+    rotations = ()
+    if theta_p != 0.0:
+        neg = -theta_p  # one float object for all rotations, as for theta_p
+        rotations = tuple(
+            Rotation(rot.axis, theta_p if rot.angle > 0 else neg) for rot in rc.rotations
+        )
+    return RecompiledCircuit(rc.n, rotations, rc.residual_clifford, rc.transformed_observable)
 
 
 def run_point(
@@ -304,8 +396,11 @@ def run_point(
 
     ``angle_circuit()`` returns this angle's circuit (see
     ``_angle_circuit``) when the caller shares it between points, as
-    ``sweep`` does with a cached call: the point that first calls it counts
-    the build in its ``wall_time_s``.  Without it the point builds its own.
+    ``sweep`` does with a cached call that also shares each fold class's
+    ``spd`` template between angles: the point that first calls it counts
+    the build in its ``wall_time_s``, and so does the first point of a fold
+    class the template build.  Without it the point builds its own circuit
+    and template.
     """
     t0 = time.perf_counter()
     expectation = norm_psi = norm_o = norm_mix = None
@@ -366,11 +461,12 @@ def _escape_flag(text: str) -> str:
     return _FLAG_UNSAFE.sub(lambda m: f"%{ord(m.group()):02X}", text)
 
 
-def _angle_rows(config, lattice, word, theta, params) -> Iterator[ResultRow]:
+def _angle_rows(config, lattice, word, templates, theta, params) -> Iterator[ResultRow]:
     """Rows of the given parameters at one angle, in order, sharing the
-    angle's circuit; a build that fails is tried again by the next point,
-    so each point of the angle records the failure."""
-    shared = cache(partial(_angle_circuit, config, lattice, word, theta))
+    angle's circuit and the sweep's ``templates``; a build that fails is
+    tried again by the next point, so each point of the angle records the
+    failure."""
+    shared = cache(partial(_angle_circuit, config, lattice, word, theta, templates))
     for name, val in params:
         yield run_point(config, lattice, word, theta, name, val, shared)
 
@@ -379,9 +475,12 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
     """Run every grid point, optionally writing CSV rows as they finish.
 
     The points of one angle run in order in one worker and share the
-    angle's circuit, built once (see ``_angle_circuit``); up to ``workers``
-    angles run concurrently.  Rows emit in grid order through a single
-    writer, flushed per row, so a crash leaves a valid prefix of the table.
+    angle's circuit (see ``_angle_circuit``).  For ``spd`` its
+    angle-independent part is built and recompiled once per fold class, in
+    a template that lives no longer than this call (see ``_Templates``).
+    Up to ``workers`` angles run concurrently.  Rows emit in grid order
+    through a single writer, flushed per row, so a crash leaves a valid
+    prefix of the table.
     """
     lattice = config.build_lattice()
     word = parse_pauli(config.observable, lattice.n)
@@ -397,6 +496,8 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         handle.flush()
+    templates = _Templates(config, lattice, word, [theta for theta, _ in angles])
+    angle_rows = partial(_angle_rows, config, lattice, word, templates)
     rows: list[ResultRow] = []
 
     def emit(row: ResultRow) -> None:
@@ -409,7 +510,7 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(list, _angle_rows(config, lattice, word, theta, params))
+                    pool.submit(list, angle_rows(theta, params))
                     for theta, params in angles
                 ]
                 for fut in futures:
@@ -417,7 +518,7 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
                         emit(row)
         else:
             for theta, params in angles:
-                for row in _angle_rows(config, lattice, word, theta, params):
+                for row in angle_rows(theta, params):
                     emit(row)
     finally:
         if handle is not None:

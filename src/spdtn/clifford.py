@@ -286,7 +286,7 @@ def fold_angle(theta: float) -> tuple[float, int]:
     return theta_p, k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rotation:
     axis: PauliWord
     angle: float

@@ -83,7 +83,7 @@ def y_counts(rows: np.ndarray) -> np.ndarray:
     return popcount(rows[..., :nw] & rows[..., nw:]).sum(axis=-1, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliWord:
     """One n-site Pauli word as a packed (z | x) uint64 row."""
 

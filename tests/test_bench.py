@@ -3,25 +3,35 @@
 import hashlib
 import json
 import math
+import sys
+import weakref
 from urllib.parse import unquote
 
+import numpy as np
 import pytest
 
 from spdtn import (
+    Circuit,
+    Gate,
+    Layer,
     ResultRow,
     RunConfig,
     compare,
     convergence_report,
     kicked_ising,
+    lightcone_prune,
     loop_error_histogram,
     parse_pauli,
     read_rows,
+    recompile,
     report_all,
     ring,
+    run_point,
     statevector_expectation,
     sweep,
 )
 from spdtn import tensor
+from spdtn.spd import SpdResult
 from spdtn.bench import CSV_COLUMNS, CSV_VERSION, DEFAULT_THETA_GRID
 from spdtn.cli import main as cli_main
 
@@ -273,7 +283,8 @@ class TestSweep:
         with pytest.raises(ValueError, match="missing CSV columns"):
             read_rows(path)
 
-    def test_one_recompile_per_angle(self, monkeypatch):
+    def test_one_recompile_per_fold_class(self, monkeypatch):
+        """0.2 and 0.5 fold to k = 0, 0.9 to k = 1: two recompiles."""
         from spdtn import bench
 
         calls = {"recompile": 0, "run_point": 0}
@@ -291,7 +302,7 @@ class TestSweep:
             monkeypatch.setattr(bench, name, counted(name))
         cfg = spd_config(theta_h=[0.2, 0.5, 0.9], deltas=[1e-2, 1e-3, 0.0])
         rows = sweep(cfg)
-        assert calls == {"recompile": 3, "run_point": 9}
+        assert calls == {"recompile": 2, "run_point": 9}
         # a point evaluated on its own, with its own recompile, gives the
         # same row as the shared one
         lattice = cfg.build_lattice()
@@ -318,23 +329,31 @@ class TestSweep:
             assert one.read_bytes() == many.read_bytes()
 
     def test_failed_angle_flags_each_of_its_points(self, monkeypatch):
+        """A failed template build fails every point of every angle of its
+        fold class and is retried by each next point; the other class's
+        points are those of a clean sweep."""
         from spdtn import bench
 
         built = []
+        bad = math.pi / 2 + math.pi / 8  # the build angle of the class k = 1
 
         def build(lattice, steps, theta, extra_x_layer=False):
             built.append(theta)
-            if theta == 0.3:
+            if theta == bad:
                 raise ValueError("no circuit at this angle")
             return kicked_ising(lattice, steps, theta, extra_x_layer)
 
+        cfg = spd_config(theta_h=[0.1, 0.9, 1.2, 0.5], deltas=[1e-2, 0.0])
+        clean = sweep(cfg)
         monkeypatch.setattr(bench, "kicked_ising", build)
-        rows = sweep(spd_config(theta_h=[0.1, 0.3, 0.5], deltas=[1e-2, 0.0]))
-        # a failed build is retried by the angle's next point
-        assert built == [0.1, 0.3, 0.3, 0.5]
+        rows = sweep(cfg)
+        # 0.1 and 0.5 fold to k = 0, 0.9 and 1.2 to k = 1
+        assert built == [math.pi / 8] + [bad] * 4
         failed = "error:ValueError:no circuit at this angle"
-        assert [r.flags for r in rows] == ["", "", failed, failed, "", ""]
-        assert rows[2].expectation is None and rows[4].expectation is not None
+        assert [r.flags for r in rows] == ["", ""] + [failed] * 4 + ["", ""]
+        assert all(r.expectation is None for r in rows[2:6])
+        assert rows[:2] + rows[6:] == clean[:2] + clean[6:]
+        assert all(r.expectation is not None for r in clean)
 
     def test_error_message_is_escaped_into_one_flag(self, monkeypatch, tmp_path):
         """A failed point's flag carries the exception's message, escaped so
@@ -344,13 +363,13 @@ class TestSweep:
         message = 'bad "angle"; chi=4, 50% lost\nsecond line'
 
         def build(lattice, steps, theta, extra_x_layer=False):
-            if theta == 0.3:
+            if theta > math.pi / 4:  # the build of 1.2's fold class, k = 1
                 raise ValueError(message)
             return kicked_ising(lattice, steps, theta, extra_x_layer)
 
         monkeypatch.setattr(bench, "kicked_ising", build)
         path = tmp_path / "run.csv"
-        rows = sweep(spd_config(theta_h=[0.1, 0.3], deltas=[1e-2]), out=path)
+        rows = sweep(spd_config(theta_h=[0.1, 1.2], deltas=[1e-2]), out=path)
         flag = rows[1].flags
         assert flag.split(";") == [flag]
         assert flag.startswith("error:ValueError:")
@@ -366,6 +385,185 @@ class TestSweep:
         timed = sweep(spd_config(theta_h=[0.3], record_timing=True))
         assert quiet[0].wall_time_s == 0.0
         assert timed[0].wall_time_s > 0.0
+
+
+def _recompiled_bytes(rc) -> tuple:
+    """Every bit of a recompiled circuit: rotation axis rows and angle bytes,
+    residual tableau rows and signs, transformed-observable words and
+    coefficient bytes."""
+    obs = rc.transformed_observable
+    return (
+        [rot.axis.row.tobytes() for rot in rc.rotations],
+        np.array([rot.angle for rot in rc.rotations], dtype=np.float64).tobytes(),
+        rc.residual_clifford.words.tobytes(),
+        rc.residual_clifford.signs.tobytes(),
+        obs.words.tobytes(),
+        obs.coeffs.tobytes(),
+    )
+
+
+# all four fold classes with both signs, the fold boundary pi/4 and angles
+# just past it (inside and outside the 1e-12 snap of fold_angle), and angles
+# with a zero residual angle, which leave no rotation
+FOLD_CASE_THETAS = [
+    sign * (k * math.pi / 2 + 0.3) for k in range(4) for sign in (1, -1)
+] + [
+    math.pi / 4,
+    -math.pi / 4,
+    math.pi / 4 + 1e-13,
+    math.pi / 4 + 2e-12,
+    0.0,
+    math.pi / 2,
+    -math.pi / 2,
+    math.pi,
+]
+
+
+class TestFoldClassTemplates:
+    @pytest.mark.parametrize("lightcone", [True, False])
+    @pytest.mark.parametrize("extra_x_layer", [False, True])
+    @pytest.mark.parametrize(
+        "lattice, observable, steps",
+        [
+            ({"kind": "heavy_hex", "rows": 1, "cols": 1}, "Z3", 3),
+            ({"kind": "heavy_hex", "rows": 1, "cols": 1}, "Z3", 20),
+            ({"kind": "device_127"}, "Z62", 3),
+        ],
+    )
+    def test_sweep_circuit_is_a_fresh_recompile(
+        self, monkeypatch, lattice, observable, steps, extra_x_layer, lightcone
+    ):
+        """The circuit each sweep point propagates, set from its fold
+        class's template, equals bit for bit the recompile of its own
+        angle's circuit."""
+        from spdtn import bench
+
+        seen = []
+
+        def capture(rc, delta, max_terms=None):
+            seen.append(rc)
+            return SpdResult(0.0, 0.0, 0, 0, len(rc.rotations), 0.0)
+
+        monkeypatch.setattr(bench, "run_spd", capture)
+        cfg = spd_config(
+            lattice=lattice,
+            observable=observable,
+            steps=steps,
+            theta_h=FOLD_CASE_THETAS,
+            extra_x_layer=extra_x_layer,
+            lightcone=lightcone,
+        )
+        rows = sweep(cfg)
+        assert not any(r.flagged for r in rows)
+        assert len(seen) == len(FOLD_CASE_THETAS)
+        lat = cfg.build_lattice()
+        word = parse_pauli(observable, lat.n)
+        for theta, rc in zip(FOLD_CASE_THETAS, seen):
+            circuit = kicked_ising(lat, steps, theta, extra_x_layer)
+            if lightcone:
+                circuit = lightcone_prune(circuit, word.support())
+            fresh = recompile(circuit, word)
+            assert _recompiled_bytes(rc) == _recompiled_bytes(fresh), theta
+        zero = {0.0, math.pi / 2, -math.pi / 2, math.pi}
+        assert [not rc.rotations for rc in seen] == [t in zero for t in FOLD_CASE_THETAS]
+
+    def test_rotation_not_from_a_kick_gate_raises(self, monkeypatch):
+        """A template rotation whose angle is not the kick's +-pi/8 fails
+        the fold class's points with a real exception."""
+        from spdtn import bench
+
+        def build(lattice, steps, theta, extra_x_layer=False):
+            circuit = kicked_ising(lattice, steps, theta, extra_x_layer)
+            extra = Layer((Gate("rz", (1,), 0.25),), tag="rz", step=steps)
+            return Circuit(circuit.n, circuit.layers + (extra,))
+
+        monkeypatch.setattr(bench, "kicked_ising", build)
+        rows = sweep(spd_config(theta_h=[0.3]))
+        assert rows[0].flags == (
+            "error:RuntimeError:rotation of angle 0.25 at kick angle 0.39269908169872414 "
+            "does not come from a kick gate"
+        )
+
+    def test_template_lifetime_in_one_worker(self, monkeypatch):
+        """In one worker a class's template is kept while an angle of its
+        class is left, and dropped once its last angle has taken it."""
+        from spdtn import bench
+
+        built = {}
+        build = bench._spd_template
+        run = bench.run_spd
+        alive = []
+
+        def tracked(config, lattice, word, fold):
+            rc = build(config, lattice, word, fold)
+            built[fold] = weakref.ref(rc)
+            return rc
+
+        def probe(rc, *args, **kwargs):
+            alive.append(sorted(f for f, ref in built.items() if ref() is not None))
+            return run(rc, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "_spd_template", tracked)
+        monkeypatch.setattr(bench, "run_spd", probe)
+        sweep(spd_config(theta_h=[0.1, 0.9, 0.3, 1.2], deltas=[1e-2, 0.0]))
+        assert alive == [[0], [0], [0, 1], [0, 1], [1], [1], [], []]
+
+    def test_threads_share_templates_without_lost_updates(self, monkeypatch):
+        """More threads than cores, switching often, on angles of all four
+        fold classes: the rows are those of one worker, and every class's
+        count of angles left reaches zero with its template dropped."""
+        from spdtn import bench
+
+        made = []
+        make = bench._Templates
+
+        def recording(*args):
+            made.append(make(*args))
+            return made[-1]
+
+        monkeypatch.setattr(bench, "_Templates", recording)
+        cfg = spd_config(
+            # the first angles of each class start together
+            theta_h=[k * math.pi / 2 + d for k in range(4) for d in (0.1, 0.2, -0.3, 0.4)],
+            deltas=[1e-2, 0.0],
+        )
+        alone = sweep(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = sweep(cfg, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows == alone
+        for templates in made:
+            assert set(templates._left) == {-1, 0, 1, 2}
+            assert not any(templates._left.values()) and not templates._built
+
+    def test_sweeps_in_one_process_match_each_alone(self):
+        """Sweeps that differ in steps, lattice, observable and extra RX
+        layer, run one after another on shared angles, give the rows that
+        each point gives on its own: no template outlives its sweep."""
+        theta_h = [0.3, 1.2, -0.4]
+        configs = [
+            spd_config(theta_h=theta_h, deltas=[1e-3, 0.0]),
+            spd_config(
+                lattice={"kind": "ring", "n": 5},
+                observable="Z2",
+                steps=3,
+                extra_x_layer=True,
+                theta_h=theta_h,
+                deltas=[1e-3, 0.0],
+            ),
+        ]
+        alone = []
+        for cfg in configs:
+            lattice = cfg.build_lattice()
+            word = parse_pauli(cfg.observable, lattice.n)
+            alone.append([run_point(cfg, lattice, word, *pt) for pt in cfg.points()])
+        assert [r.expectation for r in alone[0]] != [r.expectation for r in alone[1]]
+        for workers in (1, 2):
+            for i in (0, 1, 0, 1):
+                assert sweep(configs[i], workers=workers) == alone[i]
 
 
 class TestConvergenceReport:
