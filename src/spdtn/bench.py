@@ -166,6 +166,15 @@ class RunConfig:
             raise ValueError("theta_h list must be non-empty")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if not all(math.isfinite(d) and d >= 0 for d in self.deltas):
+            raise ValueError(f"deltas must be finite and >= 0, got {list(self.deltas)}")
+        if not all(c >= 1 for c in self.chis):
+            raise ValueError(f"chis must be >= 1, got {list(self.chis)}")
+        if self.max_terms is not None and (
+            isinstance(self.max_terms, bool) or not isinstance(self.max_terms, int)
+            or self.max_terms < 1
+        ):
+            raise ValueError(f"max_terms must be an int >= 1, got {self.max_terms!r}")
         if self.method == "spd":
             if not self.deltas:
                 raise ValueError("spd sweeps need a non-empty deltas list")

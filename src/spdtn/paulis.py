@@ -24,13 +24,18 @@ byte string; on rows already stored big-endian and C-contiguous, as
 
 Rows may be native or big-endian uint64.  The batch kernels below work on the
 raw bytes: AND, XOR and the parity of a popcount do not depend on the order
-of the bytes within a word, so a big-endian batch is never converted.
+of the bytes within a word, so a big-endian batch is never converted.  What
+they need of an axis (its words in the rows' byte order, the columns and
+masks of the parity fold, its Y count and the words that carry the phase) is
+derived once per axis and byte order and kept in a bounded memo.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +52,7 @@ __all__ = [
     "anticommute_mask",
     "mul_rows",
     "y_counts",
+    "clear_axis_cache",
 ]
 
 _PHASES = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
@@ -182,11 +188,78 @@ class PhasedWord:
         return f"PhasedWord({self.phase!r} * {format_pauli(self.word)!r})"
 
 
-def _raw(rows: np.ndarray, row: np.ndarray):
-    """Native-uint64 views of the memory of ``rows`` and of ``row`` written in
-    the byte order of ``rows``: bitwise results on them are the byte-swapped
-    results on the values, with the same popcounts."""
-    return rows.view(np.uint64), np.asarray(row, dtype=rows.dtype).view(np.uint64)
+# Every distinct axis of the templates a sweep is using must fit, or each
+# angle evicts the axes the next one needs: nine angles of a T = 20 sweep on
+# the 127-qubit device use 1,764.  An entry takes about 1.1 KB there.
+AXIS_CACHE_SIZE = 1 << 13
+
+
+class _Axis(NamedTuple):
+    """What the batch kernels need of one axis row, for rows of one dtype.
+
+    ``words`` is the axis written in the rows' byte order and viewed as
+    native uint64, so that bitwise results on it and on the rows' raw words
+    are the byte-swapped results on the values, with the same popcounts.
+    Masks are 0-d arrays, the cheapest operand for a numpy ufunc.
+    """
+
+    words: np.ndarray
+    # (rows' column, mask) of each nonzero axis word: its z word w meets the
+    # rows' x word w, its x word w their z word w
+    fold: tuple[tuple[int, np.ndarray], ...]
+    # every mask of the fold is the same single bit, so the XOR of the terms
+    # has at most that bit set and its parity is whether it is nonzero
+    single: bool
+    y: int  # Y sites of the axis
+    # (word, x mask or None) of each word where the axis is nonzero
+    phase: tuple[tuple[int, np.ndarray | None], ...]
+
+
+_axes: dict[tuple, _Axis] = {}
+_axes_lock = threading.Lock()
+
+
+def clear_axis_cache() -> None:
+    """Forget the constants of every axis."""
+    with _axes_lock:
+        _axes.clear()
+
+
+def _axis(row, dtype: np.dtype) -> _Axis:
+    """The constants of axis ``row`` for rows of ``dtype``, derived once.
+
+    The memo is shared by every thread of the process.  A hit takes no lock
+    (a dict read is atomic); a miss derives and stores under the lock, so
+    each key is derived once, and the oldest entry goes when the memo holds
+    ``AXIS_CACHE_SIZE`` of them.
+    """
+    row = np.asarray(row)
+    key = (row.tobytes(), row.dtype, dtype)
+    axis = _axes.get(key)
+    if axis is None:
+        with _axes_lock:
+            axis = _axes.get(key)
+            if axis is None:
+                axis = _derive_axis(row, dtype)
+                if len(_axes) >= AXIS_CACHE_SIZE:
+                    del _axes[next(iter(_axes))]
+                _axes[key] = axis
+    return axis
+
+
+def _derive_axis(row: np.ndarray, dtype: np.dtype) -> _Axis:
+    # a copy, so that the entry holds no second array as the base of a view
+    words = np.asarray(row, dtype=dtype).view(np.uint64).copy()
+    words.setflags(write=False)
+    nw = words.shape[0] // 2
+    masks = {int(w): np.array(words[w]) for w in words.nonzero()[0]}
+    fold = tuple(((w + nw) % (2 * nw), m) for w, m in masks.items())
+    bits = {int(m) for m in masks.values()}
+    single = len(bits) == 1 and bits.pop().bit_count() == 1
+    phase = tuple(
+        (w, masks.get(nw + w)) for w in range(nw) if w in masks or nw + w in masks
+    )
+    return _Axis(words, fold, single, int(y_counts(words)), phase)
 
 
 def anticommute_mask(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -197,45 +270,60 @@ def anticommute_mask(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
     ``a.z[w] & b.x[w]`` and ``a.x[w] & b.z[w]``.  Only the words where
     ``row`` is nonzero enter the fold; an identity ``row`` commutes with all.
     """
-    raw, axis = _raw(np.asarray(rows), row)
-    nw = axis.shape[0] // 2
+    rows = np.asarray(rows)
+    axis = _axis(row, rows.dtype)
+    raw = rows.view(np.uint64)
     fold = None
-    for w in axis.nonzero()[0]:
-        # axis z word w meets the rows' x word w, axis x word w their z word w
-        term = raw[..., (w + nw) % (2 * nw)] & axis[w]
+    for col, mask in axis.fold:
         if fold is None:
-            fold = term
+            fold = raw[..., col] & mask
         else:
-            fold ^= term
+            fold ^= raw[..., col] & mask
     if fold is None:
         return np.zeros(raw.shape[:-1], dtype=bool)
-    return (np.bitwise_count(fold) & 1).view(bool)
+    if axis.single:
+        return fold.astype(bool)
+    parity = np.bitwise_count(fold)
+    parity &= 1
+    return parity.view(bool)
 
 
-def mul_rows(left: np.ndarray, rights: np.ndarray):
+def mul_rows(left: np.ndarray, rights: np.ndarray, out: np.ndarray | None = None):
     """Products ``op(left) @ op(rights[k])`` for a batch of packed rows.
 
     Returns ``(prod_rows, k)`` with ``op(left) op(r) = i^k op(left ^ r)``;
-    ``prod_rows`` has the dtype (byte order) of ``rights``.  The exponent
-    follows from counting Y-normalization factors on each operand and the
-    product plus the X-past-Z swaps:
+    ``prod_rows`` has the dtype (byte order) of ``rights``.  With ``out``
+    (of the shape and dtype of ``rights``, and ``rights`` itself allowed)
+    the products are written there.  The exponent follows from counting
+    Y-normalization factors on each operand and the product plus the
+    X-past-Z swaps:
 
         k = y(c) - y(left) - y(r) + 2 * |left.x & r.z|   (mod 4)
 
     On a word where ``left`` is zero, c equals r, so ``y(c) - y(r)`` and the
-    swaps are summed over the nonzero words of ``left`` only.
+    swaps are summed over the nonzero words of ``left`` only; the terms of r
+    are counted before the product overwrites it.
     """
     rights = np.asarray(rights)
-    raw, lraw = _raw(rights, left)
-    nw = lraw.shape[0] // 2
-    prod = raw ^ lraw
-    k = np.full(raw.shape[:-1], -y_counts(lraw), dtype=np.int64)
-    for w in (lraw[:nw] | lraw[nw:]).nonzero()[0]:
-        k += np.bitwise_count(prod[..., w] & prod[..., nw + w])
+    if out is None:
+        out = np.empty_like(rights)
+    elif out.shape != rights.shape or out.dtype != rights.dtype:
+        raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}, "
+                         f"rights {rights.shape} and {rights.dtype}")
+    axis = _axis(left, rights.dtype)
+    raw = rights.view(np.uint64)
+    nw = raw.shape[-1] // 2
+    k = np.full(raw.shape[:-1], -axis.y, dtype=np.int64)
+    for w, x in axis.phase:
         k -= np.bitwise_count(raw[..., w] & raw[..., nw + w])
-        if lraw[nw + w]:
-            k += 2 * np.bitwise_count(raw[..., w] & lraw[nw + w])
-    return prod.view(rights.dtype), k & 3
+        if x is not None:
+            k += 2 * np.bitwise_count(raw[..., w] & x)
+    prod = out.view(np.uint64)
+    np.bitwise_xor(raw, axis.words, out=prod)
+    for w, _ in axis.phase:
+        k += np.bitwise_count(prod[..., w] & prod[..., nw + w])
+    k &= 3
+    return out, k
 
 
 def pauli_mul(a: PauliWord, b: PauliWord) -> PhasedWord:

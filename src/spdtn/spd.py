@@ -12,8 +12,10 @@ Words are stored big-endian (``">u8"``), so each row's sort key is a view of
 its bytes and no pass re-serializes the sum.  Each gate runs as:
 
 (1) one parity fold over the axis's nonzero words gives the indices of the
-    anticommuting terms; with none, the sum is returned as it is;
-(2) their rows are gathered whole and multiplied by sigma;
+    anticommuting terms; with none, the sum is returned as it is.  The
+    axis's fold and phase constants are derived once per axis and kept in
+    a memo (see ``paulis``);
+(2) their rows are gathered whole and multiplied by sigma in place;
 (3) every product is binary-searched among the stored keys; a product found
     adds to its resident coefficient, and the missing ones that reach the
     threshold are the new terms, ranked by key.  The rest of the product
@@ -24,7 +26,8 @@ its bytes and no pass re-serializes the sum.  Each gate runs as:
     fixed-size chunk at a time.  Rows are merged first, then coefficients.
 
 Working memory: apart from its input and output, a rotation holds the
-product batch during (2)-(3).  During (4) it holds the new terms (row,
+product batch (the gathered rows, overwritten by the products) during
+(2)-(3).  During (4) it holds the new terms (row,
 coefficient and two slot indices each) and a working copy of the resident
 coefficients, which stands in for the output coefficients until the rows
 are merged.  That is row bytes + 16 per new term, 16 bytes per dropped term
@@ -102,6 +105,15 @@ class PauliSum:
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _of(cls, n: int, words: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
+        """A sum on arrays that already meet the constructor's conditions
+        (C-contiguous sorted unique ``">u8"`` words, float64 coefficients),
+        taken as they are."""
+        s = object.__new__(cls)
+        s.__dict__.update(n=n, words=words, coeffs=coeffs)
+        return s
+
     # -- construction ----------------------------------------------------
 
     @classmethod
@@ -171,12 +183,12 @@ class PauliSum:
 
     def truncate(self, delta: float) -> "PauliSum":
         """Keep terms with |a| >= delta (identity at delta = 0)."""
-        if delta < 0:
-            raise ValueError("delta must be >= 0")
+        if not delta >= 0:
+            raise ValueError(f"delta must be >= 0, got {delta!r}")
         keep = np.abs(self.coeffs) >= delta
         if keep.all():
             return self
-        return PauliSum(self.n, self.words[keep], self.coeffs[keep])
+        return PauliSum._of(self.n, self.words[keep], self.coeffs[keep])
 
 
 def apply_rotation(
@@ -193,8 +205,8 @@ def apply_rotation(
     """
     if axis.n != s.n:
         raise ValueError(f"axis on {axis.n} sites, sum on {s.n}")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not delta >= 0:
+        raise ValueError(f"delta must be >= 0, got {delta!r}")
     anti = anticommute_mask(s.words, axis.row).nonzero()[0]
     if anti.size == 0:
         return s
@@ -203,9 +215,10 @@ def apply_rotation(
         # pure +-1 Clifford content: coefficients scale by cos = +-1 only
         coeffs = s.coeffs.copy()
         coeffs[anti] *= np.cos(theta)
-        return PauliSum(s.n, s.words, coeffs).truncate(delta)
+        return PauliSum._of(s.n, s.words, coeffs).truncate(delta)
     rows = _row_view(s.words)
-    prod, k = mul_rows(axis.row, _from_rows(rows.take(anti)))
+    prod = _from_rows(rows.take(anti))
+    prod, k = mul_rows(axis.row, prod, out=prod)
     # copied only now, so that the copy and the temporaries of mul_rows are
     # never alive together
     coeffs = s.coeffs.copy()
@@ -247,7 +260,8 @@ def apply_rotation(
     # A born term goes after the kept residents below it and the born terms
     # with smaller keys: pos counted every resident below a product, and the
     # dropped ones leave no slot.
-    below -= dropped.searchsorted(below)
+    if dropped.size:
+        below -= dropped.searchsorted(below)
     slots = below.copy()
     slots[order] += np.arange(order.size)
     kept_below = below.take(order)
@@ -260,7 +274,7 @@ def apply_rotation(
     del born_rows
     merged_coeffs = np.empty(total)
     _merge(merged_coeffs, coeffs, born_coeffs, slots, kept_below, dropped)
-    return PauliSum(s.n, _from_rows(merged_rows), merged_coeffs)
+    return PauliSum._of(s.n, _from_rows(merged_rows), merged_coeffs)
 
 
 _CHUNK = 1 << 14  # items per step of the chunked passes below
@@ -269,6 +283,8 @@ _CHUNK = 1 << 14  # items per step of the chunked passes below
 def _found(keys, prod_keys, pos) -> np.ndarray:
     """``keys[pos] == prod_keys`` (False where pos is past the end), taken
     ``_CHUNK`` products at a time."""
+    if pos.size <= _CHUNK:
+        return keys.take(pos, mode="clip") == prod_keys
     found = np.empty(pos.size, dtype=bool)
     for c in range(0, pos.size, _CHUNK):
         part = slice(c, c + _CHUNK)
@@ -286,6 +302,18 @@ def _merge(out, residents, born, slots, kept_below, dropped) -> None:
     """
     out[slots] = born
     n = len(residents)
+    if n <= _CHUNK:
+        if dropped.size:
+            gone = np.zeros(n, dtype=bool)
+            gone[dropped] = True
+            residents = residents[~gone]
+        if slots.size:
+            taken = np.zeros(len(out), dtype=bool)
+            taken[slots] = True
+            out[~taken] = residents
+        else:
+            out[:] = residents
+        return
     k = j = d = 0  # kept residents, born terms and dropped residents passed
     for i0 in range(0, n, _CHUNK):
         i1 = min(i0 + _CHUNK, n)
@@ -333,9 +361,12 @@ def _resolve_cap(max_terms: int | None) -> int:
     env = os.environ.get(MAX_TERMS_ENV)
     if env is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise ValueError(f"bad {MAX_TERMS_ENV} value {env!r}") from exc
+        if cap < 1:
+            raise ValueError(f"bad {MAX_TERMS_ENV} value {env!r}: the cap must be >= 1")
+        return cap
     return DEFAULT_MAX_TERMS
 
 
@@ -361,6 +392,8 @@ def run_spd(
     threshold truncation, and the result is read out at |0...0>.
     """
     t0 = time.perf_counter()
+    if not delta >= 0:
+        raise ValueError(f"delta must be >= 0, got {delta!r}")
     s = rc.transformed_observable.truncate(delta)
     peak = s.num_terms
     cap = _resolve_cap(max_terms)

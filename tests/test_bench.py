@@ -30,7 +30,7 @@ from spdtn import (
     statevector_expectation,
     sweep,
 )
-from spdtn import tensor
+from spdtn import paulis, tensor
 from spdtn.spd import SpdResult
 from spdtn.bench import CSV_COLUMNS, CSV_VERSION, DEFAULT_THETA_GRID
 from spdtn.cli import main as cli_main
@@ -130,6 +130,20 @@ class TestRunConfig:
     def test_steps_must_be_positive(self):
         with pytest.raises(ValueError, match="steps"):
             spd_config(steps=0)
+
+    @pytest.mark.parametrize("deltas", [[math.nan], [math.inf], [-1e-3], [1e-3, math.nan]])
+    def test_deltas_must_be_finite_and_nonnegative(self, deltas):
+        with pytest.raises(ValueError, match="deltas must be finite and >= 0"):
+            spd_config(deltas=deltas)
+
+    def test_chis_must_be_positive(self):
+        with pytest.raises(ValueError, match="chis must be >= 1"):
+            spd_config(method="mix", deltas=[], chis=[4, 0])
+
+    @pytest.mark.parametrize("max_terms", [0, -5, 2.5, "100", True])
+    def test_max_terms_must_be_a_positive_int(self, max_terms):
+        with pytest.raises(ValueError, match="max_terms must be an int >= 1"):
+            spd_config(max_terms=max_terms)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match=r"unknown config keys: \['volume'\]"):
@@ -310,19 +324,54 @@ class TestSweep:
         alone = [bench.run_point(cfg, lattice, word, *point) for point in cfg.points()]
         assert rows == alone
 
+    def test_axis_constants_derived_once_per_axis(self, monkeypatch, empty_axis_cache):
+        """The angles of a fold class share its template's axes, so a sweep
+        derives each axis's kernel constants once and reads them from the
+        memo at every other rotation on that axis."""
+        from spdtn import spd
+
+        derived, used = [], []
+        derive, mask = paulis._derive_axis, spd.anticommute_mask
+
+        def counting_derive(row, dtype):
+            derived.append(row.tobytes())
+            return derive(row, dtype)
+
+        def counting_mask(rows, row):
+            used.append(row.tobytes())
+            return mask(rows, row)
+
+        monkeypatch.setattr(paulis, "_derive_axis", counting_derive)
+        monkeypatch.setattr(spd, "anticommute_mask", counting_mask)
+        cfg = spd_config(
+            lattice={"kind": "heavy_hex", "rows": 1, "cols": 1}, observable="Z3", steps=4,
+            theta_h=[0.2, 0.5, 0.9, 1.2], deltas=[1e-2, 1e-3],
+        )
+        sweep(cfg)
+        assert len(derived) == len(set(derived)) == len(set(used)) > 10
+        assert set(derived) == set(used)
+        # 0.2 and 0.5 fold to k = 0, 0.9 and 1.2 to k = 1: four points a class
+        assert len(used) >= 4 * len(derived)
+
     @pytest.mark.parametrize("workers", [2, 4])
     def test_multi_delta_csv_same_for_any_workers(self, tmp_path, workers):
         """Also for ``mix``, whose angles' threads share the contraction plan
-        cache: from a cold cache they race to plan the same structures."""
+        cache, and for ``spd``, whose threads share the memo of axis
+        constants: from cold caches they race to fill them."""
         theta_h = [0.0, 0.3, 0.6, 1.2]
         for cfg in (
             spd_config(theta_h=theta_h, deltas=[1e-2, 1e-3]),
+            spd_config(
+                lattice={"kind": "heavy_hex", "rows": 1, "cols": 1}, observable="Z3",
+                steps=4, theta_h=[0.2, 0.3, 0.5, 0.6, 0.9, 1.2], deltas=[1e-2, 1e-3],
+            ),
             spd_config(
                 lattice={"kind": "heavy_hex", "rows": 1, "cols": 1},
                 method="mix", theta_h=theta_h, deltas=[], chis=[2, 4],
             ),
         ):
             tensor.clear_plan_cache()
+            paulis.clear_axis_cache()
             one, many = tmp_path / "one.csv", tmp_path / "many.csv"
             sweep(cfg, out=many, workers=workers)
             sweep(cfg, out=one, workers=1)
@@ -885,3 +934,15 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "unknown config keys" in err
+
+    def test_nan_delta_exit_two(self, tmp_path, capsys):
+        """``NaN`` is valid JSON to Python; a sweep on it would drop every
+        term and write a clean row with expectation 0.0."""
+        path = tmp_path / "nan.json"
+        doc = spd_config().to_dict()
+        doc["deltas"] = [math.nan]
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rows.csv"
+        assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert "deltas must be finite" in capsys.readouterr().err
+        assert not out.exists()

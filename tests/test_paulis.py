@@ -1,11 +1,15 @@
 """Bit-packed Pauli algebra against dense matrices and brute force."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdtn import PauliWord, anticommutes, format_pauli, parse_pauli, pauli_mul
+from spdtn import paulis
 from spdtn.paulis import anticommute_mask, mul_rows, nwords64, pack_keys, y_counts
 
 import spd_reference as ref
@@ -283,3 +287,123 @@ class TestBatchKernels:
         assert np.array_equal(keys, ref.pack_keys(rows))
         assert np.array_equal(pack_keys(rows), ref.pack_keys(rows))
         assert not np.shares_memory(pack_keys(rows), rows)
+
+
+# -- memoized axis constants ----------------------------------------------------
+
+
+def _axis_cases(n: int) -> dict[str, PauliWord]:
+    """Axes of every shape the memo distinguishes: one bit, several bits in
+    one word of z or x, words on both sides of the 64-bit boundary, Y
+    letters, and the identity."""
+    last = n - 1
+    return {
+        "x1": PauliWord.from_sites(n, x=[last]),
+        "z1": PauliWord.from_sites(n, z=[63]),
+        "y1": PauliWord.from_sites(n, z=[64], x=[64]),
+        "zz_one_word": PauliWord.from_sites(n, z=[3, 17]),
+        "mixed_one_word": PauliWord.from_sites(n, z=[3, 9], x=[9, 40]),
+        "both_words": PauliWord.from_sites(n, z=[5, last], x=[63, 64]),
+        "y_both_words": PauliWord.from_sites(n, z=[0, 64, last], x=[0, 64]),
+        "identity": PauliWord.identity(n),
+    }
+
+
+class TestAxisConstants:
+    @pytest.mark.parametrize("n", [65, 127])
+    def test_kernels_match_reference_on_miss_and_hit(self, rng, n, empty_axis_cache):
+        """Each axis is used on native and big-endian rows, each twice: the
+        first call of each byte order derives the constants, the second
+        reads them from the memo."""
+        rows = random_rows(rng, n, 200)
+        for name, axis in _axis_cases(n).items():
+            want_mask = ref.anticommute_mask(rows, axis.row)
+            want_prod, want_k = ref.mul_rows(axis.row, rows)
+            for order in ("=u8", ">u8", "=u8", ">u8"):
+                batch = rows.astype(order)
+                assert np.array_equal(anticommute_mask(batch, axis.row), want_mask), name
+                prod, k = mul_rows(axis.row, batch)
+                assert prod.dtype == batch.dtype
+                assert np.array_equal(prod, want_prod) and np.array_equal(k, want_k), name
+                inplace = batch.copy()
+                prod, k = mul_rows(axis.row, inplace, out=inplace)
+                assert prod is inplace
+                assert np.array_equal(prod, want_prod) and np.array_equal(k, want_k), name
+        assert len(paulis._axes) == 2 * len(_axis_cases(n))
+
+    def test_single_bit_folds(self, empty_axis_cache):
+        """Weight-1 axes fold to one bit and take the nonzero test; every
+        other axis takes the popcount parity."""
+        dtype = np.dtype(">u8")
+        single = {name for name, axis in _axis_cases(127).items()
+                  if paulis._axis(axis.row, dtype).single}
+        assert single == {"x1", "z1", "y1"}
+
+    def test_mul_rows_out_must_match(self, rng):
+        rows = random_rows(rng, 65, 4)
+        axis = PauliWord.from_sites(65, x=[1]).row
+        for out in (np.empty((3, 4), dtype=np.uint64), rows.astype(">u8")):
+            with pytest.raises(ValueError, match="out has shape"):
+                mul_rows(axis, rows, out=out)
+
+    def test_bound_evicts_oldest(self, rng, monkeypatch, empty_axis_cache):
+        monkeypatch.setattr(paulis, "AXIS_CACHE_SIZE", 2)
+        derived = []
+        inner = paulis._derive_axis
+
+        def counting(row, dtype):
+            derived.append(row.tobytes())
+            return inner(row, dtype)
+
+        monkeypatch.setattr(paulis, "_derive_axis", counting)
+        rows = random_rows(rng, 65, 10)
+        axes = [PauliWord.from_sites(65, x=[j]).row for j in range(3)]
+        for j in (0, 1, 0, 2):  # a hit on 0, then 2 evicts 0, the oldest
+            anticommute_mask(rows, axes[j])
+        assert len(derived) == 3 and len(paulis._axes) == 2
+        anticommute_mask(rows, axes[1])
+        assert len(derived) == 3
+        anticommute_mask(rows, axes[0])
+        assert derived[-1] == axes[0].tobytes() and len(derived) == 4
+        assert len(paulis._axes) == 2
+
+    def test_threads_derive_each_axis_once(self, rng, monkeypatch, empty_axis_cache):
+        """Four threads race over the same axes from an empty memo, with a
+        short switch interval: every axis is derived once, and every mask
+        matches the reference."""
+        derived = []
+        inner = paulis._derive_axis
+
+        def counting(row, dtype):
+            derived.append(row.tobytes())
+            return inner(row, dtype)
+
+        monkeypatch.setattr(paulis, "_derive_axis", counting)
+        rows = random_rows(rng, 127, 50).astype(">u8")
+        axes = [random_word(rng, 127, p=0.1).row for _ in range(40)]
+        want = [ref.anticommute_mask(rows.astype(np.uint64), a) for a in axes]
+        wrong = []
+
+        def work():
+            for a, w in zip(axes, want):
+                if not np.array_equal(anticommute_mask(rows, a), w):
+                    wrong.append(a)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        assert sorted(derived) == sorted({a.tobytes() for a in axes})
+
+
+def random_rows(rng, n: int, count: int) -> np.ndarray:
+    """``count`` native rows of random words on n sites."""
+    return np.stack([random_word(rng, n).row for _ in range(count)])

@@ -102,8 +102,9 @@ class TestPauliSum:
         assert t.num_terms == 2
         assert t.coefficient("X1") == 0.0
         assert s.truncate(0.0) is s
-        with pytest.raises(ValueError):
-            s.truncate(-1.0)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="delta must be >= 0"):
+                s.truncate(bad)
 
 
 class TestApplyRotation:
@@ -204,9 +205,10 @@ class TestCapacity:
         assert _resolve_cap(7) == 7
         monkeypatch.setenv(MAX_TERMS_ENV, "123")
         assert _resolve_cap(None) == 123
-        monkeypatch.setenv(MAX_TERMS_ENV, "lots")
-        with pytest.raises(ValueError, match=MAX_TERMS_ENV):
-            _resolve_cap(None)
+        for bad in ("lots", "0", "-3"):
+            monkeypatch.setenv(MAX_TERMS_ENV, bad)
+            with pytest.raises(ValueError, match=MAX_TERMS_ENV):
+                _resolve_cap(None)
 
 
 class TestRunSpd:
@@ -232,6 +234,17 @@ class TestRunSpd:
         assert res.peak_terms >= res.final_terms >= 1
         assert res.wall_time_s >= 0.0
         assert res.norm == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("delta", [-1e-3, math.nan])
+    def test_bad_delta_raises(self, delta):
+        """A NaN threshold fails ``|a| >= delta`` for every term, so it would
+        silently drop the whole sum; it is rejected like a negative one."""
+        s = PauliSum.from_terms(2, [("Z0", 1.0)])
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            apply_rotation(s, parse_pauli("X0", 2), 0.3, delta)
+        rc = recompile(random_circuit(np.random.default_rng(8), 3, depth=10), parse_pauli("Z0", 3))
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            run_spd(rc, delta)
 
     def test_truncation_reduces_terms(self):
         rng = np.random.default_rng(7)
