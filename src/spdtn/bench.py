@@ -110,6 +110,11 @@ DEFAULT_THETA_GRID = tuple(k * math.pi / 32 for k in range(17))
 _LATTICE_KINDS = ("heavy_hex", "device_127", "ring", "chain", "grid", "file")
 
 
+def _positive_int(value) -> bool:
+    """Whether a config value is an int >= 1; a bool (JSON true) is not."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One sweep: a lattice, an observable, a method, and parameter grids.
@@ -156,7 +161,7 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "theta_h", tuple(float(t) for t in self.theta_h))
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
-        object.__setattr__(self, "chis", tuple(int(c) for c in self.chis))
+        object.__setattr__(self, "chis", tuple(self.chis))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         kind = self.lattice.get("kind")
@@ -164,16 +169,13 @@ class RunConfig:
             raise ValueError(f"unknown lattice kind {kind!r}; choose from {_LATTICE_KINDS}")
         if not self.theta_h:
             raise ValueError("theta_h list must be non-empty")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if not _positive_int(self.steps):
+            raise ValueError(f"steps must be an int >= 1, got {self.steps!r}")
         if not all(math.isfinite(d) and d >= 0 for d in self.deltas):
             raise ValueError(f"deltas must be finite and >= 0, got {list(self.deltas)}")
-        if not all(c >= 1 for c in self.chis):
-            raise ValueError(f"chis must be >= 1, got {list(self.chis)}")
-        if self.max_terms is not None and (
-            isinstance(self.max_terms, bool) or not isinstance(self.max_terms, int)
-            or self.max_terms < 1
-        ):
+        if not all(_positive_int(c) for c in self.chis):
+            raise ValueError(f"chis must be >= 1, each an int, got {list(self.chis)}")
+        if self.max_terms is not None and not _positive_int(self.max_terms):
             raise ValueError(f"max_terms must be an int >= 1, got {self.max_terms!r}")
         if self.method == "spd":
             if not self.deltas:

@@ -1,19 +1,19 @@
 """Dense labeled tensors, planned contraction, and truncated factorizations.
 
 A ``Tensor`` is an ndarray plus one string label per axis.  ``contract``
-follows einsum semantics over a list of tensors: labels shared by two
-tensors are summed unless kept in the output, a label repeated within one
-tensor is traced (or reduced to its diagonal if still needed), and labels
-absent from the output are summed out.  Hyperedges (one label on three or
-more tensors) are rejected.
+takes a pairwise tensor network: every label sits either on exactly two
+tensors, once on each, and is summed, or on one tensor, once, and appears
+in the output.  Anything else (a label repeated on one tensor, a dangling
+label left out of the output, a label shared by two tensors and also in
+the output, one label on three or more tensors) is rejected, naming the
+label.
 
 Contraction is plan, then run.  ``plan_contraction`` reads only labels and
-shapes: it checks the network, compiles each input's trace or sum-out into
-an einsum expression, orders the pairwise contractions and turns every
-step into ``np.tensordot`` axes.  ``ContractionPlan.run`` replays that on
-plain ndarrays of the planned shapes, so a caller contracting the same
-structure many times (a BP message update) plans once.  ``contract`` is
-plan, run and wrap the result in a ``Tensor``.
+shapes: it checks the network, orders the pairwise contractions and turns
+every step into ``np.tensordot`` axes.  ``ContractionPlan.run`` replays
+that on plain ndarrays of the planned shapes, so a caller contracting the
+same structure many times (a BP message update) plans once.  ``contract``
+is plan, run and wrap the result in a ``Tensor``.
 
 Plans are cached per process, keyed by the network's structure: each
 input's labels renumbered in order of first appearance, each input's shape,
@@ -21,19 +21,21 @@ the output's labels in the same numbering, and the explicit path if one is
 given.  Two networks that differ only in label names share a key, and a hit
 returns the cached plan with ``inds`` set to the caller's output labels.  A
 hit is bit-identical to planning afresh: a plan reads labels only through
-their positions (greedy tie-breaks follow tensor order, einsum letters
-follow first appearance, ``tensordot`` axes are positions), so it is a
-function of the key.  Only a network that passed every check is cached,
-and every check is a function of the key too, so an invalid network never
-hits: it raises, naming its own labels, on every call.  The cache holds the
-``PLAN_CACHE_SIZE`` most recently used plans and is shared by threads; two
-threads that miss on one structure both plan it, to the same plan.
+their positions (greedy tie-breaks follow tensor order, ``tensordot``
+axes are positions), so it is a function of the key.  Only a network that
+passed every check is cached, and every check is a function of the key
+too, so an invalid network never hits: it raises, naming its own labels,
+on every call.  The cache holds the ``PLAN_CACHE_SIZE`` most recently used
+plans and is shared by threads; two threads that miss on one structure
+both plan it, to the same plan.
 
 The order comes from a greedy pairwise path: repeatedly contract the pair
 sharing at least one label whose result is smallest (ties broken by fewer
-multiply-adds).  A path is a list of position pairs (i, j) into the
-current tensor list; each step removes both operands and appends the
-result at the end, like the einsum-path convention.
+multiply-adds), or the outer product of the two smallest pieces when none
+are connected.  A path is a list of position pairs i < j into the current
+tensor list; each step removes both operands and appends the result at
+the end, like the einsum-path convention.  An explicit path must be
+complete: it leaves one tensor.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import math
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -169,47 +171,11 @@ def greedy_path(
     return path
 
 
-def _letters(labels: Iterable[str]) -> dict[str, str]:
-    import string
-
-    pool = string.ascii_letters
-    table = {}
-    for l in labels:
-        if l not in table:
-            if len(table) >= len(pool):
-                raise CapacityError("too many distinct labels for one reduction")
-            table[l] = pool[len(table)]
-    return table
-
-
-def _reduction(
-    inds: tuple[str, ...], needed: set[str]
-) -> tuple[str | None, tuple[str, ...]]:
-    """Einsum expression that traces repeated labels and sums out labels
-    nobody else needs (``None`` when there are none), and its output labels."""
-    if len(set(inds)) == len(inds) and needed.issuperset(inds):
-        return None, inds
-    table = _letters(inds)
-    out_labels: list[str] = []
-    for l in inds:
-        if l not in out_labels and l in needed:
-            out_labels.append(l)
-    expr = "".join(table[l] for l in inds) + "->" + "".join(table[l] for l in out_labels)
-    return expr, tuple(out_labels)
-
-
-def _pair_step(
-    a: dict[str, int], b: dict[str, int], output: set[str]
-) -> tuple[tuple, dict[str, int]]:
+def _pair_step(a: dict[str, int], b: dict[str, int]) -> tuple[tuple, dict[str, int]]:
     """One pairwise contraction summing every label the pair shares, as the
     transposes, matrix shapes and result shape ``np.tensordot`` would use,
     plus the result's labels and dimensions."""
     summed = [l for l in a if l in b]
-    keep = [l for l in summed if l in output]
-    if keep:
-        raise ValueError(
-            f"labels {keep} are shared by the contracting pair but still needed"
-        )
     bad = [l for l in summed if a[l] != b[l]]
     if bad:
         raise ValueError(f"labels {bad} have different dimensions on the pair")
@@ -236,44 +202,29 @@ def _pair_step(
 class ContractionPlan:
     """One contraction compiled for fixed input labels and shapes.
 
-    ``reduces`` holds one einsum expression (or ``None``) per input.
-    ``steps`` is the path: each ``(i, j, *pair)`` removes positions i and
-    j and appends their contraction, and ``tail`` joins the pieces a partial
-    path leaves, in order, onto the first.  A pair is ``(perm_a, mat_a,
-    perm_b, mat_b, shape)``: transpose and reshape each operand to a
-    matrix, multiply, reshape, which is ``np.tensordot`` with its axis
-    bookkeeping done at plan time.  ``final`` is the last reduction and
-    ``perm`` the transpose to ``inds``.
+    ``steps`` is the complete path: each ``(i, j, perm_a, mat_a, perm_b,
+    mat_b, shape)`` removes positions i and j, transposes and reshapes each
+    operand to a matrix, multiplies and reshapes the product, which is
+    ``np.tensordot`` with its axis bookkeeping done at plan time, and
+    appends the result.  ``perm`` transposes the last tensor to ``inds``.
     """
 
-    reduces: tuple[str | None, ...]
     steps: tuple[tuple, ...]
-    tail: tuple[tuple, ...]
-    final: str | None
     perm: tuple[int, ...]
     inds: tuple[str, ...]
 
     def run(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
         """Contract arrays in the planned shapes, in the planned order."""
-        if not self.reduces:
+        if not arrays:
             return np.asarray(1.0 + 0.0j)
-        live = [a if e is None else np.einsum(e, a) for e, a in zip(self.reduces, arrays)]
+        live = list(arrays)
         dot = np.dot
         for i, j, pa, ma, pb, mb, shape in self.steps:
             a, b = live[i], live[j]
             del live[j], live[i]
             ab = dot(a.transpose(pa).reshape(ma), b.transpose(pb).reshape(mb))
             live.append(ab.reshape(shape))
-        out = live[0]
-        for (pa, ma, pb, mb, shape), b in zip(self.tail, live[1:]):
-            out = dot(out.transpose(pa).reshape(ma), b.transpose(pb).reshape(mb)).reshape(shape)
-        if self.final is not None:
-            out = np.einsum(self.final, out)
-        return out.transpose(self.perm)
-
-
-def _shape_only(dims: dict[str, int]) -> Tensor:
-    return Tensor(np.broadcast_to(np.empty(()), tuple(dims.values())), tuple(dims))
+        return live[0].transpose(self.perm)
 
 
 PLAN_CACHE_SIZE = 2048
@@ -311,9 +262,10 @@ def plan_contraction(
     look it up by structure (see the module docstring).
 
     Every check happens when a structure is first planned, before any
-    arithmetic: hyperedges, absent or repeated output labels, a pair label
-    still needed, mismatched pair dimensions and the reduction label limit.
-    Only the labels and shapes of ``tensors`` are read.
+    arithmetic: absent or repeated output labels, a label that is not
+    pairwise (see the module docstring), mismatched pair dimensions and an
+    explicit path that is malformed or incomplete.  Only the labels and
+    shapes of ``tensors`` are read.
     """
     output = tuple(output)
     if path is not None:
@@ -342,48 +294,42 @@ def _plan(
     if not tensors:
         if output:
             raise ValueError(f"no tensors supply output labels {output}")
-        return ContractionPlan((), (), (), None, (), ())
+        return ContractionPlan((), (), ())
     counts: dict[str, int] = {}
     for t in tensors:
         for l in t.inds:
             counts[l] = counts.get(l, 0) + 1
+            if t.inds.count(l) > 1:
+                raise ValueError(f"label {l!r} repeated on one tensor (traces unsupported)")
     for l in output:
         if l not in counts:
             raise ValueError(f"output label {l!r} absent from the network")
         if output.count(l) > 1:
             raise ValueError(f"output label {l!r} repeated")
+    keep = set(output)
     for l, c in counts.items():
         if c > 2:
             raise ValueError(f"label {l!r} appears {c} times (hyperedges unsupported)")
+        if c == 2 and l in keep:
+            raise ValueError(f"label {l!r} is shared by two tensors and also in the output")
+        if c == 1 and l not in keep:
+            raise ValueError(f"dangling label {l!r} is not in the output")
 
-    keep = set(output)
-    reduces, live = [], []
-    for t in tensors:
-        needed = keep | {l for l in t.inds if counts[l] > t.inds.count(l)}
-        expr, inds = _reduction(t.inds, needed)
-        reduces.append(expr)
-        live.append({l: t.dim(l) for l in inds})
+    live = [dict(zip(t.inds, t.data.shape)) for t in tensors]
     if path is None:
-        path = greedy_path(
-            [t if e is None else _shape_only(d) for t, e, d in zip(tensors, reduces, live)],
-            output,
-        )
-    # with no hyperedges, a label the pair shares is on no third tensor, so
-    # only the output can still need it
+        path = greedy_path(tensors, output)
     steps = []
     for i, j in path:
-        pair, merged = _pair_step(live[i], live[j], keep)
+        if not 0 <= i < j < len(live):
+            raise ValueError(f"path step {(i, j)} is not a pair i < j of {len(live)} tensors")
+        pair, merged = _pair_step(live[i], live[j])
         steps.append((i, j) + pair)
         del live[j], live[i]
         live.append(merged)
-    dims = live[0]
-    tail = []
-    for extra in live[1:]:
-        pair, dims = _pair_step(dims, extra, keep)
-        tail.append(pair)
-    final, inds = _reduction(tuple(dims), keep)
-    perm = tuple(inds.index(l) for l in output)
-    return ContractionPlan(tuple(reduces), tuple(steps), tuple(tail), final, perm, output)
+    if len(live) > 1:
+        raise ValueError(f"path stops with {len(live)} tensors left; it must be complete")
+    inds = tuple(live[0])
+    return ContractionPlan(tuple(steps), tuple(inds.index(l) for l in output), output)
 
 
 def contract(
@@ -391,7 +337,8 @@ def contract(
     output: Sequence[str] = (),
     path: Sequence[tuple[int, int]] | None = None,
 ) -> Tensor:
-    """Contract a tensor list down to the given output labels."""
+    """Contract a pairwise tensor network down to its dangling labels, in
+    the order ``output`` lists them; shared labels are summed."""
     plan = plan_contraction(tensors, output, path)
     return Tensor(plan.run([t.data for t in tensors]), plan.inds)
 

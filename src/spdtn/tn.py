@@ -73,19 +73,19 @@ class BpOptions:
 
 @dataclass
 class EvolvingState:
-    """One tensor per site plus the multi-bond graph between sites.
+    """One tensor per site; the bonds between sites are the labels two
+    site tensors share (``SiteNetwork`` derives the graph from them).
 
     kind "peps": physical label ``p{i}`` per site (a ket state).
     kind "pepo": labels ``k{i}``, ``b{i}`` per site (an operator).
-    ``bonds`` maps a sorted site pair to the list of labels currently
-    connecting it; lazy gate application appends labels, compression fuses
-    each list back to a single label of dimension <= chi.
+    Lazy gate application adds a bond label per two-site gate, and
+    compression fuses each site pair's labels back to a single label of
+    dimension <= chi.
     """
 
     kind: str
     n: int
     tensors: dict[int, Tensor]
-    bonds: dict[tuple[int, int], list[str]] = field(default_factory=dict)
     t: int = 0
     trunc_log: list[tuple[int, int, int, float]] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
@@ -108,13 +108,6 @@ class EvolvingState:
 
     def outer_labels(self) -> list[str]:
         return [l for i in range(self.n) for l in self.phys_labels(i)]
-
-    def max_bond(self) -> int:
-        dims = [1]
-        for (i, j), labels in self.bonds.items():
-            if labels:
-                dims.append(math.prod(self.tensors[i].dim(l) for l in labels))
-        return max(dims)
 
 
 def peps_zero(n: int) -> EvolvingState:
@@ -172,7 +165,6 @@ def _apply_two_site(
         out = (tmp, bond) + tuple(l for l in t.inds if l != phys)
         merged = contract([half, t], output=out)
         state.tensors[site] = merged.relabel({tmp: phys})
-    state.bonds.setdefault(tuple(sorted((qa, qb))), []).append(bond)
 
 
 def apply_layer(state: EvolvingState, layer: Layer):
@@ -236,7 +228,6 @@ def evolve(
         )
         projectors[i].append(p_a)
         projectors[j].append(p_b)
-        state.bonds[(i, j)] = [fused]
         state.trunc_log.append((state.t, i, j, dw))
     for i in range(state.n):
         ps = projectors[i]

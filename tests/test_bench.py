@@ -136,9 +136,20 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="deltas must be finite and >= 0"):
             spd_config(deltas=deltas)
 
+    @pytest.mark.parametrize("steps", ["2", 2.5, True])
+    def test_steps_must_be_an_int(self, steps):
+        with pytest.raises(ValueError, match="steps must be an int >= 1"):
+            spd_config(steps=steps)
+
     def test_chis_must_be_positive(self):
         with pytest.raises(ValueError, match="chis must be >= 1"):
             spd_config(method="mix", deltas=[], chis=[4, 0])
+
+    @pytest.mark.parametrize("chis", [[2.7], [4, 4.0], [True], ["4"]])
+    def test_chis_must_be_ints(self, chis):
+        """A fractional chi used to be floored and run as a clean row."""
+        with pytest.raises(ValueError, match="chis must be >= 1, each an int"):
+            spd_config(method="mix", deltas=[], chis=chis)
 
     @pytest.mark.parametrize("max_terms", [0, -5, 2.5, "100", True])
     def test_max_terms_must_be_a_positive_int(self, max_terms):
@@ -945,4 +956,21 @@ class TestCli:
         out = tmp_path / "rows.csv"
         assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 2
         assert "deltas must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("steps", "2"), ("steps", 2.5), ("steps", True), ("chis", [2.7])]
+    )
+    def test_non_integer_steps_or_chis_exit_two(self, tmp_path, capsys, key, value):
+        """A string depth used to escape as a TypeError traceback, a
+        fractional one to fail every row, ``true`` to run as T = 1 and a
+        fractional chi to run floored."""
+        doc = spd_config(method="mix", deltas=[], chis=[2]).to_dict()
+        doc[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rows.csv"
+        assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be") and err.count("\n") == 1
         assert not out.exists()

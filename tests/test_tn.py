@@ -16,6 +16,7 @@ from spdtn import (
     ring,
 )
 from spdtn import tn
+from spdtn.bp import SiteNetwork
 from spdtn.oracle import exact_contract, statevector, statevector_expectation
 from spdtn.tensor import contract
 from spdtn.tn import (
@@ -31,6 +32,16 @@ from spdtn.tn import (
 )
 
 from conftest import PAULI_MATS, dense_word
+
+
+def bond_graph(state):
+    """The bonds of an evolving state, read from its site tensors' labels."""
+    return SiteNetwork({i: [t] for i, t in state.tensors.items()})
+
+
+def max_bond(state):
+    sn = bond_graph(state)
+    return max((sn.bond_dim(i, j) for i, j in sn.edges), default=1)
 
 
 def state_vector_of(state):
@@ -133,8 +144,8 @@ class TestEvolve:
         np.testing.assert_allclose(got, want, atol=1e-9)
         norm, _ = state_norm(psi)
         assert np.isclose(norm, 1.0, atol=1e-9)
-        assert psi.max_bond() <= 8
-        assert all(len(ls) == 1 for ls in psi.bonds.values())
+        assert max_bond(psi) <= 8
+        assert all(len(ls) == 1 for ls in bond_graph(psi).edges.values())
 
     def test_truncating_evolution_shrinks_norm(self):
         n = 8
@@ -145,7 +156,7 @@ class TestEvolve:
         norm, _ = state_norm(psi)
         assert norm <= 1.0 + 1e-8
         assert norm < 0.999  # chi=2 at T=4 must actually discard weight
-        assert psi.max_bond() <= 2
+        assert max_bond(psi) <= 2
         assert any(dw > 0 for _, _, _, dw in psi.trunc_log)
 
     def test_pepo_evolution_norm_bounded(self):
