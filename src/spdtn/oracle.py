@@ -287,5 +287,5 @@ def exact_contract(network, budget: int = CONTRACT_BUDGET) -> complex:
         tensors = [t for ts in network.sites.values() for t in ts]
     else:
         tensors = list(network)
-    path = greedy_path(tensors, output=(), budget=budget)
+    path = greedy_path(tensors, budget=budget)
     return complex(contract(tensors, output=(), path=path).item())

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -113,10 +113,11 @@ class Tensor:
 
 def greedy_path(
     tensors: Sequence[Tensor],
-    output: Sequence[str] = (),
+    *,
     budget: int | None = None,
 ) -> list[tuple[int, int]]:
-    """Greedy pairwise contraction order (einsum-path position convention).
+    """Greedy pairwise contraction order (einsum-path position convention)
+    for a pairwise network: each step sums every label its pair shares.
 
     Minimizes the size of each intermediate, breaking ties by multiply-add
     count; with a budget, raises CapacityError naming the first offending
@@ -125,11 +126,8 @@ def greedy_path(
     live: list[dict[str, int]] = [
         {l: t.data.shape[k] for k, l in enumerate(t.inds)} for t in tensors
     ]
-    output = set(output)
     path: list[tuple[int, int]] = []
     while len(live) > 1:
-        # a label the pair shares stays if the output or a third tensor has it
-        owners = Counter(l for part in live for l in part)
         best = None
         for i in range(len(live)):
             for j in range(i + 1, len(live)):
@@ -140,7 +138,7 @@ def greedy_path(
                     l: d
                     for part in (live[i], live[j])
                     for l, d in part.items()
-                    if l not in shared or l in output or owners[l] > 2
+                    if l not in shared
                 }
                 size = math.prod(kept.values()) if kept else 1
                 union = dict(live[i])
@@ -317,7 +315,7 @@ def _plan(
 
     live = [dict(zip(t.inds, t.data.shape)) for t in tensors]
     if path is None:
-        path = greedy_path(tensors, output)
+        path = greedy_path(tensors)
     steps = []
     for i, j in path:
         if not 0 <= i < j < len(live):
