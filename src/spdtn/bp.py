@@ -30,6 +30,10 @@ plan only what has not been seen before.  The rounds then run on plain
 ndarrays: replay the plan, symmetrize, normalize, fix the phase (one-norm
 mode), damp, and take the change.  Messages are ``Tensor`` objects only
 where they enter (``init``) and leave (the returned ``MessageSet``).
+
+Messages start in the network's dtype (``SiteNetwork.dtype``), so on a real
+network, such as ``tn``'s Pauli-coefficient operator, BP, ``l1bp_value`` and
+``compress_bond``'s ``eigh``, SVD and projectors all run in float64.
 """
 
 from __future__ import annotations
@@ -105,6 +109,9 @@ class SiteNetwork:
                     if dims.setdefault(l, d) != d:
                         raise ValueError(f"label {l!r} has mismatched dimensions")
         self.dims = dims
+        self.dtype = np.result_type(
+            float, *{t.data.dtype for ts in self.sites.values() for t in ts}
+        )
         self.dangling: tuple[str, ...] = tuple(
             sorted(l for l, o in owners.items() if len(o) == 1)
         )
@@ -146,7 +153,7 @@ class MessageSet:
 
 def _uniform_message(sn: SiteNetwork, labels: tuple[str, ...]) -> Tensor:
     shape = tuple(sn.dims[l] for l in labels)
-    data = np.ones(shape, dtype=complex)
+    data = np.ones(shape, dtype=sn.dtype)
     return Tensor(data / data.size, labels)
 
 

@@ -16,9 +16,13 @@ labels a site pair shares into one bond of dimension <= chi.  The final
 scalar sandwich is estimated with the Bethe formula (``bp.l1bp_value``).
 
 Label scheme: the state carries physical labels ``p{site}`` and virtual
-labels ``s{num}``; the operator carries ket/bra physical labels ``k{site}``
-and ``b{site}`` (an operator tensor O[k, b] means <k|O|b>) and virtual
-labels ``o{num}``.  In the sandwich, the ket state copy's physical label
+labels ``s{num}``.  The operator is Hermitian, so, as in ``spd``, it is held
+by its real Pauli coefficients: one label ``a{site}`` over I, X, Y, Z
+(0..3) and virtual labels ``o{num}``; a gate enters it as its real Pauli
+transfer matrix R[a, b] = Tr(P_a U† P_b U) / 2^q, through the same
+gate-to-tensor step that applies U to the state, so its BP and projectors
+run in float64.  In the sandwich each operator site meets the constant
+Pauli tensor P[a, k, b] = <k|P_a|b>; the ket state copy's physical label
 becomes ``b{site}``, the conjugated bra copy's becomes ``k{site}``, and all
 bra-side internal labels gain a ``*`` per the star convention in ``bp``.
 """
@@ -35,6 +39,7 @@ import numpy as np
 from .bp import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    ZERO_CUT,
     MessageSet,
     SiteNetwork,
     bp_iterate,
@@ -63,6 +68,11 @@ __all__ = [
 
 DEFAULT_KAPPA = 5e-6
 
+# the Pauli basis, P[a] = <k|P_a|b> for a = 0..3 (I, X, Y, Z)
+_PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+)
+
 
 @dataclass
 class BpOptions:
@@ -77,7 +87,7 @@ class EvolvingState:
     site tensors share (``SiteNetwork`` derives the graph from them).
 
     kind "peps": physical label ``p{i}`` per site (a ket state).
-    kind "pepo": labels ``k{i}``, ``b{i}`` per site (an operator).
+    kind "pepo": Pauli label ``a{i}`` per site (an operator, real).
     Lazy gate application adds a bond label per two-site gate, and
     compression fuses each site pair's labels back to a single label of
     dimension <= chi.
@@ -101,13 +111,8 @@ class EvolvingState:
     def fresh_label(self) -> str:
         return next(self._labels)
 
-    def phys_labels(self, site: int) -> tuple[str, ...]:
-        if self.kind == "peps":
-            return (f"p{site}",)
-        return (f"k{site}", f"b{site}")
-
-    def outer_labels(self) -> list[str]:
-        return [l for i in range(self.n) for l in self.phys_labels(i)]
+    def phys_label(self, site: int) -> str:
+        return f"{'p' if self.kind == 'peps' else 'a'}{site}"
 
 
 def peps_zero(n: int) -> EvolvingState:
@@ -118,13 +123,21 @@ def peps_zero(n: int) -> EvolvingState:
 
 
 def pepo_from_word(word: PauliWord) -> EvolvingState:
-    from .circuits import _SITE_MATS
-
     tensors = {
-        i: Tensor(_SITE_MATS[word.site(i)].copy(), (f"k{i}", f"b{i}"))
+        i: Tensor(np.eye(4)["IXYZ".index(word.site(i))], (f"a{i}",))
         for i in range(word.n)
     }
     return EvolvingState("pepo", word.n, tensors)
+
+
+def _pauli_transfer(u: np.ndarray) -> np.ndarray:
+    """R[a, b] = Tr(P_a U† P_b U) / 2^q over the q-qubit Pauli basis (kron in
+    qubit order): the real map U† O U takes O's Pauli coefficients c to R c."""
+    basis = _PAULI
+    if len(u) == 4:
+        basis = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)
+    images = u.conj().T @ basis @ u
+    return np.einsum("aij,bji->ab", basis, images).real / len(u)
 
 
 def _split_two_site(
@@ -134,63 +147,55 @@ def _split_two_site(
 
     Returns (L, R) with L over (new_a, old_a, bond) and R over
     (bond, new_b, old_b); singular weights split evenly as sqrt(s) on each
-    side.  Exact (kappa=0 keeps every nonzero singular value; RZZ yields
-    bond dimension 2).
+    side.  Exact: singular values below ``ZERO_CUT`` of the largest are
+    rounding noise and cut, so RZZ yields bond dimension 2 on a state and 4
+    on an operator.
     """
-    t = Tensor(mat.reshape(2, 2, 2, 2), (new_a, new_b, old_a, old_b))
+    d = math.isqrt(len(mat))
+    t = Tensor(mat.reshape(d, d, d, d), (new_a, new_b, old_a, old_b))
     u, s, vh, _ = truncated_svd(t, (new_a, old_a), chi=None, kappa=0.0, new_label=bond)
-    root = np.sqrt(s)
-    left = Tensor(u.data * root[None, None, :], u.inds)
-    right = Tensor(root[:, None, None] * vh.data, vh.inds)
+    r = int(np.sum(s >= ZERO_CUT * s[0]))
+    root = np.sqrt(s[:r])
+    left = Tensor(u.data[..., :r] * root[None, None, :], u.inds)
+    right = Tensor(root[:, None, None] * vh.data[:r], vh.inds)
     return left, right
 
 
-def _apply_one_site(state: EvolvingState, site: int, mat: np.ndarray, phys: str):
-    t = state.tensors[site]
-    tmp = state.fresh_label()
-    g = Tensor(np.asarray(mat, dtype=complex), (tmp, phys))
-    out = (tmp,) + tuple(l for l in t.inds if l != phys)
-    merged = contract([g, t], output=out)
-    state.tensors[site] = merged.relabel({tmp: phys})
-
-
-def _apply_two_site(
-    state: EvolvingState, qa: int, qb: int, mat: np.ndarray, phys_a: str, phys_b: str
-):
-    tmp_a, tmp_b = state.fresh_label(), state.fresh_label()
-    bond = state.fresh_label()
-    left, right = _split_two_site(mat, tmp_a, phys_a, tmp_b, phys_b, bond)
-    for site, half, tmp, phys in ((qa, left, tmp_a, phys_a), (qb, right, tmp_b, phys_b)):
-        t = state.tensors[site]
-        out = (tmp, bond) + tuple(l for l in t.inds if l != phys)
-        merged = contract([half, t], output=out)
-        state.tensors[site] = merged.relabel({tmp: phys})
+def _gate_tensors(
+    state: EvolvingState, gate: Gate, phys: dict[int, str]
+) -> list[tuple[int, str, Tensor]]:
+    """The gate (its unitary on a state, its Pauli transfer matrix on an
+    operator) as (q, fresh label, tensor from ``phys[q]`` to it) per qubit q;
+    a two-qubit gate's pair also shares a fresh bond label."""
+    mat = gate_matrix(gate)
+    if state.kind == "pepo":
+        mat = _pauli_transfer(mat)
+    if len(gate.qubits) == 1:
+        (q,) = gate.qubits
+        new = state.fresh_label()
+        return [(q, new, Tensor(mat, (new, phys[q])))]
+    if len(gate.qubits) == 2:
+        qa, qb = gate.qubits
+        new_a, new_b, bond = state.fresh_label(), state.fresh_label(), state.fresh_label()
+        left, right = _split_two_site(mat, new_a, phys[qa], new_b, phys[qb], bond)
+        return [(qa, new_a, left), (qb, new_b, right)]
+    raise ValueError(f"tensor evolution supports 1- and 2-qubit gates, got {gate}")
 
 
 def apply_layer(state: EvolvingState, layer: Layer):
-    """Absorb one gate layer: forward U for peps, backward U†.U sandwich for pepo."""
+    """Absorb one gate layer: U on a peps, O -> U† O U (as R) on a pepo."""
     for gate in layer.gates:
-        mat = gate_matrix(gate)
-        if state.kind == "peps":
-            passes = [(mat, "p")]
-        else:
-            passes = [(mat.conj().T, "k"), (mat.T, "b")]
-        for m, side in passes:
-            if len(gate.qubits) == 1:
-                (q,) = gate.qubits
-                _apply_one_site(state, q, m, f"{side}{q}")
-            elif len(gate.qubits) == 2:
-                qa, qb = gate.qubits
-                _apply_two_site(state, qa, qb, m, f"{side}{qa}", f"{side}{qb}")
-            else:
-                raise ValueError(
-                    f"tensor evolution supports 1- and 2-qubit gates, got {gate}"
-                )
+        phys = {q: state.phys_label(q) for q in gate.qubits}
+        for q, new, g in _gate_tensors(state, gate, phys):
+            t = state.tensors[q]
+            bonds = tuple(l for l in g.inds if l not in (new, phys[q]))
+            out = (new,) + bonds + tuple(l for l in t.inds if l != phys[q])
+            state.tensors[q] = contract([g, t], output=out).relabel({new: phys[q]})
 
 
 def _two_norm_network(state: EvolvingState) -> SiteNetwork:
     sites = {i: [state.tensors[i]] for i in range(state.n)}
-    return SiteNetwork(doubled_sites(sites, outer=state.outer_labels()))
+    return SiteNetwork(doubled_sites(sites, outer=[state.phys_label(i) for i in sites]))
 
 
 def evolve(
@@ -243,7 +248,7 @@ def evolve(
 def state_norm(
     state: EvolvingState, bp_options: BpOptions | None = None
 ) -> tuple[float, MessageSet]:
-    """Norm proxy after compression: ||psi|| for peps, sqrt(Tr(O†O)/2^n) for pepo.
+    """Norm proxy after compression: ||psi|| for peps, sqrt(sum c_P^2) for pepo.
 
     Estimated with the Bethe formula on the doubled network.
     """
@@ -255,10 +260,7 @@ def state_norm(
     value = l1bp_value(sn, ms)
     if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
         raise AssertionError(f"norm estimate has imaginary part {value.imag:.3e}")
-    squared = max(value.real, 0.0)
-    if state.kind == "pepo":
-        squared *= 0.5 ** state.n
-    return math.sqrt(squared), ms
+    return math.sqrt(max(value.real, 0.0)), ms
 
 
 def _lazy_sites(
@@ -269,22 +271,9 @@ def _lazy_sites(
     cur = {i: f"p{i}" for i in range(psi.n)}
     for layer in lazy_layers:
         for gate in layer.gates:
-            mat = gate_matrix(gate)
-            if len(gate.qubits) == 1:
-                (q,) = gate.qubits
-                tmp = psi.fresh_label()
-                lists[q].append(Tensor(np.asarray(mat, dtype=complex), (tmp, cur[q])))
-                cur[q] = tmp
-            elif len(gate.qubits) == 2:
-                qa, qb = gate.qubits
-                ta, tb = psi.fresh_label(), psi.fresh_label()
-                bond = psi.fresh_label()
-                left, right = _split_two_site(mat, ta, cur[qa], tb, cur[qb], bond)
-                lists[qa].append(left)
-                lists[qb].append(right)
-                cur[qa], cur[qb] = ta, tb
-            else:
-                raise ValueError(f"unsupported lazy gate {gate}")
+            for q, new, g in _gate_tensors(psi, gate, cur):
+                lists[q].append(g)
+                cur[q] = new
     return lists, cur
 
 
@@ -294,8 +283,8 @@ def sandwich_network(
     """<psi| (lazy gates)† Op (lazy gates) |psi> as a site network.
 
     Per site: the conjugated bra chain (internal labels starred, final
-    physical label k{i}), the operator tensor, and the ket chain (final
-    physical label b{i}).
+    physical label k{i}), the operator tensor and the Pauli tensor over
+    (a{i}, k{i}, b{i}), and the ket chain (final physical label b{i}).
     """
     if psi.kind != "peps" or op.kind != "pepo":
         raise ValueError("sandwich needs a peps state and a pepo operator")
@@ -311,7 +300,8 @@ def sandwich_network(
             )
             for t in lists[i]
         ]
-        sites[i] = bras + [op.tensors[i]] + kets
+        pauli = Tensor(_PAULI, (f"a{i}", f"k{i}", f"b{i}"))
+        sites[i] = bras + [op.tensors[i], pauli] + kets
     return SiteNetwork(sites)
 
 
@@ -372,9 +362,12 @@ def run_tn(
     bp_tol: float = DEFAULT_TOL,
     bp_max_iter: int = DEFAULT_MAX_ITER,
     damping: float = 0.0,
-    lightcone: bool = False,
+    lightcone: bool = True,
 ) -> TnResult:
     """Expectation <0|U† O U|0> by the peps, pepo, or mix method.
+
+    With ``lightcone`` (the default, as in ``sim sweep``) gates outside the
+    observable's causal cone are dropped first (``lightcone_prune``).
 
     The value is reported without renormalization; the norm proxies
     (n_psi, n_o, and their product n_mix) quantify how much weight the

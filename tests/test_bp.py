@@ -314,11 +314,67 @@ class TestCompressBond:
             compress_bond(m, m, None, 0.0)
 
 
-def random_ring_sites(rng, n_sites, max_dim=3, phys=False):
+class TestRealNetworks:
+    """A real network runs BP and compression in float64, and agrees with
+    the same network cast to complex."""
+
+    @staticmethod
+    def doubled_real_ring(seed):
+        rng = np.random.default_rng(seed)
+        sites, outer = random_ring_sites(rng, 5, phys=True, real=True)
+        return doubled_sites(sites, outer=outer)
+
+    @staticmethod
+    def as_complex(sites):
+        return {
+            k: [Tensor(t.data.astype(complex), t.inds) for t in ts]
+            for k, ts in sites.items()
+        }
+
+    @pytest.mark.parametrize("mode", ["one-norm", "two-norm"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_messages_are_float64_and_match_complex(self, mode, seed):
+        sites = self.doubled_real_ring(4500 + seed)
+        real = bp_iterate(SiteNetwork(sites), tol=1e-11, max_iter=100, mode=mode)
+        cplx = bp_iterate(
+            SiteNetwork(self.as_complex(sites)), tol=1e-11, max_iter=100, mode=mode
+        )
+        assert real.iterations == cplx.iterations
+        for key, t in real.messages.items():
+            assert t.data.dtype == np.float64
+            assert cplx.messages[key].data.dtype == np.complex128
+            np.testing.assert_allclose(t.data, cplx.messages[key].data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("chi", [None, 3, 1])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_projectors_are_float64_and_match_complex(self, chi, seed):
+        """Projectors are fixed up to a gauge on the new bond (eigenvector
+        and singular-vector signs or phases), so the pairs are compared
+        through the gauge-free product P_A P_B."""
+        sites = self.doubled_real_ring(4600 + seed)
+        sn = SiteNetwork(sites)
+        ms = bp_iterate(sn, tol=1e-12, max_iter=200, mode="two-norm")
+        cms = bp_iterate(
+            SiteNetwork(self.as_complex(sites)), tol=1e-12, max_iter=200, mode="two-norm"
+        )
+        for i, j in sn.edges:
+            p_a, p_b, dw = compress_bond(ms.messages[(i, j)], ms.messages[(j, i)], chi, 0.0)
+            c_a, c_b, cdw = compress_bond(cms.messages[(i, j)], cms.messages[(j, i)], chi, 0.0)
+            assert p_a.data.dtype == p_b.data.dtype == np.float64
+            assert p_a.data.shape == c_a.data.shape and p_b.data.shape == c_b.data.shape
+            kets = p_a.inds[:-1]
+            prod = p_a.to_matrix(kets, ("_c",)) @ p_b.to_matrix(("_c",), kets)
+            cprod = c_a.to_matrix(kets, ("_c",)) @ c_b.to_matrix(("_c",), kets)
+            np.testing.assert_allclose(prod, cprod, rtol=0, atol=1e-12)
+            assert abs(dw - cdw) <= 1e-12
+
+
+def random_ring_sites(rng, n_sites, max_dim=3, phys=False, real=False):
     """Random loopy site network: a ring plus one chord, bond dimensions in
     2..max_dim, and on some sites the tensor split in two over an internal
     label.  With ``phys`` every site also gets a dangling physical label
-    ``p<k>``, for doubling; returns (sites, physical labels)."""
+    ``p<k>``, for doubling; with ``real`` the tensors are float64.  Returns
+    (sites, physical labels)."""
     edges = [(k, (k + 1) % n_sites) for k in range(n_sites)] + [(0, n_sites // 2)]
     dims = {}
     legs: dict[int, list[str]] = {k: [] for k in range(n_sites)}
@@ -344,7 +400,9 @@ def random_ring_sites(rng, n_sites, max_dim=3, phys=False):
         tensors = []
         for group in groups:
             shape = tuple(dims[l] for l in group)
-            data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            data = rng.standard_normal(shape)
+            if not real:
+                data = data + 1j * rng.standard_normal(shape)
             tensors.append(Tensor(data, tuple(group)))
         sites[k] = tensors
     return sites, outer
@@ -391,13 +449,15 @@ class TestPlannedBp:
             sites, _ = random_tree_sites(rng, n_sites=7, max_dim=3)
             outer = ()
         else:
-            sites, outer = random_ring_sites(rng, 5, phys=mode == "two-norm")
+            sites, outer = random_ring_sites(
+                rng, 5, phys=mode == "two-norm", real=kind == "real_ring"
+            )
         if mode == "two-norm":
             sites = doubled_sites(sites, outer=outer)
         return SiteNetwork(sites)
 
     @pytest.mark.parametrize("mode", ["one-norm", "two-norm"])
-    @pytest.mark.parametrize("kind", ["tree", "ring"])
+    @pytest.mark.parametrize("kind", ["tree", "ring", "real_ring"])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_reference_bits(self, kind, mode, seed):
         sn = self.network(kind, 4100 + seed, mode)

@@ -10,6 +10,7 @@ from spdtn import (
     Gate,
     Layer,
     PauliSum,
+    Tensor,
     chain,
     kicked_ising,
     parse_pauli,
@@ -21,6 +22,7 @@ from spdtn.oracle import exact_contract, statevector, statevector_expectation
 from spdtn.tensor import contract
 from spdtn.tn import (
     BpOptions,
+    EvolvingState,
     _step_groups,
     apply_layer,
     evolve,
@@ -31,7 +33,7 @@ from spdtn.tn import (
     state_norm,
 )
 
-from conftest import PAULI_MATS, dense_word
+from conftest import PAULI_MATS, dense_gate_local, dense_word, embed_gate
 
 
 def bond_graph(state):
@@ -50,11 +52,16 @@ def state_vector_of(state):
     return contract(list(state.tensors.values()), output=out).data
 
 
+PAULI_TENSOR = np.array([PAULI_MATS[letter] for letter in "IXYZ"])
+
+
 def operator_matrix_of(op):
-    """Contract an evolving pepo to its full 2^n x 2^n matrix."""
+    """Contract an evolving pepo's Pauli coefficients (label a{i}, I X Y Z =
+    0..3) with the Pauli matrices to its full 2^n x 2^n matrix."""
     kets = tuple(f"k{i}" for i in range(op.n))
     bras = tuple(f"b{i}" for i in range(op.n))
-    t = contract(list(op.tensors.values()), output=kets + bras)
+    paulis = [Tensor(PAULI_TENSOR, (f"a{i}", f"k{i}", f"b{i}")) for i in range(op.n)]
+    t = contract(list(op.tensors.values()) + paulis, output=kets + bras)
     return t.data.reshape(2**op.n, 2**op.n)
 
 
@@ -73,7 +80,9 @@ class TestStates:
         op = pepo_from_word(word)
         np.testing.assert_allclose(operator_matrix_of(op), dense_word(word))
         for i, letter in enumerate("XIZ"):
-            np.testing.assert_allclose(op.tensors[i].data, PAULI_MATS[letter])
+            assert op.tensors[i].inds == (f"a{i}",)
+            assert op.tensors[i].data.dtype == np.float64
+            np.testing.assert_array_equal(op.tensors[i].data, np.eye(4)["IXYZ".index(letter)])
 
     def test_pepo_norm_is_one(self):
         op = pepo_from_word(parse_pauli("Y1", 2))
@@ -123,6 +132,51 @@ class TestApplyLayer:
             atol=1e-12,
         )
 
+    @staticmethod
+    def every_gate(rng):
+        """Every gate ``gate_matrix`` supports, on qubits (1,) or (2, 0), the
+        rotations at a random angle and at +-pi/2."""
+        gates = [Gate(name, (1,)) for name in ("h", "s", "sdg", "x", "y", "z")]
+        gates += [Gate(name, (2, 0)) for name in ("cx", "cz")]
+        for angle in (float(rng.uniform(-math.pi, math.pi)), math.pi / 2, -math.pi / 2):
+            gates += [Gate(name, (1,), angle) for name in ("rx", "ry", "rz")]
+            gates.append(Gate("rzz", (2, 0), angle))
+            for axis in ("Y1", "Z0 X2", "Y0 Y2"):
+                word = parse_pauli(axis, 3)
+                gates.append(Gate("rot", tuple(word.support())[::-1], angle, word))
+        return gates
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_transfer_matrix_matches_dense(self, seed):
+        """A pepo absorbs each gate as a real transfer matrix: the result
+        contracted with the Pauli matrices is the dense U† O U."""
+        rng = np.random.default_rng(1100 + seed)
+        n = 3
+        for gate in self.every_gate(rng):
+            coeffs = rng.standard_normal((n, 4))
+            op = EvolvingState(
+                "pepo", n, {i: Tensor(coeffs[i], (f"a{i}",)) for i in range(n)}
+            )
+            dense = operator_matrix_of(op)
+            apply_layer(op, Layer((gate,)))
+            u = embed_gate(dense_gate_local(gate), gate.qubits, n)
+            np.testing.assert_allclose(
+                operator_matrix_of(op), u.conj().T @ dense @ u, atol=1e-12, err_msg=str(gate)
+            )
+            assert all(t.data.dtype == np.float64 for t in op.tensors.values())
+            if len(gate.qubits) == 2:
+                assert max_bond(op) <= 4
+
+    @pytest.mark.parametrize("angle", [0.3, 1.1, math.pi / 2, -math.pi / 2])
+    def test_rzz_bond_is_two_on_state_four_on_operator(self, angle):
+        """RZZ's operator-Schmidt rank is 2 and its transfer matrix's 4; the
+        rest of the transfer matrix's spectrum is rounding noise near 1e-16."""
+        layer = Layer((Gate("rzz", (0, 1), angle),))
+        psi, op = peps_zero(2), pepo_from_word(parse_pauli("Z0", 2))
+        apply_layer(psi, layer)
+        apply_layer(op, layer)
+        assert (max_bond(psi), max_bond(op)) == (2, 4)
+
     def test_rejects_three_site_gates(self):
         psi = peps_zero(3)
         axis = parse_pauli("X0 X1 X2", 3)
@@ -165,8 +219,10 @@ class TestEvolve:
         op = pepo_from_word(parse_pauli("Z2", n))
         for group in reversed(_step_groups(circuit)):
             evolve(op, list(reversed(group)), chi=4, kappa=0.0)
-        norm, _ = state_norm(op)
+            assert all(t.data.dtype == np.float64 for t in op.tensors.values())
+        norm, ms = state_norm(op)
         assert norm <= 1.0 + 1e-8
+        assert all(m.data.dtype == np.float64 for m in ms.messages.values())
 
 
 class TestSandwich:
@@ -272,10 +328,10 @@ class TestRunTn:
         n = 8
         circuit = kicked_ising(chain(n), steps=2, theta_h=0.7)
         word = parse_pauli("Z0", n)
-        full = run_tn(circuit, word, "mix", chi=16, kappa=0.0, bp_tol=1e-12)
-        cone = run_tn(
-            circuit, word, "mix", chi=16, kappa=0.0, bp_tol=1e-12, lightcone=True
+        full = run_tn(
+            circuit, word, "mix", chi=16, kappa=0.0, bp_tol=1e-12, lightcone=False
         )
+        cone = run_tn(circuit, word, "mix", chi=16, kappa=0.0, bp_tol=1e-12)
         assert abs(full.expectation - cone.expectation) < 1e-8
 
     def test_validation_errors(self):
