@@ -37,6 +37,7 @@ __all__ = [
     "kicked_ising",
     "lightcone_prune",
     "gate_matrix",
+    "PAULI_BASIS",
     "circuit_to_json",
     "circuit_from_json",
 ]
@@ -355,6 +356,8 @@ _SITE_MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# the Pauli basis stacked as PAULI_BASIS[a] for a = 0..3 (I, X, Y, Z)
+PAULI_BASIS = np.array([_SITE_MATS[letter] for letter in "IXYZ"])
 
 _NAMED_MATS = {
     "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),

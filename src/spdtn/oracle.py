@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .circuits import Circuit, Gate, gate_matrix
+from .circuits import PAULI_BASIS, Circuit, Gate, gate_matrix
 from .clifford import CliffordTableau, fold_angle
 from .paulis import PauliWord, PhasedWord
 from .spd import PauliSum
@@ -126,15 +126,9 @@ def statevector_expectation(
 
 def word_matrix(word: PauliWord) -> np.ndarray:
     """Dense 2**n x 2**n matrix of a word (kron in site order)."""
-    mats = {
-        "I": np.eye(2, dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
     out = np.ones((1, 1), dtype=complex)
     for j in range(word.n):
-        out = np.kron(out, mats[word.site(j)])
+        out = np.kron(out, PAULI_BASIS["IXYZ".index(word.site(j))])
     return out
 
 

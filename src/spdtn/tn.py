@@ -48,7 +48,7 @@ from .bp import (
     l1bp_value,
     star,
 )
-from .circuits import Circuit, Gate, Layer, gate_matrix, lightcone_prune
+from .circuits import PAULI_BASIS, Circuit, Gate, Layer, gate_matrix, lightcone_prune
 from .paulis import PauliWord
 from .spd import PauliSum
 from .tensor import Tensor, contract, truncated_svd
@@ -67,11 +67,6 @@ __all__ = [
 ]
 
 DEFAULT_KAPPA = 5e-6
-
-# the Pauli basis, P[a] = <k|P_a|b> for a = 0..3 (I, X, Y, Z)
-_PAULI = np.array(
-    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
-)
 
 
 @dataclass
@@ -133,9 +128,9 @@ def pepo_from_word(word: PauliWord) -> EvolvingState:
 def _pauli_transfer(u: np.ndarray) -> np.ndarray:
     """R[a, b] = Tr(P_a U† P_b U) / 2^q over the q-qubit Pauli basis (kron in
     qubit order): the real map U† O U takes O's Pauli coefficients c to R c."""
-    basis = _PAULI
+    basis = PAULI_BASIS
     if len(u) == 4:
-        basis = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)
+        basis = np.einsum("aij,bkl->abikjl", basis, basis).reshape(16, 4, 4)
     images = u.conj().T @ basis @ u
     return np.einsum("aij,bji->ab", basis, images).real / len(u)
 
@@ -300,7 +295,7 @@ def sandwich_network(
             )
             for t in lists[i]
         ]
-        pauli = Tensor(_PAULI, (f"a{i}", f"k{i}", f"b{i}"))
+        pauli = Tensor(PAULI_BASIS, (f"a{i}", f"k{i}", f"b{i}"))
         sites[i] = bras + [op.tensors[i], pauli] + kets
     return SiteNetwork(sites)
 

@@ -163,6 +163,7 @@ def test_04_lossless_tensor_network_regime():
                 kappa=0.0,
                 bp_tol=1e-12,
                 bp_max_iter=512,
+                lightcone=False,
             )
             norm = {"peps": res.n_psi, "pepo": res.n_o, "mix": res.n_mix}[method]
             worst_delta = max(worst_delta, abs(res.expectation - ref))
@@ -273,7 +274,14 @@ def test_08_mix_convergence_shape():
     chis = (8, 16, 32, 64)
     vals = [
         run_tn(
-            circuit, word, "mix", chi=chi, kappa=0.0, bp_tol=1e-10, bp_max_iter=512
+            circuit,
+            word,
+            "mix",
+            chi=chi,
+            kappa=0.0,
+            bp_tol=1e-10,
+            bp_max_iter=512,
+            lightcone=False,
         ).expectation
         for chi in chis
     ]
@@ -312,6 +320,7 @@ def test_09_cross_method_spread():
                     kappa=0.0,
                     bp_tol=1e-10,
                     bp_max_iter=256,
+                    lightcone=False,
                 ).expectation
             )
         worst_spread = max(worst_spread, max(vals) - min(vals))

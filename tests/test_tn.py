@@ -281,7 +281,9 @@ class TestRunTn:
         n = 6
         circuit = kicked_ising(ring(n), steps=2, theta_h=0.35)
         word = parse_pauli("Z0", n)
-        res = run_tn(circuit, word, method, chi=16, kappa=0.0, bp_tol=1e-12)
+        res = run_tn(
+            circuit, word, method, chi=16, kappa=0.0, bp_tol=1e-12, lightcone=False
+        )
         want = statevector_expectation(circuit, word)
         assert abs(res.expectation - want) < 1e-8
         assert res.n_psi <= 1.0 + 1e-8
@@ -293,34 +295,43 @@ class TestRunTn:
         n = 6
         circuit = kicked_ising(chain(n), steps=6, theta_h=0.2)
         word = parse_pauli("Z3", n)
-        peps = run_tn(circuit, word, "peps", chi=4, bp_tol=1e-4, bp_max_iter=40)
+        peps = run_tn(
+            circuit, word, "peps", chi=4, bp_tol=1e-4, bp_max_iter=40, lightcone=False
+        )
         assert (peps.tau, peps.op_steps, peps.lazy_steps) == (4, 0, 2)
-        pepo = run_tn(circuit, word, "pepo", chi=4, bp_tol=1e-4, bp_max_iter=40)
+        pepo = run_tn(
+            circuit, word, "pepo", chi=4, bp_tol=1e-4, bp_max_iter=40, lightcone=False
+        )
         assert (pepo.tau, pepo.op_steps, pepo.lazy_steps) == (0, 5, 1)
-        mix = run_tn(circuit, word, "mix", chi=4, bp_tol=1e-4, bp_max_iter=40)
+        mix = run_tn(
+            circuit, word, "mix", chi=4, bp_tol=1e-4, bp_max_iter=40, lightcone=False
+        )
         assert (mix.tau, mix.op_steps, mix.lazy_steps) == (3, 3, 0)
 
     def test_pepo_lazy_depth_scales_with_chi(self):
         n = 4
         circuit = kicked_ising(chain(n), steps=3, theta_h=0.2)
         word = parse_pauli("Z1", n)
-        res1 = run_tn(circuit, word, "pepo", chi=1, bp_tol=1e-4)
+        res1 = run_tn(circuit, word, "pepo", chi=1, bp_tol=1e-4, lightcone=False)
         assert res1.lazy_steps == 0
-        res4 = run_tn(circuit, word, "pepo", chi=4, bp_tol=1e-4)
+        res4 = run_tn(circuit, word, "pepo", chi=4, bp_tol=1e-4, lightcone=False)
         assert res4.lazy_steps == 1
-        res16 = run_tn(circuit, word, "pepo", chi=16, bp_tol=1e-4)
+        res16 = run_tn(circuit, word, "pepo", chi=16, bp_tol=1e-4, lightcone=False)
         assert res16.lazy_steps == 2
 
     def test_observable_coefficient_scales(self):
         n = 4
         circuit = kicked_ising(chain(n), steps=2, theta_h=0.5)
-        base = run_tn(circuit, parse_pauli("Z1", n), "mix", chi=8, bp_tol=1e-10)
+        base = run_tn(
+            circuit, parse_pauli("Z1", n), "mix", chi=8, bp_tol=1e-10, lightcone=False
+        )
         scaled = run_tn(
             circuit,
             PauliSum.from_terms(n, [("Z1", 2.5)]),
             "mix",
             chi=8,
             bp_tol=1e-10,
+            lightcone=False,
         )
         assert np.isclose(scaled.expectation, 2.5 * base.expectation, atol=1e-9)
 
@@ -376,7 +387,9 @@ class TestRunTn:
         n = 12
         circuit = kicked_ising(ring(n), steps=4, theta_h=1.2)
         word = parse_pauli("Z0", n)
-        res = run_tn(circuit, word, "mix", chi=2, bp_tol=1e-14, bp_max_iter=2)
+        res = run_tn(
+            circuit, word, "mix", chi=2, bp_tol=1e-14, bp_max_iter=2, lightcone=False
+        )
         assert res.flags
         assert not res.converged
         assert any("nonconverged" in f for f in res.flags)
@@ -408,7 +421,9 @@ class TestTraceHooks:
         counting(bp, "contract")
         n = 6
         circuit = kicked_ising(chain(n), steps=3, theta_h=0.35)
-        res = run_tn(circuit, parse_pauli("Z2", n), "mix", chi=2, bp_tol=1e-6)
+        res = run_tn(
+            circuit, parse_pauli("Z2", n), "mix", chi=2, bp_tol=1e-6, lightcone=False
+        )
         assert math.isfinite(res.expectation)
         assert all(calls.values()), {key: len(c) for key, c in calls.items()}
         modes = set(calls["spdtn.tn.bp_iterate"])
