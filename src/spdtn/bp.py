@@ -13,20 +13,28 @@ name so the conjugate copy traces them against the original.  Messages in
 two-norm mode then factor as Hermitian PSD matrices over the (ket, bra)
 label split and are symmetrized after every update.
 
-Messages update synchronously (Jacobi): each round computes every new
-message from the previous round only, as the contraction of the source
-site's tensors with all incoming messages except the one on the target
-bond, normalized to unit 1-norm.  The round-to-round change of a message is
-the 1-norm of the difference, and iteration stops when the largest change
-drops below the tolerance.
+A message is the contraction of the source site's tensors with all its
+incoming messages except the one on the target bond, normalized to unit
+1-norm.  Messages update in place, in sweeps: each update reads the newest
+messages, in an order fixed once per call from the site graph alone.  A
+breadth-first tree per connected component, rooted at its smallest site,
+gives every site a depth, and a bond joins sites whose depths differ by at
+most one.  A sweep first sends the messages toward the root, deepest source
+first, then those between sites of equal depth, then those away from the
+root, shallowest target first.  Without damping, on a tree or forest the
+first sweep delivers the exact messages and the second confirms them with a
+change of exactly zero; on loops the order still carries information across
+the whole network in one sweep.  The change of a message within a sweep is
+the 1-norm of the difference, and iteration stops when a sweep's largest
+change drops below the tolerance.
 
 Labels and shapes stay fixed for the whole of one ``bp_iterate`` call, so
-each directed message's update is set up once, before the first round: a
+each directed message's update is set up once, before the first sweep: a
 ``ContractionPlan`` for the contraction and, in two-norm mode, the
 permutations that symmetrize the result over its (ket, bra) split.  Plans
 are looked up per structure in ``tensor``'s process-wide cache, so messages
 of the same structure, later calls on the same network and ``l1bp_value``
-plan only what has not been seen before.  The rounds then run on plain
+plan only what has not been seen before.  The sweeps then run on plain
 ndarrays: replay the plan, symmetrize, normalize, fix the phase (one-norm
 mode), damp, and take the change.  Messages are ``Tensor`` objects only
 where they enter (``init``) and leave (the returned ``MessageSet``).
@@ -181,6 +189,36 @@ def _symmetrizer(
     return to_pairs, d, tuple(shape[k] for k in to_pairs), back
 
 
+def _schedule(sn: SiteNetwork) -> list[tuple[Any, Any]]:
+    """The directed messages of one sweep, in update order (module
+    docstring): toward the root, deepest source first; between equal
+    depths; away from the root, shallowest target first."""
+    depth: dict[Any, int] = {}
+    for root in sorted(sn.sites):
+        if root in depth:
+            continue
+        depth[root] = 0
+        frontier = [root]
+        while frontier:
+            reached = []
+            for s in frontier:
+                for t in sn.neighbors(s):
+                    if t not in depth:
+                        depth[t] = depth[s] + 1
+                        reached.append(t)
+            frontier = reached
+
+    def rank(key: tuple[Any, Any]) -> tuple:
+        i, j = key
+        if depth[i] > depth[j]:
+            return (0, -depth[i], i, j)
+        if depth[i] == depth[j]:
+            return (1, depth[i], i, j)
+        return (2, depth[j], i, j)
+
+    return sorted([(i, j) for i, j in sn.edges] + [(j, i) for i, j in sn.edges], key=rank)
+
+
 def bp_iterate(
     sn: SiteNetwork,
     tol: float = DEFAULT_TOL,
@@ -189,18 +227,19 @@ def bp_iterate(
     damping: float = 0.0,
     init: Mapping[tuple[Any, Any], Tensor] | None = None,
 ) -> MessageSet:
-    """Run synchronous BP to a fixed point of the message equations.
+    """Run BP to a fixed point of the message equations, updating the
+    messages in place in the sweep order of ``_schedule``.
 
-    In two-norm mode every message is Hermitian-symmetrized over its
-    (ket, bra) split after each update.  Non-convergence within max_iter is
-    flagged on the result, not raised.
+    ``iterations`` counts sweeps: on a tree or forest without damping BP
+    converges in two.  In two-norm mode every message is
+    Hermitian-symmetrized over its (ket, bra) split after each update.
+    Non-convergence within max_iter is flagged on the result, not raised.
     """
     if mode not in ("one-norm", "two-norm"):
         raise ValueError(f"unknown mode {mode!r}")
     if sn.dangling:
         raise ValueError(f"network has dangling labels {sn.dangling[:8]}")
-    directed = [(i, j) for i, j in sn.edges] + [(j, i) for i, j in sn.edges]
-    directed.sort()
+    directed = _schedule(sn)
     start: dict[tuple[Any, Any], Tensor] = {}
     for i, j in directed:
         labels = sn.bond_labels(i, j)
@@ -223,7 +262,6 @@ def bp_iterate(
     messages = {key: t.data for key, t in start.items()}
     iterations, max_delta, converged = 0, math.inf, False
     for iterations in range(1, max_iter + 1):
-        fresh: dict[tuple[Any, Any], np.ndarray] = {}
         max_delta = 0.0
         for key, plan, site, incoming, sym in updates:
             new = plan.run(site + [messages[m] for m in incoming])
@@ -248,8 +286,7 @@ def bp_iterate(
             if damping > 0.0:
                 new = (1.0 - damping) * new + damping * old
             max_delta = max(max_delta, float(np.abs(new - old).sum()))
-            fresh[key] = new
-        messages = fresh
+            messages[key] = new
         if max_delta <= tol:
             converged = True
             break

@@ -389,7 +389,9 @@ def run_spd(
 
     Rotations stored in circuit-time order apply in reverse (Heisenberg
     order: the last circuit rotation hits the observable first), each with
-    threshold truncation, and the result is read out at |0...0>.
+    threshold truncation, and the result is read out at |0...0>.  Once
+    truncation empties the sum no rotation can refill it, so the remaining
+    rotations are skipped.
     """
     t0 = time.perf_counter()
     if not delta >= 0:
@@ -398,6 +400,8 @@ def run_spd(
     peak = s.num_terms
     cap = _resolve_cap(max_terms)
     for rot in reversed(rc.rotations):
+        if not s.num_terms:
+            break
         s = apply_rotation(s, rot.axis, rot.angle, delta, cap)
         if s.num_terms > peak:
             peak = s.num_terms

@@ -369,13 +369,15 @@ class TestRealNetworks:
             assert abs(dw - cdw) <= 1e-12
 
 
-def random_ring_sites(rng, n_sites, max_dim=3, phys=False, real=False):
+def random_ring_sites(rng, n_sites, max_dim=3, phys=False, real=False, wheel=False):
     """Random loopy site network: a ring plus one chord, bond dimensions in
     2..max_dim, and on some sites the tensor split in two over an internal
-    label.  With ``phys`` every site also gets a dangling physical label
-    ``p<k>``, for doubling; with ``real`` the tensors are float64.  Returns
-    (sites, physical labels)."""
-    edges = [(k, (k + 1) % n_sites) for k in range(n_sites)] + [(0, n_sites // 2)]
+    label.  With ``wheel`` site 0 is joined to every other site instead of
+    one, so the rest of the ring lies at one BFS depth.  With ``phys`` every
+    site also gets a dangling physical label ``p<k>``, for doubling; with
+    ``real`` the tensors are float64.  Returns (sites, physical labels)."""
+    chords = range(2, n_sites - 1) if wheel else [n_sites // 2]
+    edges = [(k, (k + 1) % n_sites) for k in range(n_sites)] + [(0, k) for k in chords]
     dims = {}
     legs: dict[int, list[str]] = {k: [] for k in range(n_sites)}
     for u, v in edges:
@@ -438,7 +440,7 @@ def assert_same_messages(got, want):
 
 class TestPlannedBp:
     """``bp_iterate`` looks up each message update's plan by structure and
-    runs the rounds on arrays; messages, ``iterations`` and ``max_delta``
+    runs the sweeps on arrays; messages, ``iterations`` and ``max_delta``
     must carry the bits of the earlier re-planning loop kept in
     ``tn_reference``."""
 
@@ -450,14 +452,14 @@ class TestPlannedBp:
             outer = ()
         else:
             sites, outer = random_ring_sites(
-                rng, 5, phys=mode == "two-norm", real=kind == "real_ring"
+                rng, 5, phys=mode == "two-norm", real=kind == "real_ring", wheel=kind == "wheel"
             )
         if mode == "two-norm":
             sites = doubled_sites(sites, outer=outer)
         return SiteNetwork(sites)
 
     @pytest.mark.parametrize("mode", ["one-norm", "two-norm"])
-    @pytest.mark.parametrize("kind", ["tree", "ring", "real_ring"])
+    @pytest.mark.parametrize("kind", ["tree", "ring", "real_ring", "wheel"])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_reference_bits(self, kind, mode, seed):
         sn = self.network(kind, 4100 + seed, mode)
@@ -496,7 +498,7 @@ class TestPlannedBp:
 
     def test_plans_once_per_directed_message(self, greedy_calls):
         """Plans are looked up by structure: the first ``bp_iterate`` call
-        plans each distinct message structure once, however many rounds it
+        plans each distinct message structure once, however many sweeps it
         runs, a repeat call plans nothing, and ``l1bp_value`` plans only the
         structures not seen before."""
         ring = self.network("ring", 4300, "two-norm")
@@ -512,7 +514,7 @@ class TestPlannedBp:
             for expected in (distinct, 0):
                 greedy_calls.clear()
                 ms = bp_iterate(sn, tol=1e-12, max_iter=200, mode="two-norm")
-                assert ms.iterations > 10
+                assert ms.iterations > 2
                 assert len(greedy_calls) == expected
             sites = [
                 (sn.sites[s] + [ms.messages[(l, s)] for l in sn.neighbors(s)], ())
@@ -524,3 +526,52 @@ class TestPlannedBp:
                 l1bp_value(sn, ms)
                 assert len(greedy_calls) == expected
 
+
+def max_message_gap(got, want):
+    return max(np.abs(got.messages[k].data - want.messages[k].data).sum() for k in want.messages)
+
+
+class TestSweepSchedule:
+    """The in-place sweeps reach the fixed point of the synchronous Jacobi
+    rounds kept in ``tn_reference``: exactly, in two sweeps, on trees, and
+    to the Bethe value on loops."""
+
+    @pytest.mark.parametrize("mode", ["one-norm", "two-norm"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tree_converges_in_two_sweeps(self, mode, seed):
+        rng = np.random.default_rng(4700 + seed)
+        sites, _ = random_tree_sites(rng, n_sites=9, max_dim=3)
+        if mode == "two-norm":
+            sites = doubled_sites(sites)
+        sn = SiteNetwork(sites)
+        ms = bp_iterate(sn, tol=0.0, max_iter=10, mode=mode)
+        jacobi = ref.bp_iterate_jacobi(sn, tol=1e-13, max_iter=100, mode=mode)
+        assert ms.converged and jacobi.converged
+        assert (ms.iterations, ms.max_delta) == (2, 0.0)
+        assert max_message_gap(ms, jacobi) <= 1e-12
+
+    def test_forest_converges_in_two_sweeps(self, rng):
+        """Each component is rooted at its own smallest site."""
+        left, _ = random_tree_sites(rng, n_sites=5, max_dim=3)
+        right, _ = random_tree_sites(rng, n_sites=4, max_dim=3)
+        sites = dict(left)
+        for k, ts in right.items():
+            sites[10 + k] = [t.relabel({l: "f" + l for l in t.inds}) for t in ts]
+        sn = SiteNetwork(sites)
+        ms = bp_iterate(sn, tol=0.0, max_iter=10)
+        assert (ms.iterations, ms.max_delta) == (2, 0.0)
+        assert max_message_gap(ms, ref.bp_iterate_jacobi(sn, tol=1e-13)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["one-norm", "two-norm"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ring_matches_jacobi_bethe_value(self, mode, seed):
+        rng = np.random.default_rng(4800 + seed)
+        sites, outer = random_ring_sites(rng, 6, phys=mode == "two-norm")
+        if mode == "two-norm":
+            sites = doubled_sites(sites, outer=outer)
+        sn = SiteNetwork(sites)
+        ms = bp_iterate(sn, tol=1e-12, max_iter=1000, mode=mode)
+        jacobi = ref.bp_iterate_jacobi(sn, tol=1e-12, max_iter=1000, mode=mode)
+        assert ms.converged and jacobi.converged
+        got, want = l1bp_value(sn, ms), l1bp_value(sn, jacobi)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))

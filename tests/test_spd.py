@@ -246,6 +246,34 @@ class TestRunSpd:
         with pytest.raises(ValueError, match="delta must be >= 0"):
             run_spd(rc, delta)
 
+    def test_stops_once_the_sum_is_empty(self, monkeypatch):
+        """At a large threshold truncation empties the sum partway through;
+        ``run_spd`` applies no rotation after that, and its result matches
+        applying every rotation."""
+        circuit = random_circuit(np.random.default_rng(1), 4, depth=40)
+        rc = recompile(circuit, parse_pauli("Z0", 4))
+        delta = 0.3
+        s = rc.transformed_observable.truncate(delta)
+        sizes = [s.num_terms]
+        for rot in reversed(rc.rotations):
+            s = apply_rotation(s, rot.axis, rot.angle, delta)
+            sizes.append(s.num_terms)
+        emptied = sizes.index(0)
+        assert 1 < emptied < len(rc.rotations)
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].num_terms)
+            return apply_rotation(*args, **kwargs)
+
+        monkeypatch.setattr(spd, "apply_rotation", counting)
+        res = run_spd(rc, delta)
+        assert len(calls) == emptied and all(calls)
+        assert (res.expectation, res.norm) == (s.expectation(), s.frobenius_norm())
+        assert (res.peak_terms, res.final_terms) == (max(sizes), 0)
+        assert res.num_rotations == len(rc.rotations)
+
     def test_truncation_reduces_terms(self):
         rng = np.random.default_rng(7)
         n = 6

@@ -12,6 +12,7 @@ from spdtn import (
     PauliSum,
     Tensor,
     chain,
+    device_127,
     kicked_ising,
     parse_pauli,
     ring,
@@ -428,3 +429,25 @@ class TestTraceHooks:
         assert all(calls.values()), {key: len(c) for key, c in calls.items()}
         modes = set(calls["spdtn.tn.bp_iterate"])
         assert modes == {"two-norm", "one-norm"}
+
+    def test_light_cone_networks_converge_in_two_sweeps(self, monkeypatch):
+        """At T = 5 the light cone of Z62 on the 127-site device holds no
+        loop, so every BP call of a ``mix`` run, each two-norm compression
+        and norm and the one-norm sandwich, sees a tree and converges in
+        two sweeps."""
+        from spdtn import bp
+
+        results, modes = [], set()
+
+        def counting(*args, **kwargs):
+            modes.add(kwargs.get("mode"))
+            results.append(bp.bp_iterate(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(tn, "bp_iterate", counting)
+        circuit = kicked_ising(device_127(), steps=5, theta_h=7 * math.pi / 32)
+        res = run_tn(circuit, parse_pauli("Z62", 127), "mix", chi=4)
+        assert not res.flags
+        assert modes == {"two-norm", "one-norm"}
+        assert all(ms.converged for ms in results)
+        assert [ms.iterations for ms in results] == [2] * len(results)

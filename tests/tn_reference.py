@@ -2,14 +2,18 @@
 
 These are the earlier forms of ``greedy_path``, ``contract`` and
 ``bp_iterate``: the path re-planned and every step wrapped in a ``Tensor``
-on each call, and each BP round rebuilding every message's input list and
-contracting it afresh.  The planned versions in ``spdtn`` must give the
-same bits.
+on each call, and each BP update rebuilding its message's input list and
+contracting it afresh.  ``bp_iterate`` builds its sweep order level by
+level, independently of the sorted ranking in ``spdtn.bp``.  The planned
+versions in ``spdtn`` must give the same bits.  ``bp_iterate_jacobi`` keeps the
+synchronous rounds that the sweeps replaced, as the fixed point the sweeps
+must reach.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -195,6 +199,98 @@ def _one_norm(t: Tensor) -> float:
     return float(np.sum(np.abs(t.data)))
 
 
+def _start(
+    sn: SiteNetwork, init: Mapping[tuple[Any, Any], Tensor] | None
+) -> dict[tuple[Any, Any], Tensor]:
+    messages: dict[tuple[Any, Any], Tensor] = {}
+    for i, j in sorted(list(sn.edges) + [(j, i) for i, j in sn.edges]):
+        labels = sn.bond_labels(i, j)
+        if init is not None and (i, j) in init:
+            messages[(i, j)] = init[(i, j)].transpose_to(labels)
+        else:
+            messages[(i, j)] = _uniform_message(sn, labels)
+    return messages
+
+
+def _update(
+    sn: SiteNetwork,
+    messages: Mapping[tuple[Any, Any], Tensor],
+    j: Any,
+    k: Any,
+    mode: str,
+    damping: float,
+) -> tuple[Tensor, float]:
+    """The new message j -> k from ``messages``, and its 1-norm change."""
+    labels = sn.bond_labels(j, k)
+    inputs = list(sn.sites[j])
+    inputs += [messages[(l, j)] for l in sn.neighbors(j) if l != k]
+    new = contract(inputs, output=labels)
+    if mode == "two-norm":
+        new = _symmetrize(new).transpose_to(labels)
+    nrm = _one_norm(new)
+    if nrm > 0.0:
+        new = Tensor(new.data / nrm, labels)
+    if mode == "one-norm":
+        # fix the free global phase (largest entry real positive) so a
+        # phase-rotating fixed point still registers as converged; the
+        # Bethe ratio is invariant under per-message rescaling
+        flat = new.data.reshape(-1)
+        lead = flat[np.argmax(np.abs(flat))]
+        if lead != 0.0:
+            new = Tensor(new.data * (lead.conjugate() / abs(lead)), labels)
+    old = messages[(j, k)]
+    if damping > 0.0:
+        new = Tensor((1.0 - damping) * new.data + damping * old.data, labels)
+    return new, _one_norm(Tensor(new.data - old.data, labels))
+
+
+def _check(sn: SiteNetwork, mode: str) -> None:
+    if mode not in ("one-norm", "two-norm"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if sn.dangling:
+        raise ValueError(f"network has dangling labels {sn.dangling[:8]}")
+
+
+def sweep_order(sn: SiteNetwork) -> list[tuple[Any, Any]]:
+    """Directed messages in sweep order, level by level.
+
+    A breadth-first search from the smallest unvisited site levels each
+    connected component.  Then, for each level from the deepest up, the
+    messages from its sites (in order) to neighbours one level up; for each
+    level from the root down, the messages between its sites; and for each
+    level from the root down, the messages from its sites to neighbours one
+    level down.
+    """
+    level: dict[Any, int] = {}
+    for root in sorted(sn.sites):
+        if root in level:
+            continue
+        level[root] = 0
+        queue = deque([root])
+        while queue:
+            s = queue.popleft()
+            for t in sn.neighbors(s):
+                if t not in level:
+                    level[t] = level[s] + 1
+                    queue.append(t)
+    by_level: dict[int, list[Any]] = {}
+    for s in sorted(sn.sites):
+        by_level.setdefault(level[s], []).append(s)
+    depth = max(by_level, default=-1)
+
+    def out_of(d: int, to: int) -> list[tuple[Any, Any]]:
+        return [(i, j) for i in by_level[d] for j in sn.neighbors(i) if level[j] == to]
+
+    order = []
+    for d in range(depth, 0, -1):
+        order += out_of(d, d - 1)
+    for d in range(depth + 1):
+        order += out_of(d, d)
+    for d in range(depth):
+        order += out_of(d, d + 1)
+    return order
+
+
 def bp_iterate(
     sn: SiteNetwork,
     tol: float = DEFAULT_TOL,
@@ -203,55 +299,48 @@ def bp_iterate(
     damping: float = 0.0,
     init: Mapping[tuple[Any, Any], Tensor] | None = None,
 ) -> MessageSet:
-    """Run synchronous BP to a fixed point of the message equations.
+    """Run BP in sweeps of in-place updates, in ``sweep_order``.
 
     In two-norm mode every message is Hermitian-symmetrized over its
     (ket, bra) split after each update.  Non-convergence within max_iter is
     flagged on the result, not raised.
     """
-    if mode not in ("one-norm", "two-norm"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if sn.dangling:
-        raise ValueError(f"network has dangling labels {sn.dangling[:8]}")
-    directed = [(i, j) for i, j in sn.edges] + [(j, i) for i, j in sn.edges]
-    directed.sort()
-    messages: dict[tuple[Any, Any], Tensor] = {}
-    for i, j in directed:
-        labels = sn.bond_labels(i, j)
-        if init is not None and (i, j) in init:
-            messages[(i, j)] = init[(i, j)].transpose_to(labels)
-        else:
-            messages[(i, j)] = _uniform_message(sn, labels)
-    ms = MessageSet(messages)
+    _check(sn, mode)
+    messages = _start(sn, init)
+    order = sweep_order(sn)
+    it, max_delta, converged = 0, math.inf, False
+    for it in range(1, max_iter + 1):
+        max_delta = 0.0
+        for j, k in order:
+            messages[(j, k)], delta = _update(sn, messages, j, k, mode, damping)
+            max_delta = max(max_delta, delta)
+        if max_delta <= tol:
+            converged = True
+            break
+    return MessageSet(messages, it, max_delta, converged)
+
+
+def bp_iterate_jacobi(
+    sn: SiteNetwork,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    mode: str = "one-norm",
+    damping: float = 0.0,
+    init: Mapping[tuple[Any, Any], Tensor] | None = None,
+) -> MessageSet:
+    """Run synchronous BP: each round computes every message from the
+    previous round only."""
+    _check(sn, mode)
+    messages = _start(sn, init)
+    it, max_delta, converged = 0, math.inf, False
     for it in range(1, max_iter + 1):
         fresh: dict[tuple[Any, Any], Tensor] = {}
         max_delta = 0.0
-        for j, k in directed:
-            labels = sn.bond_labels(j, k)
-            inputs = list(sn.sites[j])
-            inputs += [messages[(l, j)] for l in sn.neighbors(j) if l != k]
-            new = contract(inputs, output=labels)
-            if mode == "two-norm":
-                new = _symmetrize(new).transpose_to(labels)
-            nrm = _one_norm(new)
-            if nrm > 0.0:
-                new = Tensor(new.data / nrm, labels)
-            if mode == "one-norm":
-                # fix the free global phase (largest entry real positive) so
-                # a phase-rotating fixed point still registers as converged;
-                # the Bethe ratio is invariant under per-message rescaling
-                flat = new.data.reshape(-1)
-                lead = flat[np.argmax(np.abs(flat))]
-                if lead != 0.0:
-                    new = Tensor(new.data * (lead.conjugate() / abs(lead)), labels)
-            old = messages[(j, k)]
-            if damping > 0.0:
-                new = Tensor((1.0 - damping) * new.data + damping * old.data, labels)
-            max_delta = max(max_delta, _one_norm(Tensor(new.data - old.data, labels)))
-            fresh[(j, k)] = new
+        for j, k in messages:
+            fresh[(j, k)], delta = _update(sn, messages, j, k, mode, damping)
+            max_delta = max(max_delta, delta)
         messages = fresh
-        ms = MessageSet(messages, iterations=it, max_delta=max_delta)
         if max_delta <= tol:
-            ms.converged = True
+            converged = True
             break
-    return ms
+    return MessageSet(messages, it, max_delta, converged)
