@@ -34,13 +34,11 @@ import json
 import math
 import re
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cache, partial
 from itertools import groupby
 from pathlib import Path
-from threading import Lock
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -107,12 +105,47 @@ METHODS = ("spd", "peps", "pepo", "mix", "exact")
 
 DEFAULT_THETA_GRID = tuple(k * math.pi / 32 for k in range(17))
 
-_LATTICE_KINDS = ("heavy_hex", "device_127", "ring", "chain", "grid", "file")
+# each lattice kind's builder and the keys it takes besides "kind", in
+# argument order
+_LATTICES = {
+    "heavy_hex": (heavy_hex, ("rows", "cols")),
+    "device_127": (device_127, ()),
+    "ring": (ring, ("n",)),
+    "chain": (chain, ("n",)),
+    "grid": (grid, ("rows", "cols")),
+    "file": (load_lattice, ("path",)),
+}
 
 
 def _positive_int(value) -> bool:
     """Whether a config value is an int >= 1; a bool (JSON true) is not."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _nonnegative(value) -> bool:
+    """Whether a config value is a number >= 0; NaN and a bool are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0
+
+
+def _check_lattice(spec) -> None:
+    """Reject a lattice spec that ``build_lattice`` could not build: an
+    unknown kind, a missing or unknown key, a size that is not an int >= 1
+    or a path that is not a string."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in _LATTICES:
+        raise ValueError(f"unknown lattice kind {kind!r}; choose from {tuple(_LATTICES)}")
+    keys = _LATTICES[kind][1]
+    unknown = sorted(set(spec) - {"kind", *keys})
+    if unknown:
+        raise ValueError(f"unknown {kind} lattice keys: {unknown}")
+    for key in keys:
+        if key not in spec:
+            raise ValueError(f"{kind} lattice needs the key {key!r}")
+        value = spec[key]
+        if key == "path" and not isinstance(value, str):
+            raise ValueError(f"lattice path must be a string, got {value!r}")
+        if key != "path" and not _positive_int(value):
+            raise ValueError(f"lattice {key} must be an int >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -124,15 +157,16 @@ class RunConfig:
     - "lattice": {"kind": "heavy_hex", "rows": R, "cols": C}
       | {"kind": "device_127"} | {"kind": "ring", "n": N}
       | {"kind": "chain", "n": N} | {"kind": "grid", "rows": R, "cols": C}
-      | {"kind": "file", "path": P}
+      | {"kind": "file", "path": P}, with sizes ints >= 1 and no other keys
     - "observable": Pauli text such as "Z62"
     - "steps": circuit depth T >= 1
     - "method": one of spd | peps | pepo | mix | exact
     - "theta_h": list of angles (default k*pi/32 for k = 0..16)
     - "deltas": truncation thresholds (spd only, required there)
     - "chis": bond dimensions (peps/pepo/mix only, required there)
-    - "kappa": compression cutoff (default 5e-6)
-    - "bp_tol", "bp_max_iter", "damping": message-passing controls
+    - "kappa": compression cutoff >= 0 (default 5e-6)
+    - "bp_tol", "bp_max_iter", "damping": message-passing controls, a
+      tolerance >= 0, an int >= 1 and a damping in [0, 1)
     - "extra_x_layer": append one trailing RX layer (default false)
     - "lightcone": prune gates outside the observable's cone (default true)
     - "seed": recorded in the digest for provenance (default 0)
@@ -164,9 +198,7 @@ class RunConfig:
         object.__setattr__(self, "chis", tuple(self.chis))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        kind = self.lattice.get("kind")
-        if kind not in _LATTICE_KINDS:
-            raise ValueError(f"unknown lattice kind {kind!r}; choose from {_LATTICE_KINDS}")
+        _check_lattice(self.lattice)
         if not self.theta_h:
             raise ValueError("theta_h list must be non-empty")
         if not _positive_int(self.steps):
@@ -177,6 +209,13 @@ class RunConfig:
             raise ValueError(f"chis must be >= 1, each an int, got {list(self.chis)}")
         if self.max_terms is not None and not _positive_int(self.max_terms):
             raise ValueError(f"max_terms must be an int >= 1, got {self.max_terms!r}")
+        for name in ("kappa", "bp_tol"):
+            if not _nonnegative(getattr(self, name)):
+                raise ValueError(f"{name} must be a number >= 0, got {getattr(self, name)!r}")
+        if not (_nonnegative(self.damping) and self.damping < 1):
+            raise ValueError(f"damping must be in [0, 1), got {self.damping!r}")
+        if not _positive_int(self.bp_max_iter):
+            raise ValueError(f"bp_max_iter must be an int >= 1, got {self.bp_max_iter!r}")
         if self.method == "spd":
             if not self.deltas:
                 raise ValueError("spd sweeps need a non-empty deltas list")
@@ -215,19 +254,8 @@ class RunConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def build_lattice(self) -> Lattice:
-        spec = dict(self.lattice)
-        kind = spec.pop("kind")
-        if kind == "heavy_hex":
-            return heavy_hex(spec["rows"], spec["cols"])
-        if kind == "device_127":
-            return device_127()
-        if kind == "ring":
-            return ring(spec["n"])
-        if kind == "chain":
-            return chain(spec["n"])
-        if kind == "grid":
-            return grid(spec["rows"], spec["cols"])
-        return load_lattice(spec["path"])
+        build, keys = _LATTICES[self.lattice["kind"]]
+        return build(*(self.lattice[key] for key in keys))
 
     def points(self) -> list[tuple[float, str, float]]:
         """The sweep grid as (theta_h, param_name, param_value) triples."""
@@ -327,37 +355,6 @@ def _spd_template(
                 "come from a kick gate"
             )
     return rc
-
-
-class _Templates:
-    """The ``spd`` templates of one sweep, by fold class.
-
-    A template is built on first use, and again on the next use after a
-    failed build.  It is dropped once every angle of its class has taken
-    it, so that the sweep holds only the templates its remaining angles
-    need.  Two threads may build the same class at once; the results are
-    equal, so either may be kept.
-    """
-
-    def __init__(self, config: RunConfig, lattice: Lattice, word: PauliWord, thetas):
-        self._build = partial(_spd_template, config, lattice, word)
-        # a non-finite angle fails in its own points, before taking a template
-        self._left = Counter(_fold(t)[1] for t in thetas if math.isfinite(t))
-        self._built: dict[int, RecompiledCircuit] = {}
-        self._lock = Lock()
-
-    def __call__(self, fold: int) -> RecompiledCircuit:
-        with self._lock:
-            rc = self._built.get(fold)
-        if rc is None:
-            rc = self._build(fold)
-        with self._lock:
-            self._left[fold] -= 1
-            if self._left[fold] > 0:
-                self._built[fold] = rc
-            else:
-                self._built.pop(fold, None)
-        return rc
 
 
 def _angle_circuit(
@@ -488,8 +485,10 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
     The points of one angle run in order in one worker and share the
     angle's circuit (see ``_angle_circuit``).  For ``spd`` its
     angle-independent part is built and recompiled once per fold class, in
-    a template that lives no longer than this call (see ``_Templates``).
-    Up to ``workers`` angles run concurrently.  Rows emit in grid order
+    a template that this call keeps until it returns; a failed build is not
+    kept, so the next point of its class tries again.  Two workers may
+    build the same class at once; the results are equal, so either may be
+    kept.  Up to ``workers`` angles run concurrently.  Rows emit in grid order
     through a single writer, flushed per row, so a crash leaves a valid
     prefix of the table.
     """
@@ -507,7 +506,7 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         handle.flush()
-    templates = _Templates(config, lattice, word, [theta for theta, _ in angles])
+    templates = cache(partial(_spd_template, config, lattice, word))
     angle_rows = partial(_angle_rows, config, lattice, word, templates)
     rows: list[ResultRow] = []
 

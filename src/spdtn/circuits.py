@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator
 
@@ -137,11 +137,10 @@ class Circuit:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Simple undirected graph over sites 0..n-1 with optional 2D coordinates."""
+    """Simple undirected graph over sites 0..n-1."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    coords: dict[int, tuple[float, float]] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         seen = set()
@@ -188,11 +187,9 @@ def heavy_hex(rows: int, cols: int) -> Lattice:
         raise ValueError("rows and cols must be >= 1")
     width = 2 * cols + 1
     corner_id = {}
-    coords = {}
     for i in range(rows + 1):
         for j in range(width):
             corner_id[(i, j)] = len(corner_id)
-            coords[corner_id[(i, j)]] = (float(j), float(i))
     parent_edges = []
     for i in range(rows + 1):
         for j in range(width - 1):
@@ -205,13 +202,9 @@ def heavy_hex(rows: int, cols: int) -> Lattice:
     edges = []
     for k, (a, b) in enumerate(parent_edges):
         flag = len(corner_id) + k
-        coords[flag] = (
-            (coords[corner_id[a]][0] + coords[corner_id[b]][0]) / 2.0,
-            (coords[corner_id[a]][1] + coords[corner_id[b]][1]) / 2.0,
-        )
         edges.append((corner_id[a], flag))
         edges.append((flag, corner_id[b]))
-    return Lattice(n, tuple(edges), coords)
+    return Lattice(n, tuple(edges))
 
 
 def ring(n: int) -> Lattice:
@@ -239,8 +232,7 @@ def grid(rows: int, cols: int) -> Lattice:
                 edges.append((i, i + 1))
             if r + 1 < rows:
                 edges.append((i, i + cols))
-    coords = {r * cols + c: (float(c), float(r)) for r in range(rows) for c in range(cols)}
-    return Lattice(rows * cols, tuple(edges), coords)
+    return Lattice(rows * cols, tuple(edges))
 
 
 def load_lattice(path) -> Lattice:

@@ -315,7 +315,8 @@ def recompile(circuit: Circuit, observable) -> RecompiledCircuit:
     with coefficient 1).  Rotation angles fold to (-pi/4, pi/4]; axes are
     conjugated through the Clifford content earlier in circuit time; folded
     k*pi/2 parts and all named Cliffords accumulate in the tableau, which
-    finally transforms the observable.
+    finally transforms the observable.  Rotations on equal axes share one
+    ``PauliWord``.
     """
     from .spd import PauliSum
 
@@ -323,6 +324,9 @@ def recompile(circuit: Circuit, observable) -> RecompiledCircuit:
     nw = nwords64(n)
     acc = CliffordTableau.identity(n)
     rotations: list[Rotation] = []
+    # one word per distinct axis, so that rotations on the same axis share
+    # the kernel constants the word keeps
+    axes: dict[tuple[int, int], PauliWord] = {}
     for gate in circuit.gates():
         if gate.is_clifford:
             acc._absorb_named(gate.name, gate.qubits)
@@ -332,7 +336,10 @@ def recompile(circuit: Circuit, observable) -> RecompiledCircuit:
         if theta_p != 0.0:
             z, x, e = acc._conjugate(az, ax)
             sign = 1 - _sign_exponent(e)
-            rotations.append(Rotation(PauliWord(n, _row(z, x, nw)), sign * theta_p))
+            axis = axes.get((z, x))
+            if axis is None:
+                axis = axes[z, x] = PauliWord(n, _row(z, x, nw))
+            rotations.append(Rotation(axis, sign * theta_p))
         if k % 4:
             acc._absorb_half_turns(az, ax, k)
     if isinstance(observable, PauliWord):

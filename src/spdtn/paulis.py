@@ -27,13 +27,13 @@ raw bytes: AND, XOR and the parity of a popcount do not depend on the order
 of the bytes within a word, so a big-endian batch is never converted.  What
 they need of an axis (its words in the rows' byte order, the columns and
 masks of the parity fold, its Y count and the words that carry the phase) is
-derived once per axis and byte order and kept in a bounded memo.
+derived on the first use of the axis word with rows of one byte order and
+kept on the word, so it lives as long as the word does.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -52,7 +52,6 @@ __all__ = [
     "anticommute_mask",
     "mul_rows",
     "y_counts",
-    "clear_axis_cache",
 ]
 
 _PHASES = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
@@ -95,6 +94,8 @@ class PauliWord:
 
     n: int
     row: np.ndarray = field(repr=False)
+    # the batch kernels' constants of this word as an axis, by rows dtype
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nw = nwords64(self.n)
@@ -188,14 +189,8 @@ class PhasedWord:
         return f"PhasedWord({self.phase!r} * {format_pauli(self.word)!r})"
 
 
-# Every distinct axis of the templates a sweep is using must fit, or each
-# angle evicts the axes the next one needs: nine angles of a T = 20 sweep on
-# the 127-qubit device use 1,764.  An entry takes about 1.1 KB there.
-AXIS_CACHE_SIZE = 1 << 13
-
-
 class _Axis(NamedTuple):
-    """What the batch kernels need of one axis row, for rows of one dtype.
+    """What the batch kernels need of one axis word, for rows of one dtype.
 
     ``words`` is the axis written in the rows' byte order and viewed as
     native uint64, so that bitwise results on it and on the rows' raw words
@@ -215,41 +210,12 @@ class _Axis(NamedTuple):
     phase: tuple[tuple[int, np.ndarray | None], ...]
 
 
-_axes: dict[tuple, _Axis] = {}
-_axes_lock = threading.Lock()
-
-
-def clear_axis_cache() -> None:
-    """Forget the constants of every axis."""
-    with _axes_lock:
-        _axes.clear()
-
-
-def _axis(row, dtype: np.dtype) -> _Axis:
-    """The constants of axis ``row`` for rows of ``dtype``, derived once.
-
-    The memo is shared by every thread of the process.  A hit takes no lock
-    (a dict read is atomic); a miss derives and stores under the lock, so
-    each key is derived once, and the oldest entry goes when the memo holds
-    ``AXIS_CACHE_SIZE`` of them.
-    """
-    row = np.asarray(row)
-    key = (row.tobytes(), row.dtype, dtype)
-    axis = _axes.get(key)
-    if axis is None:
-        with _axes_lock:
-            axis = _axes.get(key)
-            if axis is None:
-                axis = _derive_axis(row, dtype)
-                if len(_axes) >= AXIS_CACHE_SIZE:
-                    del _axes[next(iter(_axes))]
-                _axes[key] = axis
-    return axis
-
-
-def _derive_axis(row: np.ndarray, dtype: np.dtype) -> _Axis:
-    # a copy, so that the entry holds no second array as the base of a view
-    words = np.asarray(row, dtype=dtype).view(np.uint64).copy()
+def _derive_axis(word: PauliWord, dtype: np.dtype) -> _Axis:
+    """The constants of ``word`` as an axis for rows of ``dtype``, stored on
+    the word for its later uses.  Two threads may derive them at once; the
+    results are equal, so either may be kept."""
+    # a copy, so that the constants hold no second array as the base of a view
+    words = np.asarray(word.row, dtype=dtype).view(np.uint64).copy()
     words.setflags(write=False)
     nw = words.shape[0] // 2
     masks = {int(w): np.array(words[w]) for w in words.nonzero()[0]}
@@ -259,49 +225,50 @@ def _derive_axis(row: np.ndarray, dtype: np.dtype) -> _Axis:
     phase = tuple(
         (w, masks.get(nw + w)) for w in range(nw) if w in masks or nw + w in masks
     )
-    return _Axis(words, fold, single, int(y_counts(words)), phase)
+    axis = word._kernels[dtype] = _Axis(words, fold, single, int(y_counts(words)), phase)
+    return axis
 
 
-def anticommute_mask(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Boolean mask of packed rows that anticommute with ``row``.
+def anticommute_mask(rows: np.ndarray, axis: PauliWord) -> np.ndarray:
+    """Boolean mask of packed rows that anticommute with the word ``axis``.
 
     Two words anticommute iff popcount(a.z & b.x) + popcount(a.x & b.z) is
     odd, which is the parity of one popcount of the XOR of every
     ``a.z[w] & b.x[w]`` and ``a.x[w] & b.z[w]``.  Only the words where
-    ``row`` is nonzero enter the fold; an identity ``row`` commutes with all.
+    ``axis`` is nonzero enter the fold; an identity ``axis`` commutes with all.
     """
     rows = np.asarray(rows)
-    axis = _axis(row, rows.dtype)
+    const = axis._kernels.get(rows.dtype) or _derive_axis(axis, rows.dtype)
     raw = rows.view(np.uint64)
     fold = None
-    for col, mask in axis.fold:
+    for col, mask in const.fold:
         if fold is None:
             fold = raw[..., col] & mask
         else:
             fold ^= raw[..., col] & mask
     if fold is None:
         return np.zeros(raw.shape[:-1], dtype=bool)
-    if axis.single:
+    if const.single:
         return fold.astype(bool)
     parity = np.bitwise_count(fold)
     parity &= 1
     return parity.view(bool)
 
 
-def mul_rows(left: np.ndarray, rights: np.ndarray, out: np.ndarray | None = None):
-    """Products ``op(left) @ op(rights[k])`` for a batch of packed rows.
+def mul_rows(axis: PauliWord, rights: np.ndarray, out: np.ndarray | None = None):
+    """Products ``op(axis) @ op(rights[k])`` for a batch of packed rows.
 
-    Returns ``(prod_rows, k)`` with ``op(left) op(r) = i^k op(left ^ r)``;
+    Returns ``(prod_rows, k)`` with ``op(axis) op(r) = i^k op(axis ^ r)``;
     ``prod_rows`` has the dtype (byte order) of ``rights``.  With ``out``
     (of the shape and dtype of ``rights``, and ``rights`` itself allowed)
     the products are written there.  The exponent follows from counting
     Y-normalization factors on each operand and the product plus the
     X-past-Z swaps:
 
-        k = y(c) - y(left) - y(r) + 2 * |left.x & r.z|   (mod 4)
+        k = y(c) - y(axis) - y(r) + 2 * |axis.x & r.z|   (mod 4)
 
-    On a word where ``left`` is zero, c equals r, so ``y(c) - y(r)`` and the
-    swaps are summed over the nonzero words of ``left`` only; the terms of r
+    On a word where ``axis`` is zero, c equals r, so ``y(c) - y(r)`` and the
+    swaps are summed over the nonzero words of ``axis`` only; the terms of r
     are counted before the product overwrites it.
     """
     rights = np.asarray(rights)
@@ -310,17 +277,17 @@ def mul_rows(left: np.ndarray, rights: np.ndarray, out: np.ndarray | None = None
     elif out.shape != rights.shape or out.dtype != rights.dtype:
         raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}, "
                          f"rights {rights.shape} and {rights.dtype}")
-    axis = _axis(left, rights.dtype)
+    const = axis._kernels.get(rights.dtype) or _derive_axis(axis, rights.dtype)
     raw = rights.view(np.uint64)
     nw = raw.shape[-1] // 2
-    k = np.full(raw.shape[:-1], -axis.y, dtype=np.int64)
-    for w, x in axis.phase:
+    k = np.full(raw.shape[:-1], -const.y, dtype=np.int64)
+    for w, x in const.phase:
         k -= np.bitwise_count(raw[..., w] & raw[..., nw + w])
         if x is not None:
             k += 2 * np.bitwise_count(raw[..., w] & x)
     prod = out.view(np.uint64)
-    np.bitwise_xor(raw, axis.words, out=prod)
-    for w, _ in axis.phase:
+    np.bitwise_xor(raw, const.words, out=prod)
+    for w, _ in const.phase:
         k += np.bitwise_count(prod[..., w] & prod[..., nw + w])
     k &= 3
     return out, k
@@ -330,7 +297,7 @@ def pauli_mul(a: PauliWord, b: PauliWord) -> PhasedWord:
     """Product of two canonical words: ``op(a) op(b) = phase * op(c)``."""
     if a.n != b.n:
         raise ValueError(f"site counts differ: {a.n} != {b.n}")
-    prod, k = mul_rows(a.row, b.row[None, :])
+    prod, k = mul_rows(a, b.row[None, :])
     return PhasedWord(PauliWord(a.n, prod[0]), complex(_PHASES[k[0]]))
 
 
@@ -338,7 +305,7 @@ def anticommutes(a: PauliWord, b: PauliWord) -> bool:
     """True when the two words anticommute."""
     if a.n != b.n:
         raise ValueError(f"site counts differ: {a.n} != {b.n}")
-    return bool(anticommute_mask(a.row[None, :], b.row)[0])
+    return bool(anticommute_mask(a.row[None, :], b)[0])
 
 
 _TOKEN = re.compile(r"([XYZ])(\d+)\Z")

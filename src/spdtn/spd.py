@@ -13,8 +13,9 @@ its bytes and no pass re-serializes the sum.  Each gate runs as:
 
 (1) one parity fold over the axis's nonzero words gives the indices of the
     anticommuting terms; with none, the sum is returned as it is.  The
-    axis's fold and phase constants are derived once per axis and kept in
-    a memo (see ``paulis``);
+    axis's fold and phase constants are derived on the word's first use
+    and kept on the word (see ``paulis``), so the rotations that share an
+    axis word share them;
 (2) their rows are gathered whole and multiplied by sigma in place;
 (3) every product is binary-searched among the stored keys; a product found
     adds to its resident coefficient, and the missing ones that reach the
@@ -207,7 +208,7 @@ def apply_rotation(
         raise ValueError(f"axis on {axis.n} sites, sum on {s.n}")
     if not delta >= 0:
         raise ValueError(f"delta must be >= 0, got {delta!r}")
-    anti = anticommute_mask(s.words, axis.row).nonzero()[0]
+    anti = anticommute_mask(s.words, axis).nonzero()[0]
     if anti.size == 0:
         return s
     sin_t = np.sin(theta)
@@ -218,7 +219,7 @@ def apply_rotation(
         return PauliSum._of(s.n, s.words, coeffs).truncate(delta)
     rows = _row_view(s.words)
     prod = _from_rows(rows.take(anti))
-    prod, k = mul_rows(axis.row, prod, out=prod)
+    prod, k = mul_rows(axis, prod, out=prod)
     # copied only now, so that the copy and the temporaries of mul_rows are
     # never alive together
     coeffs = s.coeffs.copy()

@@ -333,17 +333,6 @@ def empty_plan_cache():
 
 
 @pytest.fixture
-def empty_axis_cache():
-    """Start and end a test with no memoized axis constants, so what it
-    counts or races does not depend on the tests run before it."""
-    from spdtn import paulis
-
-    paulis.clear_axis_cache()
-    yield
-    paulis.clear_axis_cache()
-
-
-@pytest.fixture
 def greedy_calls(monkeypatch, empty_plan_cache) -> list:
     """A list that grows by one on each ``greedy_path`` call made through
     ``spdtn.tensor``, that is, on each contraction planned afresh."""

@@ -1,5 +1,6 @@
 """Sweep driver, CSV schema, convergence diagnostics, and the CLI."""
 
+import gc
 import hashlib
 import json
 import math
@@ -147,6 +148,52 @@ class TestRunConfig:
     def test_max_terms_must_be_a_positive_int(self, max_terms):
         with pytest.raises(ValueError, match="max_terms must be an int >= 1"):
             spd_config(max_terms=max_terms)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("damping", 1.0, r"damping must be in \[0, 1\), got 1.0"),
+            ("damping", -0.1, r"damping must be in \[0, 1\)"),
+            ("damping", math.nan, r"damping must be in \[0, 1\)"),
+            ("damping", "0.5", r"damping must be in \[0, 1\)"),
+            ("kappa", -1, "kappa must be a number >= 0, got -1"),
+            ("kappa", math.nan, "kappa must be a number >= 0"),
+            ("bp_tol", -1e-6, "bp_tol must be a number >= 0"),
+            ("bp_tol", math.nan, "bp_tol must be a number >= 0"),
+            ("bp_tol", True, "bp_tol must be a number >= 0"),
+            ("bp_max_iter", 0, "bp_max_iter must be an int >= 1, got 0"),
+            ("bp_max_iter", 2.5, "bp_max_iter must be an int >= 1"),
+            ("bp_max_iter", True, "bp_max_iter must be an int >= 1"),
+        ],
+    )
+    def test_bp_and_compression_knobs_must_be_in_range(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            spd_config(method="mix", deltas=[], chis=[2], **{key: value})
+
+    def test_bp_and_compression_knobs_at_their_limits(self):
+        cfg = spd_config(method="mix", deltas=[], chis=[2], damping=0.99, kappa=0,
+                         bp_tol=0.0, bp_max_iter=1)
+        assert (cfg.damping, cfg.kappa, cfg.bp_tol, cfg.bp_max_iter) == (0.99, 0, 0.0, 1)
+
+    @pytest.mark.parametrize(
+        "lattice, message",
+        [
+            ({"kind": "ring"}, "ring lattice needs the key 'n'"),
+            ({"kind": "heavy_hex", "rows": 1}, "heavy_hex lattice needs the key 'cols'"),
+            ({"kind": "ring", "n": "5"}, "lattice n must be an int >= 1, got '5'"),
+            ({"kind": "chain", "n": True}, "lattice n must be an int >= 1, got True"),
+            ({"kind": "grid", "rows": 2, "cols": 0}, "lattice cols must be an int >= 1"),
+            ({"kind": "grid", "rows": 2.0, "cols": 3}, "lattice rows must be an int >= 1"),
+            ({"kind": "file", "path": 3}, "lattice path must be a string, got 3"),
+            ({"kind": "ring", "n": 5, "extra": 1}, r"unknown ring lattice keys: \['extra'\]"),
+            ({"kind": "device_127", "n": 127}, r"unknown device_127 lattice keys: \['n'\]"),
+            ({"n": 5}, "unknown lattice kind None"),
+            (["ring", 5], "unknown lattice kind None"),
+        ],
+    )
+    def test_malformed_lattice_spec(self, lattice, message):
+        with pytest.raises(ValueError, match=message):
+            spd_config(lattice=lattice)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match=r"unknown config keys: \['volume'\]"):
@@ -327,22 +374,22 @@ class TestSweep:
         alone = [bench.run_point(cfg, lattice, word, *point) for point in cfg.points()]
         assert rows == alone
 
-    def test_axis_constants_derived_once_per_axis(self, monkeypatch, empty_axis_cache):
-        """The angles of a fold class share its template's axes, so a sweep
-        derives each axis's kernel constants once and reads them from the
-        memo at every other rotation on that axis."""
+    def test_axis_constants_derived_once_per_axis(self, monkeypatch):
+        """The angles of a fold class share its template's axis words, so a
+        sweep derives each word's kernel constants once and reads them from
+        the word at every other rotation on that axis."""
         from spdtn import spd
 
         derived, used = [], []
         derive, mask = paulis._derive_axis, spd.anticommute_mask
 
-        def counting_derive(row, dtype):
-            derived.append(row.tobytes())
-            return derive(row, dtype)
+        def counting_derive(word, dtype):
+            derived.append(word)
+            return derive(word, dtype)
 
-        def counting_mask(rows, row):
-            used.append(row.tobytes())
-            return mask(rows, row)
+        def counting_mask(rows, axis):
+            used.append(axis)
+            return mask(rows, axis)
 
         monkeypatch.setattr(paulis, "_derive_axis", counting_derive)
         monkeypatch.setattr(spd, "anticommute_mask", counting_mask)
@@ -351,16 +398,19 @@ class TestSweep:
             theta_h=[0.2, 0.5, 0.9, 1.2], deltas=[1e-2, 1e-3],
         )
         sweep(cfg)
-        assert len(derived) == len(set(derived)) == len(set(used)) > 10
-        assert set(derived) == set(used)
+        # the lists hold the words, so no id is reused
+        derived_ids, used_ids = [id(w) for w in derived], {id(w) for w in used}
+        assert len(derived_ids) == len(set(derived_ids)) == len(used_ids) > 10
+        assert set(derived_ids) == used_ids
         # 0.2 and 0.5 fold to k = 0, 0.9 and 1.2 to k = 1: four points a class
         assert len(used) >= 4 * len(derived)
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_multi_delta_csv_same_for_any_workers(self, tmp_path, workers):
         """Also for ``mix``, whose angles' threads share the contraction plan
-        cache, and for ``spd``, whose threads share the memo of axis
-        constants: from cold caches they race to fill them."""
+        cache, and for ``spd``, whose threads share the templates and the
+        constants their axis words keep: from cold caches they race to fill
+        them."""
         theta_h = [0.0, 0.3, 0.6, 1.2]
         for cfg in (
             spd_config(theta_h=theta_h, deltas=[1e-2, 1e-3]),
@@ -374,7 +424,6 @@ class TestSweep:
             ),
         ):
             tensor.clear_plan_cache()
-            paulis.clear_axis_cache()
             one, many = tmp_path / "one.csv", tmp_path / "many.csv"
             sweep(cfg, out=many, workers=workers)
             sweep(cfg, out=one, workers=1)
@@ -536,46 +585,34 @@ class TestFoldClassTemplates:
             "does not come from a kick gate"
         )
 
-    def test_template_lifetime_in_one_worker(self, monkeypatch):
-        """In one worker a class's template is kept while an angle of its
-        class is left, and dropped once its last angle has taken it."""
+    def test_no_template_outlives_its_sweep(self, monkeypatch):
+        """One worker builds each class's template once; once the sweep
+        returns, no template is reachable, with one worker or two."""
         from spdtn import bench
 
-        built = {}
+        built = []
         build = bench._spd_template
-        run = bench.run_spd
-        alive = []
 
-        def tracked(config, lattice, word, fold):
-            rc = build(config, lattice, word, fold)
-            built[fold] = weakref.ref(rc)
+        def tracked(*args):
+            rc = build(*args)
+            built.append(weakref.ref(rc))
             return rc
 
-        def probe(rc, *args, **kwargs):
-            alive.append(sorted(f for f, ref in built.items() if ref() is not None))
-            return run(rc, *args, **kwargs)
-
         monkeypatch.setattr(bench, "_spd_template", tracked)
-        monkeypatch.setattr(bench, "run_spd", probe)
-        sweep(spd_config(theta_h=[0.1, 0.9, 0.3, 1.2], deltas=[1e-2, 0.0]))
-        assert alive == [[0], [0], [0, 1], [0, 1], [1], [1], [], []]
+        cfg = spd_config(theta_h=[0.1, 0.9, 0.3, 1.2], deltas=[1e-2, 0.0])
+        for workers in (1, 2):
+            built.clear()
+            rows = sweep(cfg, workers=workers)
+            gc.collect()
+            assert len(rows) == 8 and not any(r.flagged for r in rows)
+            assert len(built) == 2 if workers == 1 else len(built) >= 2
+            assert all(ref() is None for ref in built)
 
-    def test_threads_share_templates_without_lost_updates(self, monkeypatch):
+    def test_threads_share_templates_without_lost_updates(self):
         """More threads than cores, switching often, on angles of all four
-        fold classes: the rows are those of one worker, and every class's
-        count of angles left reaches zero with its template dropped."""
-        from spdtn import bench
-
-        made = []
-        make = bench._Templates
-
-        def recording(*args):
-            made.append(make(*args))
-            return made[-1]
-
-        monkeypatch.setattr(bench, "_Templates", recording)
+        fold classes, whose first angles start together: the rows are those
+        of one worker."""
         cfg = spd_config(
-            # the first angles of each class start together
             theta_h=[k * math.pi / 2 + d for k in range(4) for d in (0.1, 0.2, -0.3, 0.4)],
             deltas=[1e-2, 0.0],
         )
@@ -587,9 +624,6 @@ class TestFoldClassTemplates:
         finally:
             sys.setswitchinterval(interval)
         assert rows == alone
-        for templates in made:
-            assert set(templates._left) == {-1, 0, 1, 2}
-            assert not any(templates._left.values()) and not templates._built
 
     def test_sweeps_in_one_process_match_each_alone(self):
         """Sweeps that differ in steps, lattice, observable and extra RX
@@ -948,6 +982,35 @@ class TestCli:
         out = tmp_path / "rows.csv"
         assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 2
         assert "deltas must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("damping", 1.0, "damping must be in [0, 1)"),
+            ("kappa", -1, "kappa must be a number >= 0"),
+            ("bp_tol", -1e-6, "bp_tol must be a number >= 0"),
+            ("bp_max_iter", 0, "bp_max_iter must be an int >= 1"),
+            ("lattice", {"kind": "ring"}, "ring lattice needs the key 'n'"),
+            ("lattice", {"kind": "ring", "n": "6"}, "lattice n must be an int >= 1"),
+            ("lattice", {"kind": "ring", "n": 6, "extra": 1}, "unknown ring lattice keys"),
+        ],
+    )
+    def test_bad_knob_or_lattice_exit_two(self, tmp_path, capsys, key, value, message):
+        """Damping 1 used to freeze the BP messages and write a clean row of
+        5.23e-09 where the value is 0.765674, a negative kappa to run, and a
+        lattice without its size to end in a KeyError traceback."""
+        doc = {
+            "lattice": {"kind": "ring", "n": 6}, "observable": "Z0", "steps": 3,
+            "method": "mix", "theta_h": [0.7], "chis": [2], "lightcone": False,
+            key: value,
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rows.csv"
+        assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(

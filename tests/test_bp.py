@@ -148,6 +148,23 @@ class TestModesAndDamping:
             vals = np.linalg.eigvalsh(m)
             assert vals.min() >= -1e-10
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(damping=1.0), r"damping must be in \[0, 1\)"),
+            (dict(damping=-0.1), r"damping must be in \[0, 1\)"),
+            (dict(damping=math.nan), r"damping must be in \[0, 1\)"),
+            (dict(tol=-1e-6), "tol must be >= 0"),
+            (dict(tol=math.nan), "tol must be >= 0"),
+        ],
+    )
+    def test_out_of_range_damping_or_tol_rejected(self, rng, kwargs, message):
+        """At damping 1 the messages never move, so BP would report
+        convergence at its uniform start."""
+        sites, _ = random_tree_sites(rng, 3)
+        with pytest.raises(ValueError, match=message):
+            bp_iterate(SiteNetwork(sites), **kwargs)
+
     def test_damping_reaches_same_fixed_point(self, rng):
         sites, _ = random_tree_sites(rng, n_sites=8, max_dim=3)
         sn = SiteNetwork(sites)

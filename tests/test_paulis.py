@@ -91,7 +91,7 @@ class TestProducts:
         n = 70
         left = random_word(rng, n)
         rights = [random_word(rng, n) for _ in range(25)]
-        prod, k = mul_rows(left.row, np.stack([r.row for r in rights]))
+        prod, k = mul_rows(left, np.stack([r.row for r in rights]))
         for i, r in enumerate(rights):
             one = pauli_mul(left, r)
             assert PauliWord(n, prod[i]) == one.word
@@ -220,7 +220,7 @@ KERNEL_SITES = (1, 63, 64, 65, 127, 128, 139, 200)
 @st.composite
 def row_batches(draw):
     """A batch of packed rows with any leading shape and either byte order,
-    and one axis row: the identity, a few sites around the 64-bit word
+    and one axis word: the identity, a few sites around the 64-bit word
     boundaries, or random bits."""
     n = draw(st.sampled_from(KERNEL_SITES))
     nw = nwords64(n)
@@ -247,8 +247,7 @@ def row_batches(draw):
         axis = PauliWord.from_sites(n, z=set(sites), x=set(xs))
     else:
         axis = random_word(rng, n, p=draw(st.sampled_from([0.05, 0.5])))
-    axis_order = draw(st.sampled_from(["=u8", ">u8"]))
-    return rows.astype(order), axis.row.astype(axis_order)
+    return rows.astype(order), axis
 
 
 class TestBatchKernels:
@@ -257,7 +256,7 @@ class TestBatchKernels:
     def test_anticommute_mask_matches_reference(self, case):
         rows, axis = case
         got = anticommute_mask(rows, axis)
-        want = ref.anticommute_mask(rows.astype(np.uint64), axis.astype(np.uint64))
+        want = ref.anticommute_mask(rows.astype(np.uint64), axis.row)
         assert np.shape(got) == np.shape(want) == rows.shape[:-1]
         assert np.asarray(got).dtype == bool
         assert np.array_equal(got, want)
@@ -267,7 +266,7 @@ class TestBatchKernels:
     def test_mul_rows_matches_reference(self, case):
         rights, left = case
         prod, k = mul_rows(left, rights)
-        want_prod, want_k = ref.mul_rows(left.astype(np.uint64), rights.astype(np.uint64))
+        want_prod, want_k = ref.mul_rows(left.row, rights.astype(np.uint64))
         assert prod.dtype == rights.dtype
         assert prod.shape == rights.shape
         assert np.array_equal(prod, want_prod)
@@ -276,7 +275,7 @@ class TestBatchKernels:
 
     def test_identity_axis_commutes_with_all(self, rng):
         rows = rng.integers(0, 2**64, size=(5, 3, 6), dtype=np.uint64)
-        mask = anticommute_mask(rows.astype(">u8"), PauliWord.identity(139).row)
+        mask = anticommute_mask(rows.astype(">u8"), PauliWord.identity(139))
         assert mask.shape == (5, 3) and not mask.any()
 
     def test_pack_keys_is_a_view_of_stored_rows(self, rng):
@@ -289,12 +288,12 @@ class TestBatchKernels:
         assert not np.shares_memory(pack_keys(rows), rows)
 
 
-# -- memoized axis constants ----------------------------------------------------
+# -- axis constants kept on the word -------------------------------------------
 
 
 def _axis_cases(n: int) -> dict[str, PauliWord]:
-    """Axes of every shape the memo distinguishes: one bit, several bits in
-    one word of z or x, words on both sides of the 64-bit boundary, Y
+    """Axes of every shape the constants distinguish: one bit, several bits
+    in one word of z or x, words on both sides of the 64-bit boundary, Y
     letters, and the identity."""
     last = n - 1
     return {
@@ -311,82 +310,64 @@ def _axis_cases(n: int) -> dict[str, PauliWord]:
 
 class TestAxisConstants:
     @pytest.mark.parametrize("n", [65, 127])
-    def test_kernels_match_reference_on_miss_and_hit(self, rng, n, empty_axis_cache):
+    def test_kernels_match_reference_on_miss_and_hit(self, rng, n):
         """Each axis is used on native and big-endian rows, each twice: the
         first call of each byte order derives the constants, the second
-        reads them from the memo."""
+        reads them from the word."""
         rows = random_rows(rng, n, 200)
         for name, axis in _axis_cases(n).items():
             want_mask = ref.anticommute_mask(rows, axis.row)
             want_prod, want_k = ref.mul_rows(axis.row, rows)
             for order in ("=u8", ">u8", "=u8", ">u8"):
                 batch = rows.astype(order)
-                assert np.array_equal(anticommute_mask(batch, axis.row), want_mask), name
-                prod, k = mul_rows(axis.row, batch)
+                assert np.array_equal(anticommute_mask(batch, axis), want_mask), name
+                prod, k = mul_rows(axis, batch)
                 assert prod.dtype == batch.dtype
                 assert np.array_equal(prod, want_prod) and np.array_equal(k, want_k), name
                 inplace = batch.copy()
-                prod, k = mul_rows(axis.row, inplace, out=inplace)
+                prod, k = mul_rows(axis, inplace, out=inplace)
                 assert prod is inplace
                 assert np.array_equal(prod, want_prod) and np.array_equal(k, want_k), name
-        assert len(paulis._axes) == 2 * len(_axis_cases(n))
+            assert set(axis._kernels) == {np.dtype("=u8"), np.dtype(">u8")}, name
 
-    def test_single_bit_folds(self, empty_axis_cache):
+    def test_constants_stay_out_of_equality_and_repr(self):
+        used, fresh = PauliWord.from_sites(65, x=[1]), PauliWord.from_sites(65, x=[1])
+        anticommute_mask(random_rows(np.random.default_rng(0), 65, 3), used)
+        assert used._kernels and not fresh._kernels
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+
+    def test_single_bit_folds(self):
         """Weight-1 axes fold to one bit and take the nonzero test; every
         other axis takes the popcount parity."""
         dtype = np.dtype(">u8")
         single = {name for name, axis in _axis_cases(127).items()
-                  if paulis._axis(axis.row, dtype).single}
+                  if paulis._derive_axis(axis, dtype).single}
         assert single == {"x1", "z1", "y1"}
 
     def test_mul_rows_out_must_match(self, rng):
         rows = random_rows(rng, 65, 4)
-        axis = PauliWord.from_sites(65, x=[1]).row
+        axis = PauliWord.from_sites(65, x=[1])
         for out in (np.empty((3, 4), dtype=np.uint64), rows.astype(">u8")):
             with pytest.raises(ValueError, match="out has shape"):
                 mul_rows(axis, rows, out=out)
 
-    def test_bound_evicts_oldest(self, rng, monkeypatch, empty_axis_cache):
-        monkeypatch.setattr(paulis, "AXIS_CACHE_SIZE", 2)
-        derived = []
-        inner = paulis._derive_axis
-
-        def counting(row, dtype):
-            derived.append(row.tobytes())
-            return inner(row, dtype)
-
-        monkeypatch.setattr(paulis, "_derive_axis", counting)
-        rows = random_rows(rng, 65, 10)
-        axes = [PauliWord.from_sites(65, x=[j]).row for j in range(3)]
-        for j in (0, 1, 0, 2):  # a hit on 0, then 2 evicts 0, the oldest
-            anticommute_mask(rows, axes[j])
-        assert len(derived) == 3 and len(paulis._axes) == 2
-        anticommute_mask(rows, axes[1])
-        assert len(derived) == 3
-        anticommute_mask(rows, axes[0])
-        assert derived[-1] == axes[0].tobytes() and len(derived) == 4
-        assert len(paulis._axes) == 2
-
-    def test_threads_derive_each_axis_once(self, rng, monkeypatch, empty_axis_cache):
-        """Four threads race over the same axes from an empty memo, with a
-        short switch interval: every axis is derived once, and every mask
-        matches the reference."""
-        derived = []
-        inner = paulis._derive_axis
-
-        def counting(row, dtype):
-            derived.append(row.tobytes())
-            return inner(row, dtype)
-
-        monkeypatch.setattr(paulis, "_derive_axis", counting)
+    def test_threads_sharing_axis_words_match_reference(self, rng):
+        """Four threads race over the same fresh axis words, with a short
+        switch interval, so they derive and store the words' constants
+        together: every mask and product matches the reference."""
         rows = random_rows(rng, 127, 50).astype(">u8")
-        axes = [random_word(rng, 127, p=0.1).row for _ in range(40)]
-        want = [ref.anticommute_mask(rows.astype(np.uint64), a) for a in axes]
+        axes = [random_word(rng, 127, p=0.1) for _ in range(40)]
+        native = rows.astype(np.uint64)
+        want = [(ref.anticommute_mask(native, a.row), *ref.mul_rows(a.row, native))
+                for a in axes]
         wrong = []
 
         def work():
-            for a, w in zip(axes, want):
-                if not np.array_equal(anticommute_mask(rows, a), w):
+            for a, (mask, prod, k) in zip(axes, want):
+                got_prod, got_k = mul_rows(a, rows)
+                if not (np.array_equal(anticommute_mask(rows, a), mask)
+                        and np.array_equal(got_prod, prod) and np.array_equal(got_k, k)):
                     wrong.append(a)
 
         interval = sys.getswitchinterval()
@@ -401,7 +382,7 @@ class TestAxisConstants:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not wrong
-        assert sorted(derived) == sorted({a.tobytes() for a in axes})
+        assert all(set(a._kernels) == {np.dtype(">u8")} for a in axes)
 
 
 def random_rows(rng, n: int, count: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -21,3 +22,12 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_resolve(path):
+    """Every name a module exports in ``__all__`` exists, so deleting a
+    function also deletes its export."""
+    module = importlib.import_module("spdtn" if path.stem == "__init__" else f"spdtn.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{path.name} exports missing names {missing}"

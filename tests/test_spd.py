@@ -503,6 +503,31 @@ class TestTraceHooks:
 # -- chunked merge, purity and working memory ---------------------------------
 
 
+    def test_device_run_derives_constants_once_per_distinct_axis(self, monkeypatch):
+        """The T = 20 device circuit at 7*pi/32 recompiles to 1,637 rotations
+        on 254 distinct axes, one word each: a run derives 254 sets of
+        kernel constants, all on big-endian rows."""
+        from spdtn import device_127, kicked_ising, lightcone_prune, paulis
+
+        word = parse_pauli("Z62", 127)
+        circuit = kicked_ising(device_127(), 20, 7 * math.pi / 32)
+        rc = recompile(lightcone_prune(circuit, word.support()), word)
+        assert len(rc.rotations) == 1637
+        assert len({id(rot.axis) for rot in rc.rotations}) == len(
+            {rot.axis for rot in rc.rotations}) == 254
+        derived = []
+        derive = paulis._derive_axis
+
+        def counting(axis, dtype):
+            derived.append(dtype)
+            return derive(axis, dtype)
+
+        monkeypatch.setattr(paulis, "_derive_axis", counting)
+        result = run_spd(rc, delta=8e-3)
+        assert result.final_terms > 0  # every rotation ran
+        assert derived == [np.dtype(">u8")] * 254
+
+
 class TestChunkedMerge:
     @pytest.mark.parametrize("delta", [0.0, 1e-3])
     @pytest.mark.parametrize("chunk", [1, 3, 16])

@@ -354,6 +354,9 @@ class TestRunTn:
             run_tn(circuit, word, "mps", chi=4)
         with pytest.raises(ValueError, match="chi"):
             run_tn(circuit, word, "mix", chi=0)
+        for kappa in (-1, math.nan):
+            with pytest.raises(ValueError, match="kappa must be >= 0"):
+                run_tn(circuit, word, "mix", chi=4, kappa=kappa)
         with pytest.raises(ValueError, match="single Pauli word"):
             run_tn(
                 circuit,
