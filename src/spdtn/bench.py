@@ -164,9 +164,9 @@ class RunConfig:
     - "theta_h": list of angles (default k*pi/32 for k = 0..16)
     - "deltas": truncation thresholds (spd only, required there)
     - "chis": bond dimensions (peps/pepo/mix only, required there)
-    - "kappa": compression cutoff >= 0 (default 5e-6)
+    - "kappa": finite compression cutoff >= 0 (default 5e-6)
     - "bp_tol", "bp_max_iter", "damping": message-passing controls, a
-      tolerance >= 0, an int >= 1 and a damping in [0, 1)
+      finite tolerance >= 0, an int >= 1 and a damping in [0, 1)
     - "extra_x_layer": append one trailing RX layer (default false)
     - "lightcone": prune gates outside the observable's cone (default true)
     - "seed": recorded in the digest for provenance (default 0)
@@ -210,8 +210,11 @@ class RunConfig:
         if self.max_terms is not None and not _positive_int(self.max_terms):
             raise ValueError(f"max_terms must be an int >= 1, got {self.max_terms!r}")
         for name in ("kappa", "bp_tol"):
-            if not _nonnegative(getattr(self, name)):
-                raise ValueError(f"{name} must be a number >= 0, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not _nonnegative(value):
+                raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (_nonnegative(self.damping) and self.damping < 1):
             raise ValueError(f"damping must be in [0, 1), got {self.damping!r}")
         if not _positive_int(self.bp_max_iter):

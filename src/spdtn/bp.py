@@ -237,8 +237,9 @@ def bp_iterate(
     """
     if mode not in ("one-norm", "two-norm"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    if not 0 <= tol < math.inf:
+        # at infinity every call would stop "converged" after one sweep
+        raise ValueError(f"tol must be >= 0 and finite, got {tol!r}")
     if not 0 <= damping < 1:
         # at 1 the messages never move, and BP "converges" at its start
         raise ValueError(f"damping must be in [0, 1), got {damping!r}")

@@ -13,7 +13,6 @@ a rotation like any other; recompilation folds it to a pure Clifford.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -21,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .paulis import PauliWord, format_pauli, parse_pauli
+from .paulis import PauliWord
 
 __all__ = [
     "Gate",
@@ -38,8 +37,6 @@ __all__ = [
     "lightcone_prune",
     "gate_matrix",
     "PAULI_BASIS",
-    "circuit_to_json",
-    "circuit_from_json",
 ]
 
 CLIFFORD_GATES = frozenset({"h", "s", "sdg", "x", "y", "z", "cx", "cz"})
@@ -85,18 +82,6 @@ class Gate:
     def is_clifford(self) -> bool:
         return self.name in CLIFFORD_GATES
 
-    def axis_word(self, n: int) -> PauliWord:
-        """Rotation axis as a PauliWord over n sites."""
-        if self.name == "rot":
-            return self.axis
-        if self.name in _AXIS_LETTERS:
-            text = f"{_AXIS_LETTERS[self.name]}{self.qubits[0]}"
-        elif self.name == "rzz":
-            text = f"Z{self.qubits[0]} Z{self.qubits[1]}"
-        else:
-            raise ValueError(f"{self.name!r} is not a rotation")
-        return parse_pauli(text, n)
-
 
 @dataclass(frozen=True)
 class Layer:
@@ -128,11 +113,6 @@ class Circuit:
     @property
     def num_gates(self) -> int:
         return sum(len(layer.gates) for layer in self.layers)
-
-    @property
-    def num_steps(self) -> int:
-        """Number of distinct step groups (trailing extra layers count as one)."""
-        return len({layer.step for layer in self.layers})
 
 
 @dataclass(frozen=True)
@@ -390,31 +370,3 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         w = np.kron(w, _SITE_MATS[letter])
     half = 0.5 * gate.angle
     return math.cos(half) * np.eye(w.shape[0], dtype=complex) - 1j * math.sin(half) * w
-
-
-def circuit_to_json(circuit: Circuit) -> str:
-    gates_out = []
-    for layer in circuit.layers:
-        gl = []
-        for g in layer.gates:
-            d: dict = {"name": g.name, "qubits": list(g.qubits)}
-            if g.angle is not None:
-                d["angle"] = g.angle
-            if g.axis is not None:
-                d["axis"] = format_pauli(g.axis)
-            gl.append(d)
-        gates_out.append({"tag": layer.tag, "step": layer.step, "gates": gl})
-    return json.dumps({"n": circuit.n, "layers": gates_out}, indent=1)
-
-
-def circuit_from_json(text: str) -> Circuit:
-    doc = json.loads(text)
-    n = doc["n"]
-    layers = []
-    for ld in doc["layers"]:
-        gates = []
-        for gd in ld["gates"]:
-            axis = parse_pauli(gd["axis"], n) if "axis" in gd else None
-            gates.append(Gate(gd["name"], tuple(gd["qubits"]), gd.get("angle"), axis))
-        layers.append(Layer(tuple(gates), tag=ld.get("tag", ""), step=ld.get("step", -1)))
-    return Circuit(n, tuple(layers))

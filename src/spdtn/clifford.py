@@ -10,9 +10,9 @@ of rows use the ``mul_rows`` phase rule written for ints,
     op(a) op(b) = i^k op(a ^ b),  k = y(a^b) - y(a) - y(b) + 2|a.x & b.z|,
 
 with ``y`` the Y-site count ``(z & x).bit_count()``, so conjugation is
-integer bit arithmetic only.  Packed uint64 rows appear only at the API
-boundary: ``words``/``signs``, ``conjugate``, the rotation axes and the
-transformed observable of ``recompile``.
+integer bit arithmetic only.  Packed ``PauliWord`` rows appear only where
+words enter or leave: ``conjugate``, the rotation axes and the transformed
+observable of ``recompile``.
 
 ``recompile`` rewrites a Clifford + Pauli-rotation circuit as an equivalent
 sequence of pure Pauli rotations followed by one residual Clifford: it scans
@@ -114,31 +114,16 @@ class CliffordTableau:
 
     __slots__ = ("n", "_z", "_x", "_e")
 
-    def __init__(self, n: int, words: np.ndarray, signs: np.ndarray):
-        words = np.asarray(words, dtype=np.uint64)
-        signs = np.asarray(signs)
-        nw = nwords64(n)
-        if words.shape != (2 * n, 2 * nw) or signs.shape != (2 * n,):
-            raise ValueError("tableau arrays have wrong shape")
-        if not np.isin(signs, (1, -1)).all():
-            raise ValueError("tableau signs must be +1 or -1")
-        self.n = n
-        rows = [_ints(r, nw) for r in words]
-        self._z = [z for z, _ in rows]
-        self._x = [x for _, x in rows]
-        self._e = [0 if s == 1 else 2 for s in signs.tolist()]
-
-    @classmethod
-    def _from_ints(cls, n: int, z: list[int], x: list[int], e: list[int]) -> "CliffordTableau":
-        t = cls.__new__(cls)
-        t.n, t._z, t._x, t._e = n, z, x, e
-        return t
+    def __init__(self, n: int, z: list[int], x: list[int], e: list[int]):
+        """Row g of the tableau is ``i^e[g] op(z[g], x[g])``; the lists are
+        taken as they are, not copied."""
+        self.n, self._z, self._x, self._e = n, z, x, e
 
     @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
         nwords64(n)  # rejects n < 1
         bits = [1 << j for j in range(n)]
-        return cls._from_ints(n, [0] * n + bits, bits + [0] * n, [0] * (2 * n))
+        return cls(n, [0] * n + bits, bits + [0] * n, [0] * (2 * n))
 
     @classmethod
     def from_gates(cls, n: int, gates: Iterable) -> "CliffordTableau":
@@ -154,23 +139,6 @@ class CliffordTableau:
                     raise ValueError(f"gate {g} is not Clifford (residual angle {theta_p})")
                 acc._absorb_half_turns(*_axis_ints(g, n), k)
         return acc
-
-    def copy(self) -> "CliffordTableau":
-        return CliffordTableau._from_ints(self.n, self._z[:], self._x[:], self._e[:])
-
-    @property
-    def words(self) -> np.ndarray:
-        """Generator images as a read-only (2n, 2*nw) packed uint64 array."""
-        nw = nwords64(self.n)
-        out = np.concatenate([_row(z, x, nw) for z, x in zip(self._z, self._x)])
-        out = out.astype(np.uint64).reshape(2 * self.n, 2 * nw)
-        out.setflags(write=False)
-        return out
-
-    @property
-    def signs(self) -> np.ndarray:
-        """Generator image signs, +1 or -1, as int8."""
-        return np.array([1 - e for e in self._e], dtype=np.int8)
 
     # -- conjugation ---------------------------------------------------
 

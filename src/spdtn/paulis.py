@@ -22,13 +22,14 @@ that same order, so :func:`pack_keys` turns each row into one fixed-width
 byte string; on rows already stored big-endian and C-contiguous, as
 ``spd.PauliSum`` stores them, the keys are a view of the same memory.
 
-Rows may be native or big-endian uint64.  The batch kernels below work on the
-raw bytes: AND, XOR and the parity of a popcount do not depend on the order
-of the bytes within a word, so a big-endian batch is never converted.  What
-they need of an axis (its words in the rows' byte order, the columns and
+Every row is held big-endian: ``PauliWord.row`` like ``spd.PauliSum.words``.
+The batch kernels below work on the raw bytes of big-endian rows (a native
+batch is converted by value first): AND, XOR and the parity of a popcount do
+not depend on the order of the bytes within a word, so stored rows are never
+byte-swapped.  What they need of an axis (its raw words, the columns and
 masks of the parity fold, its Y count and the words that carry the phase) is
-derived on the first use of the axis word with rows of one byte order and
-kept on the word, so it lives as long as the word does.
+derived on the first use of the axis word and kept on the word, so it lives
+as long as the word does.
 """
 
 from __future__ import annotations
@@ -90,19 +91,18 @@ def y_counts(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class PauliWord:
-    """One n-site Pauli word as a packed (z | x) uint64 row."""
+    """One n-site Pauli word as a packed (z | x) big-endian uint64 row."""
 
     n: int
     row: np.ndarray = field(repr=False)
-    # the batch kernels' constants of this word as an axis, by rows dtype
-    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the batch kernels' constants of this word as an axis, once derived
+    _axis: _Axis | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nw = nwords64(self.n)
-        row = np.asarray(self.row, dtype=np.uint64)
+        row = np.array(self.row, dtype=">u8", order="C")
         if row.shape != (2 * nw,):
             raise ValueError(f"row shape {row.shape} does not match n={self.n}")
-        row = row.copy()
         row.setflags(write=False)
         object.__setattr__(self, "row", row)
 
@@ -190,12 +190,12 @@ class PhasedWord:
 
 
 class _Axis(NamedTuple):
-    """What the batch kernels need of one axis word, for rows of one dtype.
+    """What the batch kernels need of one axis word.
 
-    ``words`` is the axis written in the rows' byte order and viewed as
-    native uint64, so that bitwise results on it and on the rows' raw words
-    are the byte-swapped results on the values, with the same popcounts.
-    Masks are 0-d arrays, the cheapest operand for a numpy ufunc.
+    ``words`` is the axis' big-endian row viewed as native uint64, so that
+    bitwise results on it and on the rows' raw words are the byte-swapped
+    results on the values, with the same popcounts.  Masks are 0-d arrays,
+    the cheapest operand for a numpy ufunc.
     """
 
     words: np.ndarray
@@ -210,13 +210,11 @@ class _Axis(NamedTuple):
     phase: tuple[tuple[int, np.ndarray | None], ...]
 
 
-def _derive_axis(word: PauliWord, dtype: np.dtype) -> _Axis:
-    """The constants of ``word`` as an axis for rows of ``dtype``, stored on
-    the word for its later uses.  Two threads may derive them at once; the
-    results are equal, so either may be kept."""
-    # a copy, so that the constants hold no second array as the base of a view
-    words = np.asarray(word.row, dtype=dtype).view(np.uint64).copy()
-    words.setflags(write=False)
+def _derive_axis(word: PauliWord) -> _Axis:
+    """The constants of ``word`` as an axis, stored on the word for its later
+    uses.  Two threads may derive them at once; the results are equal, so
+    either may be kept."""
+    words = word.row.view(np.uint64)
     nw = words.shape[0] // 2
     masks = {int(w): np.array(words[w]) for w in words.nonzero()[0]}
     fold = tuple(((w + nw) % (2 * nw), m) for w, m in masks.items())
@@ -225,7 +223,8 @@ def _derive_axis(word: PauliWord, dtype: np.dtype) -> _Axis:
     phase = tuple(
         (w, masks.get(nw + w)) for w in range(nw) if w in masks or nw + w in masks
     )
-    axis = word._kernels[dtype] = _Axis(words, fold, single, int(y_counts(words)), phase)
+    axis = _Axis(words, fold, single, int(y_counts(words)), phase)
+    object.__setattr__(word, "_axis", axis)
     return axis
 
 
@@ -237,8 +236,8 @@ def anticommute_mask(rows: np.ndarray, axis: PauliWord) -> np.ndarray:
     ``a.z[w] & b.x[w]`` and ``a.x[w] & b.z[w]``.  Only the words where
     ``axis`` is nonzero enter the fold; an identity ``axis`` commutes with all.
     """
-    rows = np.asarray(rows)
-    const = axis._kernels.get(rows.dtype) or _derive_axis(axis, rows.dtype)
+    rows = np.asarray(rows, dtype=">u8")
+    const = axis._axis or _derive_axis(axis)
     raw = rows.view(np.uint64)
     fold = None
     for col, mask in const.fold:
@@ -259,11 +258,11 @@ def mul_rows(axis: PauliWord, rights: np.ndarray, out: np.ndarray | None = None)
     """Products ``op(axis) @ op(rights[k])`` for a batch of packed rows.
 
     Returns ``(prod_rows, k)`` with ``op(axis) op(r) = i^k op(axis ^ r)``;
-    ``prod_rows`` has the dtype (byte order) of ``rights``.  With ``out``
-    (of the shape and dtype of ``rights``, and ``rights`` itself allowed)
-    the products are written there.  The exponent follows from counting
-    Y-normalization factors on each operand and the product plus the
-    X-past-Z swaps:
+    ``prod_rows`` is big-endian, and native ``rights`` are taken by value.
+    With ``out`` (``">u8"`` of the shape of ``rights``, and big-endian
+    ``rights`` itself allowed) the products are written there.  The
+    exponent follows from counting Y-normalization factors on each operand
+    and the product plus the X-past-Z swaps:
 
         k = y(c) - y(axis) - y(r) + 2 * |axis.x & r.z|   (mod 4)
 
@@ -271,13 +270,13 @@ def mul_rows(axis: PauliWord, rights: np.ndarray, out: np.ndarray | None = None)
     swaps are summed over the nonzero words of ``axis`` only; the terms of r
     are counted before the product overwrites it.
     """
-    rights = np.asarray(rights)
+    rights = np.asarray(rights, dtype=">u8")
     if out is None:
         out = np.empty_like(rights)
     elif out.shape != rights.shape or out.dtype != rights.dtype:
         raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}, "
-                         f"rights {rights.shape} and {rights.dtype}")
-    const = axis._kernels.get(rights.dtype) or _derive_axis(axis, rights.dtype)
+                         f"not {rights.shape} and >u8")
+    const = axis._axis or _derive_axis(axis)
     raw = rights.view(np.uint64)
     nw = raw.shape[-1] // 2
     k = np.full(raw.shape[:-1], -const.y, dtype=np.int64)

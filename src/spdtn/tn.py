@@ -372,8 +372,8 @@ def run_tn(
         raise ValueError(f"unknown method {method!r}")
     if chi < 1:
         raise ValueError("chi must be at least 1")
-    if not kappa >= 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa!r}")
+    if not 0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be >= 0 and finite, got {kappa!r}")
     word, scale = _as_word(observable)
     if word.n != circuit.n:
         raise ValueError("observable and circuit sizes differ")

@@ -158,8 +158,10 @@ class TestRunConfig:
             ("damping", "0.5", r"damping must be in \[0, 1\)"),
             ("kappa", -1, "kappa must be a number >= 0, got -1"),
             ("kappa", math.nan, "kappa must be a number >= 0"),
+            ("kappa", math.inf, "kappa must be finite, got inf"),
             ("bp_tol", -1e-6, "bp_tol must be a number >= 0"),
             ("bp_tol", math.nan, "bp_tol must be a number >= 0"),
+            ("bp_tol", math.inf, "bp_tol must be finite, got inf"),
             ("bp_tol", True, "bp_tol must be a number >= 0"),
             ("bp_max_iter", 0, "bp_max_iter must be an int >= 1, got 0"),
             ("bp_max_iter", 2.5, "bp_max_iter must be an int >= 1"),
@@ -383,9 +385,9 @@ class TestSweep:
         derived, used = [], []
         derive, mask = paulis._derive_axis, spd.anticommute_mask
 
-        def counting_derive(word, dtype):
+        def counting_derive(word):
             derived.append(word)
-            return derive(word, dtype)
+            return derive(word)
 
         def counting_mask(rows, axis):
             used.append(axis)
@@ -490,14 +492,15 @@ class TestSweep:
 
 def _recompiled_bytes(rc) -> tuple:
     """Every bit of a recompiled circuit: rotation axis rows and angle bytes,
-    residual tableau rows and signs, transformed-observable words and
+    residual tableau bit and sign lists, transformed-observable words and
     coefficient bytes."""
     obs = rc.transformed_observable
     return (
         [rot.axis.row.tobytes() for rot in rc.rotations],
         np.array([rot.angle for rot in rc.rotations], dtype=np.float64).tobytes(),
-        rc.residual_clifford.words.tobytes(),
-        rc.residual_clifford.signs.tobytes(),
+        rc.residual_clifford._z,
+        rc.residual_clifford._x,
+        rc.residual_clifford._e,
         obs.words.tobytes(),
         obs.coeffs.tobytes(),
     )
@@ -994,12 +997,16 @@ class TestCli:
             ("lattice", {"kind": "ring"}, "ring lattice needs the key 'n'"),
             ("lattice", {"kind": "ring", "n": "6"}, "lattice n must be an int >= 1"),
             ("lattice", {"kind": "ring", "n": 6, "extra": 1}, "unknown ring lattice keys"),
+            ("kappa", math.inf, "kappa must be finite"),
+            ("bp_tol", math.inf, "bp_tol must be finite"),
         ],
     )
     def test_bad_knob_or_lattice_exit_two(self, tmp_path, capsys, key, value, message):
         """Damping 1 used to freeze the BP messages and write a clean row of
         5.23e-09 where the value is 0.765674, a negative kappa to run, and a
-        lattice without its size to end in a KeyError traceback."""
+        lattice without its size to end in a KeyError traceback.  An
+        infinite bp_tol (JSON ``Infinity``) wrote a clean 0.741006 and an
+        infinite kappa 0.728124."""
         doc = {
             "lattice": {"kind": "ring", "n": 6}, "observable": "Z0", "steps": 3,
             "method": "mix", "theta_h": [0.7], "chis": [2], "lightcone": False,

@@ -156,6 +156,7 @@ class TestModesAndDamping:
             (dict(damping=math.nan), r"damping must be in \[0, 1\)"),
             (dict(tol=-1e-6), "tol must be >= 0"),
             (dict(tol=math.nan), "tol must be >= 0"),
+            (dict(tol=math.inf), "tol must be >= 0 and finite"),
         ],
     )
     def test_out_of_range_damping_or_tol_rejected(self, rng, kwargs, message):

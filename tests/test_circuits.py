@@ -1,4 +1,4 @@
-"""Lattices, circuit builders, pruning, and serialization."""
+"""Lattices, circuit builders and pruning."""
 
 import math
 
@@ -11,8 +11,6 @@ from spdtn import (
     Layer,
     Lattice,
     chain,
-    circuit_from_json,
-    circuit_to_json,
     device_127,
     gate_matrix,
     grid,
@@ -133,7 +131,6 @@ class TestKickedIsing:
         circuit = kicked_ising(lat, steps=3, theta_h=0.4)
         assert circuit.n == 5
         assert len(circuit.layers) == 6
-        assert circuit.num_steps == 3
         for t in range(3):
             rx, rzz = circuit.layers[2 * t], circuit.layers[2 * t + 1]
             assert rx.tag == "rx" and rx.step == t
@@ -150,7 +147,6 @@ class TestKickedIsing:
         assert len(circuit.layers) == 5
         last = circuit.layers[-1]
         assert last.tag == "rx" and last.step == 2
-        assert circuit.num_steps == 3
 
     def test_bad_steps(self):
         with pytest.raises(ValueError):
@@ -317,18 +313,3 @@ class TestGateValidation:
     def test_circuit_range_check(self):
         with pytest.raises(ValueError):
             Circuit(2, (Layer((Gate("h", (2,)),)),))
-
-
-class TestJsonRoundtrip:
-    def test_roundtrip(self, rng):
-        circuit = random_circuit(rng, 5, depth=15)
-        text = circuit_to_json(circuit)
-        back = circuit_from_json(text)
-        assert back == circuit
-
-    def test_kicked_ising_roundtrip(self):
-        circuit = kicked_ising(heavy_hex(1, 1), steps=2, theta_h=0.7, extra_x_layer=True)
-        back = circuit_from_json(circuit_to_json(circuit))
-        assert back == circuit
-        assert [l.tag for l in back.layers] == [l.tag for l in circuit.layers]
-        assert [l.step for l in back.layers] == [l.step for l in circuit.layers]

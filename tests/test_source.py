@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,24 @@ def test_all_names_resolve(path):
     module = importlib.import_module("spdtn" if path.stem == "__init__" else f"spdtn.{path.stem}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, f"{path.name} exports missing names {missing}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_numpy_and_stdlib_only(path):
+    """The package depends on numpy alone: every import names numpy, the
+    package itself or a standard-library module, even where another
+    library happens to be installed."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.partition(".")[0]
+            if top not in ("numpy", "spdtn") and top not in sys.stdlib_module_names:
+                bad.append(f"{name} (line {node.lineno})")
+    assert not bad, f"{path.name} imports {bad}"

@@ -354,7 +354,7 @@ class TestRunTn:
             run_tn(circuit, word, "mps", chi=4)
         with pytest.raises(ValueError, match="chi"):
             run_tn(circuit, word, "mix", chi=0)
-        for kappa in (-1, math.nan):
+        for kappa in (-1, math.nan, math.inf):
             with pytest.raises(ValueError, match="kappa must be >= 0"):
                 run_tn(circuit, word, "mix", chi=4, kappa=kappa)
         with pytest.raises(ValueError, match="single Pauli word"):
