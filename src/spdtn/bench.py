@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bp import bp_iterate, l1bp_value
+from .bp import DEFAULT_MAX_ITER, DEFAULT_TOL, bp_iterate, l1bp_value
 from .circuits import (
     Lattice,
     chain,
@@ -60,6 +60,7 @@ from .oracle import exact_contract, statevector_expectation
 from .paulis import PauliWord, parse_pauli
 from .spd import run_spd
 from .tn import (
+    DEFAULT_KAPPA,
     BpOptions,
     _step_groups,
     evolve,
@@ -161,7 +162,7 @@ class RunConfig:
     - "observable": Pauli text such as "Z62"
     - "steps": circuit depth T >= 1
     - "method": one of spd | peps | pepo | mix | exact
-    - "theta_h": list of angles (default k*pi/32 for k = 0..16)
+    - "theta_h": list of finite angles (default k*pi/32 for k = 0..16)
     - "deltas": truncation thresholds (spd only, required there)
     - "chis": bond dimensions (peps/pepo/mix only, required there)
     - "kappa": finite compression cutoff >= 0 (default 5e-6)
@@ -182,9 +183,9 @@ class RunConfig:
     theta_h: tuple[float, ...] = DEFAULT_THETA_GRID
     deltas: tuple[float, ...] = ()
     chis: tuple[int, ...] = ()
-    kappa: float = 5e-6
-    bp_tol: float = 5e-6
-    bp_max_iter: int = 256
+    kappa: float = DEFAULT_KAPPA
+    bp_tol: float = DEFAULT_TOL
+    bp_max_iter: int = DEFAULT_MAX_ITER
     damping: float = 0.0
     extra_x_layer: bool = False
     lightcone: bool = True
@@ -201,6 +202,8 @@ class RunConfig:
         _check_lattice(self.lattice)
         if not self.theta_h:
             raise ValueError("theta_h list must be non-empty")
+        if not all(math.isfinite(t) for t in self.theta_h):
+            raise ValueError(f"theta_h must be finite, got {list(self.theta_h)}")
         if not _positive_int(self.steps):
             raise ValueError(f"steps must be an int >= 1, got {self.steps!r}")
         if not all(math.isfinite(d) and d >= 0 for d in self.deltas):
@@ -332,27 +335,21 @@ def _kicked_circuit(config: RunConfig, lattice: Lattice, word: PauliWord, theta:
     return circuit
 
 
-def _fold(theta: float) -> tuple[float, int]:
-    """``fold_angle(theta) = (theta', k)`` with the fold class ``k % 4``
-    given as -1..2: there ``k*pi/2 + pi/8`` folds to exactly pi/8, while at
-    k = 3 it folds to one ulp more."""
-    theta_p, k = fold_angle(theta)
-    return theta_p, (k + 1) % 4 - 1
-
-
 def _spd_template(
     config: RunConfig, lattice: Lattice, word: PauliWord, fold: int
 ) -> RecompiledCircuit:
-    """The recompiled circuit of the fold class ``fold`` (see
+    """The recompiled circuit of the fold class ``fold`` in 0..3 (see
     ``_angle_circuit``), built at the class's angle ``fold*pi/2 + pi/8``.
 
-    Its residual angle pi/8 is nonzero, so every kick gate in the circuit
-    leaves one rotation, of angle +-pi/8; any other rotation raises.
+    Its residual angle, pi/8 up to rounding, is nonzero, so every kick gate
+    in the circuit leaves one rotation, of that angle up to sign; any other
+    rotation raises.
     """
     theta = fold * math.pi / 2 + math.pi / 8
+    theta_p = fold_angle(theta)[0]
     rc = recompile(_kicked_circuit(config, lattice, word, theta), word)
     for rot in rc.rotations:
-        if abs(rot.angle) != math.pi / 8:
+        if abs(rot.angle) != theta_p:
             raise RuntimeError(
                 f"rotation of angle {rot.angle!r} at kick angle {theta!r} does not "
                 "come from a kick gate"
@@ -373,17 +370,17 @@ def _angle_circuit(
     With ``fold_angle(theta) = (theta', k)``, the rotation axes and signs,
     the residual Clifford and the transformed observable of the recompiled
     circuit depend on theta only through its fold class ``k % 4``.  They
-    come from ``template(fold)`` (``_spd_template`` when not given), and
+    come from ``template(k % 4)`` (``_spd_template`` when not given), and
     each rotation gets the angle ``sign * theta'`` that ``recompile`` would
     give it, so the result is bit-identical to recompiling this angle's
     circuit; at theta' = 0 no rotation is left.
     """
     if config.method != "spd":
         return _kicked_circuit(config, lattice, word, theta)
-    theta_p, fold = _fold(theta)
+    theta_p, k = fold_angle(theta)
     if template is None:
         template = partial(_spd_template, config, lattice, word)
-    rc = template(fold)
+    rc = template(k % 4)
     rotations = ()
     if theta_p != 0.0:
         neg = -theta_p  # one float object for all rotations, as for theta_p
@@ -491,10 +488,12 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
     a template that this call keeps until it returns; a failed build is not
     kept, so the next point of its class tries again.  Two workers may
     build the same class at once; the results are equal, so either may be
-    kept.  Up to ``workers`` angles run concurrently.  Rows emit in grid order
-    through a single writer, flushed per row, so a crash leaves a valid
-    prefix of the table.
+    kept.  Up to ``workers`` angles run concurrently; fewer than one
+    raises.  Rows emit in grid order through a single writer, flushed per
+    row, so a crash leaves a valid prefix of the table.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     lattice = config.build_lattice()
     word = parse_pauli(config.observable, lattice.n)
     angles = [

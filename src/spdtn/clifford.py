@@ -279,16 +279,17 @@ class RecompiledCircuit:
 def recompile(circuit: Circuit, observable) -> RecompiledCircuit:
     """Fold all Clifford content of a circuit into one tableau.
 
-    ``observable`` is a ``spd.PauliSum`` (or a single ``PauliWord``, wrapped
-    with coefficient 1).  Rotation angles fold to (-pi/4, pi/4]; axes are
-    conjugated through the Clifford content earlier in circuit time; folded
-    k*pi/2 parts and all named Cliffords accumulate in the tableau, which
-    finally transforms the observable.  Rotations on equal axes share one
-    ``PauliWord``.
+    ``observable`` is a ``spd.PauliSum`` or a single ``PauliWord`` on the
+    circuit's sites (see ``PauliSum.of``).  Rotation angles fold to
+    (-pi/4, pi/4]; axes are conjugated through the Clifford content earlier
+    in circuit time; folded k*pi/2 parts and all named Cliffords accumulate
+    in the tableau, which finally transforms the observable.  Rotations on
+    equal axes share one ``PauliWord``.
     """
     from .spd import PauliSum
 
     n = circuit.n
+    observable = PauliSum.of(observable, n)
     nw = nwords64(n)
     acc = CliffordTableau.identity(n)
     rotations: list[Rotation] = []
@@ -310,8 +311,6 @@ def recompile(circuit: Circuit, observable) -> RecompiledCircuit:
             rotations.append(Rotation(axis, sign * theta_p))
         if k % 4:
             acc._absorb_half_turns(az, ax, k)
-    if isinstance(observable, PauliWord):
-        observable = PauliSum.from_terms(n, [(observable, 1.0)])
     new_terms = []
     for word, coeff in observable.terms():
         z, x, e = acc._conjugate(*_ints(word.row, nw))

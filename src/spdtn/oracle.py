@@ -43,15 +43,6 @@ HEISENBERG_MAX_QUBITS = 12
 CONTRACT_BUDGET = 200_000_000
 
 
-def _as_terms(observable) -> list[tuple[PauliWord, float]]:
-    """Normalize an observable to a list of (word, coefficient) pairs."""
-    if isinstance(observable, PauliWord):
-        return [(observable, 1.0)]
-    if isinstance(observable, PauliSum):
-        return list(observable.terms())
-    raise TypeError(f"unsupported observable type {type(observable).__name__}")
-
-
 def _real_value(val: complex) -> float:
     """Real part of a Hermitian observable's expectation; raise on a residue."""
     if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
@@ -114,9 +105,10 @@ def statevector_expectation(
     max_qubits: int = STATEVECTOR_MAX_QUBITS,
 ) -> float:
     """⟨0|U†OU|0⟩ by direct simulation; O is a word or a Hermitian sum."""
+    observable = PauliSum.of(observable, circuit.n)
     psi = statevector(circuit, max_qubits)
     val = 0.0 + 0.0j
-    for word, coeff in _as_terms(observable):
+    for word, coeff in observable.terms():
         val += coeff * np.vdot(psi, pauli_apply(psi, word))
     return _real_value(val)
 
@@ -134,9 +126,7 @@ def word_matrix(word: PauliWord) -> np.ndarray:
 
 def observable_matrix(observable, n: int) -> np.ndarray:
     out = np.zeros((2**n, 2**n), dtype=complex)
-    for word, coeff in _as_terms(observable):
-        if word.n != n:
-            raise ValueError(f"word over {word.n} sites in an n={n} observable")
+    for word, coeff in PauliSum.of(observable, n).terms():
         out += coeff * word_matrix(word)
     return out
 
@@ -258,9 +248,10 @@ def clifford_expectation(circuit: Circuit, observable) -> float:
     with the site count.  Raises ValueError if any gate fails to fold to a
     Clifford or has a ``rot`` axis off its qubits.
     """
+    observable = PauliSum.of(observable, circuit.n)
     steps = _gate_tableaus(circuit)
     val = 0.0 + 0.0j
-    for word, coeff in _as_terms(observable):
+    for word, coeff in observable.terms():
         image = _image(steps, circuit.n, word)
         if image.word.is_z_type:
             val += coeff * image.phase

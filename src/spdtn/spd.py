@@ -134,6 +134,20 @@ class PauliSum:
         summed = np.bincount(group, weights=_real(coeffs), minlength=len(first))
         return cls(n, words[first], summed)
 
+    @classmethod
+    def of(cls, observable: "PauliSum | PauliWord", n: int) -> "PauliSum":
+        """An observable on n sites as a sum: a word becomes a one-term sum
+        with coefficient 1, a sum is taken as it is."""
+        if isinstance(observable, PauliWord):
+            observable = cls.from_terms(observable.n, [(observable, 1.0)])
+        elif not isinstance(observable, PauliSum):
+            raise TypeError(f"unsupported observable type {type(observable).__name__}")
+        if observable.n != n:
+            raise ValueError(
+                f"observable and circuit sizes differ: {observable.n} != {n}"
+            )
+        return observable
+
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -213,10 +227,8 @@ def apply_rotation(
         return s
     sin_t = np.sin(theta)
     if sin_t == 0.0:
-        # pure +-1 Clifford content: coefficients scale by cos = +-1 only
-        coeffs = s.coeffs.copy()
-        coeffs[anti] *= np.cos(theta)
-        return PauliSum._of(s.n, s.words, coeffs).truncate(delta)
+        # only at theta = +-0.0, where cos(theta) = 1
+        return s.truncate(delta)
     rows = _row_view(s.words)
     prod = _from_rows(rows.take(anti))
     prod, k = mul_rows(axis, prod, out=prod)

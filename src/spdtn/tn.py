@@ -22,9 +22,11 @@ by its real Pauli coefficients: one label ``a{site}`` over I, X, Y, Z
 transfer matrix R[a, b] = Tr(P_a U† P_b U) / 2^q, through the same
 gate-to-tensor step that applies U to the state, so its BP and projectors
 run in float64.  In the sandwich each operator site meets the constant
-Pauli tensor P[a, k, b] = <k|P_a|b>; the ket state copy's physical label
-becomes ``b{site}``, the conjugated bra copy's becomes ``k{site}``, and all
-bra-side internal labels gain a ``*`` per the star convention in ``bp``.
+Pauli tensor P[a, k, b] = <k|P_a|b> over (``a{site}``, q*, q), where q is
+the site's last physical label (``p{site}``, or the output label of its
+last lazy gate) and q* its bra copy: the bra side is the ket side's
+``doubled_sites`` conjugate, with every label starred per the star
+convention in ``bp``.
 """
 
 from __future__ import annotations
@@ -277,9 +279,10 @@ def sandwich_network(
 ) -> SiteNetwork:
     """<psi| (lazy gates)† Op (lazy gates) |psi> as a site network.
 
-    Per site: the conjugated bra chain (internal labels starred, final
-    physical label k{i}), the operator tensor and the Pauli tensor over
-    (a{i}, k{i}, b{i}), and the ket chain (final physical label b{i}).
+    Per site: the bra chain (the ket chain's ``doubled_sites`` copy, every
+    label starred), the operator tensor, the Pauli tensor over
+    (a{i}, q*, q) where q is the chain's last physical label, and the ket
+    chain.
     """
     if psi.kind != "peps" or op.kind != "pepo":
         raise ValueError("sandwich needs a peps state and a pepo operator")
@@ -287,15 +290,9 @@ def sandwich_network(
         raise ValueError("state and operator sizes differ")
     lists, cur = _lazy_sites(psi, lazy_layers)
     sites: dict[int, list[Tensor]] = {}
-    for i in range(psi.n):
-        kets = [t.relabel({cur[i]: f"b{i}"}) for t in lists[i]]
-        bras = [
-            t.conj().relabel(
-                {l: (f"k{i}" if l == cur[i] else star(l)) for l in t.inds}
-            )
-            for t in lists[i]
-        ]
-        pauli = Tensor(PAULI_BASIS, (f"a{i}", f"k{i}", f"b{i}"))
+    for i, doubled in doubled_sites(lists).items():
+        kets, bras = doubled[: len(lists[i])], doubled[len(lists[i]) :]
+        pauli = Tensor(PAULI_BASIS, (f"a{i}", star(cur[i]), cur[i]))
         sites[i] = bras + [op.tensors[i], pauli] + kets
     return SiteNetwork(sites)
 
@@ -337,17 +334,6 @@ def _step_groups(circuit: Circuit) -> list[list[Layer]]:
     return groups
 
 
-def _as_word(observable) -> tuple[PauliWord, float]:
-    if isinstance(observable, PauliWord):
-        return observable, 1.0
-    if isinstance(observable, PauliSum):
-        if observable.num_terms != 1:
-            raise ValueError("tensor methods take a single Pauli word at a time")
-        ((word, coeff),) = observable.terms()
-        return word, coeff
-    raise TypeError(f"unsupported observable {observable!r}")
-
-
 def run_tn(
     circuit: Circuit,
     observable,
@@ -374,9 +360,10 @@ def run_tn(
         raise ValueError("chi must be at least 1")
     if not 0 <= kappa < math.inf:
         raise ValueError(f"kappa must be >= 0 and finite, got {kappa!r}")
-    word, scale = _as_word(observable)
-    if word.n != circuit.n:
-        raise ValueError("observable and circuit sizes differ")
+    observable = PauliSum.of(observable, circuit.n)
+    if observable.num_terms != 1:
+        raise ValueError("tensor methods take a single Pauli word at a time")
+    ((word, scale),) = observable.terms()
     if lightcone:
         circuit = lightcone_prune(circuit, word.support())
     opts = BpOptions(tol=bp_tol, max_iter=bp_max_iter, damping=damping)

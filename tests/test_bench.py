@@ -138,6 +138,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="deltas must be finite and >= 0"):
             spd_config(deltas=deltas)
 
+    @pytest.mark.parametrize(
+        "theta_h", [[math.nan], [math.inf], [0.3, -math.inf], [math.nan, 1e300]]
+    )
+    def test_theta_h_must_be_finite(self, theta_h):
+        with pytest.raises(ValueError, match="theta_h must be finite"):
+            spd_config(theta_h=theta_h)
+
     def test_chis_must_be_positive(self):
         # a fractional chi used to be floored and run as a clean row
         for chis in ([4, 0], [2.7], [4, 4.0], [True], ["4"]):
@@ -430,6 +437,13 @@ class TestSweep:
             sweep(cfg, out=many, workers=workers)
             sweep(cfg, out=one, workers=1)
             assert one.read_bytes() == many.read_bytes()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_raise(self, tmp_path, workers):
+        out = tmp_path / "rows.csv"
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            sweep(spd_config(), out=out, workers=workers)
+        assert not out.exists()
 
     def test_failed_angle_flags_each_of_its_points(self, monkeypatch):
         """A failed template build fails every point of every angle of its
@@ -985,6 +999,33 @@ class TestCli:
         out = tmp_path / "rows.csv"
         assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 2
         assert "deltas must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "method, grid", [("exact", {}), ("spd", {"deltas": [0.0]}), ("mix", {"chis": [2]})]
+    )
+    def test_non_finite_theta_exit_two(self, tmp_path, capsys, method, grid):
+        """A NaN kick angle used to write an unflagged exact row of NaN and
+        exit 0, and flagged spd and mix rows and exit 1."""
+        doc = {
+            "lattice": {"kind": "ring", "n": 6}, "observable": "Z0", "steps": 2,
+            "method": method, "theta_h": [math.nan, 1e300], **grid,
+        }
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rows.csv"
+        assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: theta_h must be finite") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_two(self, config_path, tmp_path, capsys, workers):
+        """``--workers 0`` and ``--workers -2`` used to run one worker."""
+        out = tmp_path / "rows.csv"
+        argv = ["sweep", "--config", str(config_path), "--out", str(out), "--workers", workers]
+        assert cli_main(argv) == 2
+        assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

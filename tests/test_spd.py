@@ -12,12 +12,19 @@ from spdtn import (
     PauliWord,
     SpdCapacityError,
     apply_rotation,
+    chain,
+    kicked_ising,
     parse_pauli,
     recompile,
     run_spd,
+    run_tn,
 )
 from spdtn import spd
-from spdtn.oracle import statevector_expectation
+from spdtn.oracle import (
+    clifford_expectation,
+    heisenberg_dense_expectation,
+    statevector_expectation,
+)
 from spdtn.spd import DEFAULT_MAX_TERMS, MAX_TERMS_ENV, _resolve_cap
 
 import spd_reference as ref
@@ -105,6 +112,56 @@ class TestPauliSum:
         for bad in (-1.0, math.nan):
             with pytest.raises(ValueError, match="delta must be >= 0"):
                 s.truncate(bad)
+
+
+class TestObservableOf:
+    def test_word_becomes_one_term_sum(self):
+        word = parse_pauli("X0 Z2", 3)
+        s = PauliSum.of(word, 3)
+        assert s.n == 3
+        assert [(w.row.tobytes(), c) for w, c in s.terms()] == [(word.row.tobytes(), 1.0)]
+
+    def test_sum_taken_as_it_is(self):
+        s = PauliSum.from_terms(3, [("Z0", 0.5), ("X1 Y2", -0.25)])
+        assert PauliSum.of(s, 3) is s
+
+    def test_other_type_raises(self):
+        for observable in ("Z0", None, [("Z0", 1.0)]):
+            with pytest.raises(TypeError, match="unsupported observable type"):
+                PauliSum.of(observable, 3)
+
+
+SIX_SITES = kicked_ising(chain(6), 2, 0.3)
+SIX_SITES_CLIFFORD = kicked_ising(chain(6), 2, math.pi / 2)
+ENGINES = {
+    "recompile": lambda obs: recompile(SIX_SITES, obs),
+    "run_tn": lambda obs: run_tn(SIX_SITES, obs, "mix", chi=4),
+    "statevector": lambda obs: statevector_expectation(SIX_SITES, obs),
+    "heisenberg_dense": lambda obs: heisenberg_dense_expectation(SIX_SITES, obs),
+    "clifford": lambda obs: clifford_expectation(SIX_SITES_CLIFFORD, obs),
+}
+
+
+class TestObservableSizeEveryEngine:
+    """Every engine takes its observable through ``PauliSum.of``."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_sum_on_more_sites_raises(self, engine):
+        # recompile once read Z65 on 70 sites as X1 on these 6
+        observable = PauliSum.from_terms(70, [("Z65", 1.0)])
+        with pytest.raises(ValueError, match="observable and circuit sizes differ: 70 != 6"):
+            ENGINES[engine](observable)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_word_on_other_sites_raises(self, engine, n):
+        with pytest.raises(ValueError, match=f"observable and circuit sizes differ: {n} != 6"):
+            ENGINES[engine](parse_pauli("Z1", n))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_text_raises(self, engine):
+        with pytest.raises(TypeError, match="unsupported observable type str"):
+            ENGINES[engine]("Z1")
 
 
 class TestApplyRotation:
