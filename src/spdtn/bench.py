@@ -37,13 +37,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cache, partial
-from itertools import groupby
+from itertools import combinations, groupby
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bp import DEFAULT_MAX_ITER, DEFAULT_TOL, bp_iterate, l1bp_value
+from .bp import DEFAULT_MAX_ITER, DEFAULT_TOL, l1bp_value
 from .circuits import (
     Lattice,
     chain,
@@ -56,13 +56,15 @@ from .circuits import (
     ring,
 )
 from .clifford import RecompiledCircuit, Rotation, fold_angle, recompile
-from .oracle import exact_contract, statevector_expectation
+from .oracle import CONTRACT_BUDGET, pauli_apply, statevector_expectation
 from .paulis import PauliWord, parse_pauli
 from .spd import run_spd
+from .tensor import contract, greedy_path
 from .tn import (
     DEFAULT_KAPPA,
     BpOptions,
     _step_groups,
+    apply_layer,
     evolve,
     pepo_from_word,
     peps_zero,
@@ -123,9 +125,14 @@ def _positive_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def _real(value) -> bool:
+    """Whether a config value is a number; a bool (JSON true) is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _nonnegative(value) -> bool:
     """Whether a config value is a number >= 0; NaN and a bool are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0
+    return _real(value) and value >= 0
 
 
 def _check_lattice(spec) -> None:
@@ -194,6 +201,19 @@ class RunConfig:
     record_timing: bool = False
 
     def __post_init__(self):
+        # types first: a string grid would run per character, any text as true
+        for name in ("theta_h", "deltas"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(map(_real, value)):
+                raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+        if not isinstance(self.chis, (list, tuple)):
+            raise ValueError(f"chis must be a list, got {self.chis!r}")
+        for name in ("extra_x_layer", "lightcone", "record_timing"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
+        if not isinstance(self.observable, str):
+            raise ValueError(f"observable must be a string, got {self.observable!r}")
         object.__setattr__(self, "theta_h", tuple(float(t) for t in self.theta_h))
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
         object.__setattr__(self, "chis", tuple(self.chis))
@@ -490,7 +510,8 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
     build the same class at once; the results are equal, so either may be
     kept.  Up to ``workers`` angles run concurrently; fewer than one
     raises.  Rows emit in grid order through a single writer, flushed per
-    row, so a crash leaves a valid prefix of the table.
+    row, so a crash leaves a valid prefix of the table; a failed write or
+    an interrupt stops the angles not yet started.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -521,12 +542,9 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
     try:
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(list, angle_rows(theta, params))
-                    for theta, params in angles
-                ]
-                for fut in futures:
-                    for row in fut.result():
+                # leaving the map's iterator cancels the angles not started
+                for results in pool.map(lambda angle: list(angle_rows(*angle)), angles):
+                    for row in results:
                         emit(row)
         else:
             for theta, params in angles:
@@ -724,7 +742,8 @@ def compare(
     """Per-theta spread and pairwise differences at each table's best parameter.
 
     Every table must cover the same theta_h grid with an unflagged-or-usable
-    value at its most accurate parameter; missing points raise with a list.
+    value at its most accurate parameter; missing points and tables without
+    any value raise with a list.
     """
     if reference is not None and reference not in tables:
         raise ValueError(f"reference {reference!r} is not among {sorted(tables)}")
@@ -739,6 +758,9 @@ def compare(
             if cur is None or _accuracy_key(row) > _accuracy_key(cur):
                 per_theta[key] = row
         best[name] = {t: r.expectation for t, r in per_theta.items()}
+    empty = sorted(name for name, vals in best.items() if not vals)
+    if empty or not best:
+        raise ValueError(f"no usable value to compare in the tables {empty}")
     grid = sorted({t for vals in best.values() for t in vals})
     missing = [
         (name, t) for name in sorted(best) for t in grid if t not in best[name]
@@ -748,16 +770,15 @@ def compare(
     names = tuple(sorted(tables))
     values = {t: {n: best[n][t] for n in names} for t in grid}
     spreads = {t: max(values[t].values()) - min(values[t].values()) for t in grid}
-    pairwise = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            pairwise[(a, b)] = max(abs(values[t][a] - values[t][b]) for t in grid)
-    max_abs_err = {}
-    if reference is not None:
-        for name in names:
-            max_abs_err[name] = max(
-                abs(values[t][name] - values[t][reference]) for t in grid
-            )
+    pairwise = {
+        (a, b): max(abs(values[t][a] - values[t][b]) for t in grid)
+        for a, b in combinations(names, 2)
+    }
+    max_abs_err = {
+        name: max(abs(values[t][name] - values[t][reference]) for t in grid)
+        for name in names
+        if reference is not None
+    }
     return ComparisonReport(
         names=names,
         thetas=tuple(grid),
@@ -805,10 +826,12 @@ def loop_error_histogram(
     """Bethe-vs-exact error distribution on shallow loopy sandwiches.
 
     For each (lattice, depth, theta_h, observable site), the state evolves
-    through depth-1 fused compression steps at the given chi, then the
-    sandwich <psi|(last step)† Z_site (last step)|psi> is evaluated once by
-    one-norm BP and once by exact contraction of the identical network, so
-    the recorded error isolates the Bethe approximation on loops.
+    through depth-1 fused compression steps at the given chi and absorbs the
+    last step uncompressed; the sandwich <psi|Z_site|psi> is then evaluated
+    once by one-norm BP and once exactly, from the state's dense amplitudes,
+    so the recorded error isolates the Bethe approximation on loops.  The
+    dense referee holds 2^n amplitudes within ``CONTRACT_BUDGET``, so every
+    lattice must have n <= 27 sites.
     """
     if lattices is None:
         lattices = {"heavy_hex_12": heavy_hex(1, 1), "grid_3x4": grid(3, 4)}
@@ -823,21 +846,19 @@ def loop_error_histogram(
                 circuit = kicked_ising(lattice, depth, theta)
                 groups = _step_groups(circuit)
                 psi = peps_zero(lattice.n)
-                for group in groups[: depth - 1]:
+                for group in groups[:-1]:
                     psi = evolve(psi, group, chi=chi, bp_options=opts)
-                lazy = [layer for group in groups[depth - 1 :] for layer in group]
+                for layer in groups[-1]:
+                    apply_layer(psi, layer)
+                kets = [psi.tensors[i] for i in range(lattice.n)]
+                path = greedy_path(kets, budget=CONTRACT_BUDGET)
+                output = tuple(f"p{i}" for i in range(lattice.n))
+                amps = contract(kets, output, path).data.reshape(-1)
                 for site in sites:
                     word = PauliWord.from_sites(lattice.n, z=(site,))
-                    sn = sandwich_network(psi, pepo_from_word(word), lazy)
-                    ms = bp_iterate(
-                        sn,
-                        tol=opts.tol,
-                        max_iter=opts.max_iter,
-                        mode="one-norm",
-                        damping=opts.damping,
-                    )
-                    bethe = l1bp_value(sn, ms)
-                    exact = exact_contract(sn)
+                    sn = sandwich_network(psi, pepo_from_word(word))
+                    bethe = l1bp_value(sn, opts.iterate(sn, mode="one-norm"))
+                    exact = np.vdot(amps, pauli_apply(amps, word))
                     errors.append(abs(bethe - exact))
                     entries.append((lat_name, depth, theta, site))
     logs = np.log10(np.maximum(np.array(errors), 1e-300))

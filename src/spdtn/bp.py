@@ -280,12 +280,15 @@ def bp_iterate(
             if nrm > 0.0:
                 new = new / nrm
             if sym is None:
-                # one-norm mode: fix the free global phase (largest entry
-                # real positive) so a phase-rotating fixed point still
-                # registers as converged; the Bethe ratio is invariant
-                # under per-message rescaling
+                # one-norm mode: fix the free global phase (lead entry real
+                # positive) so a phase-rotating fixed point still registers
+                # as converged; the Bethe ratio is invariant under
+                # per-message rescaling.  The lead is the first entry within
+                # 1e-8 of the largest magnitude, not one rounding picks among
+                # exact ties
                 flat = new.reshape(-1)
-                lead = flat[np.argmax(np.abs(flat))]
+                mag = np.abs(flat)
+                lead = flat[np.argmax(mag >= (1.0 - 1e-8) * mag.max())]
                 if lead != 0.0:
                     new = new * (lead.conjugate() / abs(lead))
             old = messages[key]

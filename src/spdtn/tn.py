@@ -1,14 +1,14 @@
-"""Tensor-network expectation values via lazy BP evolution and contraction.
+"""Tensor-network expectation values via BP-compressed evolution.
 
 Three drivers over the same machinery, differing in how circuit layers are
 split between a state evolved forward and an operator evolved backward:
 
-- ``peps``: all steps go into the state; the last two stay lazy (their gate
-  tensors enter the final sandwich uncompressed).
-- ``pepo``: all steps go into the operator; the ``int(log2(chi)/2)`` steps
-  nearest the initial state stay lazy in the sandwich.
+- ``peps``: all steps go into the state, the last two uncompressed.
+- ``pepo``: all steps go into the operator, except that the
+  ``int(log2(chi)/2)`` steps nearest the initial state go into the state,
+  uncompressed.
 - ``mix``: the state takes ``ceil(T/2)`` steps and the operator the rest,
-  both fully compressed, meeting in a three-bond-per-edge sandwich.
+  both compressed, meeting in a three-bond-per-edge sandwich.
 
 Compression after each step runs two-norm BP on the doubled network and
 inserts per-bond oblique projectors (see ``bp.compress_bond``), fusing all
@@ -22,11 +22,9 @@ by its real Pauli coefficients: one label ``a{site}`` over I, X, Y, Z
 transfer matrix R[a, b] = Tr(P_a U† P_b U) / 2^q, through the same
 gate-to-tensor step that applies U to the state, so its BP and projectors
 run in float64.  In the sandwich each operator site meets the constant
-Pauli tensor P[a, k, b] = <k|P_a|b> over (``a{site}``, q*, q), where q is
-the site's last physical label (``p{site}``, or the output label of its
-last lazy gate) and q* its bra copy: the bra side is the ket side's
-``doubled_sites`` conjugate, with every label starred per the star
-convention in ``bp``.
+Pauli tensor P[a, k, b] = <k|P_a|b> over (``a{site}``, ``p{site}*``,
+``p{site}``): the bra side is the ket side's ``doubled_sites`` conjugate,
+with every label starred per the star convention in ``bp``.
 """
 
 from __future__ import annotations
@@ -77,6 +75,12 @@ class BpOptions:
     max_iter: int = DEFAULT_MAX_ITER
     damping: float = 0.0
 
+    def iterate(self, sn: SiteNetwork, mode: str) -> MessageSet:
+        """``bp_iterate`` on ``sn`` in ``mode`` with these options."""
+        return bp_iterate(
+            sn, tol=self.tol, max_iter=self.max_iter, mode=mode, damping=self.damping
+        )
+
 
 @dataclass
 class EvolvingState:
@@ -85,9 +89,9 @@ class EvolvingState:
 
     kind "peps": physical label ``p{i}`` per site (a ket state).
     kind "pepo": Pauli label ``a{i}`` per site (an operator, real).
-    Lazy gate application adds a bond label per two-site gate, and
-    compression fuses each site pair's labels back to a single label of
-    dimension <= chi.
+    Absorbing a layer (``apply_layer``) adds a bond label per two-site gate,
+    and compression (``evolve``) fuses each site pair's labels back to a
+    single label of dimension <= chi.
     """
 
     kind: str
@@ -158,23 +162,22 @@ def _split_two_site(
     return left, right
 
 
-def _gate_tensors(
-    state: EvolvingState, gate: Gate, phys: dict[int, str]
-) -> list[tuple[int, str, Tensor]]:
+def _gate_tensors(state: EvolvingState, gate: Gate) -> list[tuple[int, str, Tensor]]:
     """The gate (its unitary on a state, its Pauli transfer matrix on an
-    operator) as (q, fresh label, tensor from ``phys[q]`` to it) per qubit q;
-    a two-qubit gate's pair also shares a fresh bond label."""
+    operator) as (q, fresh label, tensor from ``state.phys_label(q)`` to it)
+    per qubit q; a two-qubit gate's pair also shares a fresh bond label."""
     mat = gate_matrix(gate)
     if state.kind == "pepo":
         mat = _pauli_transfer(mat)
+    phys = state.phys_label
     if len(gate.qubits) == 1:
         (q,) = gate.qubits
         new = state.fresh_label()
-        return [(q, new, Tensor(mat, (new, phys[q])))]
+        return [(q, new, Tensor(mat, (new, phys(q))))]
     if len(gate.qubits) == 2:
         qa, qb = gate.qubits
         new_a, new_b, bond = state.fresh_label(), state.fresh_label(), state.fresh_label()
-        left, right = _split_two_site(mat, new_a, phys[qa], new_b, phys[qb], bond)
+        left, right = _split_two_site(mat, new_a, phys(qa), new_b, phys(qb), bond)
         return [(qa, new_a, left), (qb, new_b, right)]
     raise ValueError(f"tensor evolution supports 1- and 2-qubit gates, got {gate}")
 
@@ -182,12 +185,12 @@ def _gate_tensors(
 def apply_layer(state: EvolvingState, layer: Layer):
     """Absorb one gate layer: U on a peps, O -> U† O U (as R) on a pepo."""
     for gate in layer.gates:
-        phys = {q: state.phys_label(q) for q in gate.qubits}
-        for q, new, g in _gate_tensors(state, gate, phys):
+        for q, new, g in _gate_tensors(state, gate):
+            phys = state.phys_label(q)
             t = state.tensors[q]
-            bonds = tuple(l for l in g.inds if l not in (new, phys[q]))
-            out = (new,) + bonds + tuple(l for l in t.inds if l != phys[q])
-            state.tensors[q] = contract([g, t], output=out).relabel({new: phys[q]})
+            bonds = tuple(l for l in g.inds if l not in (new, phys))
+            out = (new,) + bonds + tuple(l for l in t.inds if l != phys)
+            state.tensors[q] = contract([g, t], output=out).relabel({new: phys})
 
 
 def _two_norm_network(state: EvolvingState) -> SiteNetwork:
@@ -217,9 +220,7 @@ def evolve(
     sn = _two_norm_network(state)
     if not sn.edges:
         return state
-    ms = bp_iterate(
-        sn, tol=opts.tol, max_iter=opts.max_iter, mode="two-norm", damping=opts.damping
-    )
+    ms = opts.iterate(sn, mode="two-norm")
     if not ms.converged:
         state.flags.append(f"l2bp_nonconverged:t={state.t}:delta={ms.max_delta:.3e}")
     projectors: dict[int, list[Tensor]] = {i: [] for i in range(state.n)}
@@ -251,49 +252,29 @@ def state_norm(
     """
     opts = bp_options or BpOptions()
     sn = _two_norm_network(state)
-    ms = bp_iterate(
-        sn, tol=opts.tol, max_iter=opts.max_iter, mode="two-norm", damping=opts.damping
-    )
+    ms = opts.iterate(sn, mode="two-norm")
     value = l1bp_value(sn, ms)
     if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
         raise AssertionError(f"norm estimate has imaginary part {value.imag:.3e}")
     return math.sqrt(max(value.real, 0.0)), ms
 
 
-def _lazy_sites(
-    psi: EvolvingState, lazy_layers: Sequence[Layer]
-) -> tuple[dict[int, list[Tensor]], dict[int, str]]:
-    """Apply layers to the state as unfused gate tensors (lazy chains)."""
-    lists = {i: [psi.tensors[i]] for i in range(psi.n)}
-    cur = {i: f"p{i}" for i in range(psi.n)}
-    for layer in lazy_layers:
-        for gate in layer.gates:
-            for q, new, g in _gate_tensors(psi, gate, cur):
-                lists[q].append(g)
-                cur[q] = new
-    return lists, cur
+def sandwich_network(psi: EvolvingState, op: EvolvingState) -> SiteNetwork:
+    """<psi| Op |psi> as a site network.
 
-
-def sandwich_network(
-    psi: EvolvingState, op: EvolvingState, lazy_layers: Sequence[Layer] = ()
-) -> SiteNetwork:
-    """<psi| (lazy gates)† Op (lazy gates) |psi> as a site network.
-
-    Per site: the bra chain (the ket chain's ``doubled_sites`` copy, every
-    label starred), the operator tensor, the Pauli tensor over
-    (a{i}, q*, q) where q is the chain's last physical label, and the ket
-    chain.
+    Per site: the bra (the ket's ``doubled_sites`` copy, every label
+    starred), the operator tensor, the Pauli tensor over
+    (a{i}, p{i}*, p{i}), and the ket.
     """
     if psi.kind != "peps" or op.kind != "pepo":
         raise ValueError("sandwich needs a peps state and a pepo operator")
     if psi.n != op.n:
         raise ValueError("state and operator sizes differ")
-    lists, cur = _lazy_sites(psi, lazy_layers)
-    sites: dict[int, list[Tensor]] = {}
-    for i, doubled in doubled_sites(lists).items():
-        kets, bras = doubled[: len(lists[i])], doubled[len(lists[i]) :]
-        pauli = Tensor(PAULI_BASIS, (f"a{i}", star(cur[i]), cur[i]))
-        sites[i] = bras + [op.tensors[i], pauli] + kets
+    sites = {}
+    kets = {i: [psi.tensors[i]] for i in range(psi.n)}
+    for i, (ket, bra) in doubled_sites(kets).items():
+        pauli = Tensor(PAULI_BASIS, (f"a{i}", star(f"p{i}"), f"p{i}"))
+        sites[i] = [bra, op.tensors[i], pauli, ket]
     return SiteNetwork(sites)
 
 
@@ -372,18 +353,11 @@ def run_tn(
     if method == "peps":
         lazy_count = min(total, 2)
         tau = total - lazy_count
-        op_steps = 0
     elif method == "pepo":
-        lazy_count = min(total, int(math.log2(chi) / 2)) if chi > 1 else 0
-        tau = 0
-        op_steps = total - lazy_count
+        tau, lazy_count = 0, min(total, int(math.log2(chi) / 2))
     else:
-        tau = (total + 1) // 2
-        op_steps = total - tau
-        lazy_count = 0
-    lazy_layers = [
-        layer for group in steps[tau : tau + lazy_count] for layer in group
-    ]
+        tau, lazy_count = (total + 1) // 2, 0
+    op_steps = total - tau - lazy_count
 
     psi = peps_zero(circuit.n)
     for group in steps[:tau]:
@@ -402,10 +376,12 @@ def run_tn(
         if proxy > 1.0 + 1e-8:
             raise AssertionError(f"{name} norm proxy {proxy} exceeds 1")
 
-    sn = sandwich_network(psi, op, lazy_layers)
-    ms = bp_iterate(
-        sn, tol=opts.tol, max_iter=opts.max_iter, mode="one-norm", damping=opts.damping
-    )
+    # the lazy steps enter the state uncompressed, after its norm proxy
+    for group in steps[tau : tau + lazy_count]:
+        for layer in group:
+            apply_layer(psi, layer)
+    sn = sandwich_network(psi, op)
+    ms = opts.iterate(sn, mode="one-norm")
     value = scale * l1bp_value(sn, ms)
     imag_flags: tuple[str, ...] = ()
     if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
@@ -419,9 +395,7 @@ def run_tn(
         () if ms.converged else (f"l1bp_nonconverged:delta={ms.max_delta:.3e}",)
     )
     discards = [dw for _, _, _, dw in psi.trunc_log + op.trunc_log]
-    max_bond = max(
-        (sn.bond_dim(i, j) for i, j in sn.edges), default=1
-    )
+    max_bond = max((sn.bond_dim(i, j) for i, j in sn.edges), default=1)
     return TnResult(
         expectation=float(value.real),
         n_psi=n_psi,

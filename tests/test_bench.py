@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 import weakref
 from urllib.parse import unquote
 
@@ -34,6 +35,8 @@ from spdtn import (
 from spdtn import paulis, tensor
 from spdtn.spd import SpdResult
 from spdtn.bench import CSV_COLUMNS, CSV_VERSION, DEFAULT_THETA_GRID
+from spdtn.circuits import grid, heavy_hex
+from spdtn.oracle import exact_contract
 from spdtn.cli import main as cli_main
 
 from conftest import (
@@ -150,6 +153,29 @@ class TestRunConfig:
         for chis in ([4, 0], [2.7], [4, 4.0], [True], ["4"]):
             with pytest.raises(ValueError, match="chis must be >= 1, each an int"):
                 spd_config(method="mix", deltas=[], chis=chis)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("theta_h", "12", "theta_h must be a list of numbers, got '12'"),
+            ("theta_h", 0.5, "theta_h must be a list of numbers, got 0.5"),
+            ("theta_h", [0.5, None], r"theta_h must be a list of numbers, got \[0.5, None\]"),
+            ("theta_h", ["1"], "theta_h must be a list of numbers"),
+            ("deltas", "15", "deltas must be a list of numbers, got '15'"),
+            ("deltas", [True], "deltas must be a list of numbers"),
+            ("chis", 4, "chis must be a list, got 4"),
+            ("extra_x_layer", "no", "extra_x_layer must be true or false, got 'no'"),
+            ("lightcone", "false", "lightcone must be true or false, got 'false'"),
+            ("record_timing", "no", "record_timing must be true or false"),
+            ("record_timing", 1, "record_timing must be true or false, got 1"),
+            ("observable", 5, "observable must be a string, got 5"),
+        ],
+    )
+    def test_mistyped_values_raise(self, key, value, message):
+        """A string grid used to run one angle per character, and any
+        non-empty flag text to read as true."""
+        with pytest.raises(ValueError, match=message):
+            spd_config(**{key: value})
 
     @pytest.mark.parametrize("max_terms", [0, -5, 2.5, "100", True])
     def test_max_terms_must_be_a_positive_int(self, max_terms):
@@ -497,6 +523,32 @@ class TestSweep:
         assert lines[-1].endswith("," + flag)
         assert read_rows(path) == rows
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_write_stops_the_sweep(self, monkeypatch, tmp_path, workers):
+        """With two workers a writer failing on the first row used to leave
+        every other angle to run before the error surfaced."""
+        from spdtn import bench
+
+        run = []
+
+        def point(*args, **kwargs):
+            run.append(args[3])
+            if args[3] > 0.0:
+                time.sleep(0.02)  # the first angle's row fails first
+            return run_point(*args, **kwargs)
+
+        def fail(row):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(bench, "run_point", point)
+        monkeypatch.setattr(ResultRow, "to_csv", fail)
+        cfg = spd_config(theta_h=[k * math.pi / 16 for k in range(12)], deltas=[1e-2, 0.0])
+        with pytest.raises(OSError, match="disk full"):
+            sweep(cfg, out=tmp_path / "rows.csv", workers=workers)
+        # the angles started before the first row failed (with two workers
+        # the first angle, the second and maybe the third), not the rest
+        assert len(run) <= 2 * (workers + 1)
+
     def test_timing_recorded_only_on_request(self, tmp_path):
         quiet = sweep(spd_config(theta_h=[0.3]))
         timed = sweep(spd_config(theta_h=[0.3], record_timing=True))
@@ -833,6 +885,17 @@ class TestCompare:
         assert rep.values[0.1] == {"spd": 0.6, "mix": 0.2}
         assert rep.spreads[0.1] == pytest.approx(0.4)
 
+    def test_tables_without_a_usable_value_raise(self):
+        dead = [make_row(theta_h=t, expectation=None, flags="error:X") for t in (0.1, 0.2)]
+        live = chi_series([0.1, 0.2], [4, 8], method="mix", theta=0.1)
+        message = r"no usable value to compare in the tables \['spd'\]"
+        with pytest.raises(ValueError, match=message):
+            compare({"spd": dead})
+        with pytest.raises(ValueError, match=message):
+            compare({"spd": dead, "mix": live})
+        with pytest.raises(ValueError, match=r"in the tables \[\]"):
+            compare({})
+
     def test_grid_mismatch_lists_missing_points(self):
         a = [make_row(theta_h=t) for t in (0.1, 0.2)]
         b = [make_row(theta_h=0.1, method="mix", param_name="chi", param_value=4.0)]
@@ -903,6 +966,23 @@ class TestLoopErrorHistogram:
         assert "2 samples" in text
         assert len(text.splitlines()) == 2 + 8
 
+    @pytest.mark.parametrize(
+        "lattice, steps",
+        [(heavy_hex(1, 1), (2, 3)), (grid(3, 4), (2,))],
+        ids=["heavy_hex_12", "grid_3x4"],
+    )
+    def test_dense_referee_matches_exact_contraction(self, monkeypatch, lattice, steps):
+        """The survey reads its exact value from the ket layer's dense
+        amplitudes.  Where the absorbed sandwich itself fits
+        ``CONTRACT_BUDGET``, its exact contraction stands in for the Bethe
+        value, so each recorded error is the gap between the two referees."""
+        from spdtn import bench
+
+        monkeypatch.setattr(bench, "l1bp_value", lambda sn, ms: exact_contract(sn))
+        rep = loop_error_histogram(lattices={"lattice": lattice}, steps=steps)
+        assert len(rep.errors) == 4 * 3 * len(steps)
+        assert max(rep.errors) <= 1e-12
+
 
 class TestCli:
     @pytest.fixture()
@@ -972,6 +1052,21 @@ class TestCli:
         assert "max spread" in text
         assert text.count("max |spd - exact|") == 1
         assert "max |exact - spd|" not in text
+
+    def test_compare_without_a_usable_value_exit_two(self, tmp_path, capsys):
+        """Every row of this sweep is flagged (two terms against a cap of
+        one); compare used to fail with ``max() arg is an empty sequence``."""
+        doc = {
+            "lattice": {"kind": "ring", "n": 6}, "observable": "Z0", "steps": 2,
+            "method": "spd", "theta_h": [0.3, 0.7], "deltas": [0.0], "max_terms": 1,
+        }
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["sweep", "--config", str(path)]) == 1
+        capsys.readouterr()
+        assert cli_main(["compare", str(tmp_path / "capped.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: no usable value to compare in the tables ['spd']\n"
 
     def test_duplicate_method_exit_two(self, config_path, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -1053,6 +1148,37 @@ class TestCli:
             "method": "mix", "theta_h": [0.7], "chis": [2], "lightcone": False,
             key: value,
         }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rows.csv"
+        assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("theta_h", "12", "theta_h must be a list of numbers"),
+            ("theta_h", 0.5, "theta_h must be a list of numbers"),
+            ("deltas", "15", "deltas must be a list of numbers"),
+            ("chis", 4, "chis must be a list"),
+            ("extra_x_layer", "no", "extra_x_layer must be true or false"),
+            ("lightcone", "false", "lightcone must be true or false"),
+            ("record_timing", "no", "record_timing must be true or false"),
+            ("observable", 5, "observable must be a string"),
+        ],
+    )
+    def test_mistyped_values_exit_two(self, tmp_path, capsys, key, value, message):
+        """These used to run on a wrong reading (a string grid as one angle
+        per character, any flag text as true) or end in a traceback with
+        exit 1, the code of flagged rows."""
+        doc = {
+            "lattice": {"kind": "ring", "n": 6}, "observable": "Z0", "steps": 2,
+            "method": "spd", "theta_h": [0.7], "deltas": [0.0], key: value,
+        }
+        if key == "chis":
+            doc.update(method="mix", deltas=[])
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "rows.csv"

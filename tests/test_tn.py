@@ -18,7 +18,7 @@ from spdtn import (
     ring,
 )
 from spdtn import tn
-from spdtn.bp import SiteNetwork
+from spdtn.bp import SiteNetwork, bp_iterate
 from spdtn.oracle import exact_contract, statevector, statevector_expectation
 from spdtn.tensor import contract
 from spdtn.tn import (
@@ -236,8 +236,9 @@ class TestSandwich:
         evolve(psi, groups[0], chi=16, kappa=0.0, bp_options=BpOptions(tol=1e-12))
         word = parse_pauli("Z1", n)
         op = pepo_from_word(word)
-        lazy = [layer for group in groups[1:] for layer in group]
-        sn = sandwich_network(psi, op, lazy)
+        for layer in groups[1]:
+            apply_layer(psi, layer)
+        sn = sandwich_network(psi, op)
         assert sn.dangling == ()
         got = exact_contract(sn)
         want = statevector_expectation(circuit, word)
@@ -251,6 +252,21 @@ class TestSandwich:
             sandwich_network(op, op)
         with pytest.raises(ValueError, match="sizes differ"):
             sandwich_network(psi, pepo_from_word(parse_pauli("Z0", 2)))
+
+
+class TestOneNormPhase:
+    @pytest.mark.parametrize("sweeps", [4, 31])
+    def test_tied_lead_entries_do_not_flip_messages(self, sweeps):
+        """RZZ(-pi/2) bonds carry exactly tied weights; picking the lead
+        entry by plain argmax let rounding flip converged messages' sign
+        from sweep to sweep (max_delta 2.0 at every sweep count)."""
+        circuit = kicked_ising(ring(6), steps=2, theta_h=7 * math.pi / 32)
+        psi = peps_zero(6)
+        for layer in circuit.layers:
+            apply_layer(psi, layer)
+        sn = sandwich_network(psi, pepo_from_word(parse_pauli("Z0", 6)))
+        ms = bp_iterate(sn, tol=0.0, max_iter=sweeps, mode="one-norm")
+        assert ms.max_delta <= 1e-12
 
 
 class TestStepGroups:

@@ -231,11 +231,14 @@ def _update(
     if nrm > 0.0:
         new = Tensor(new.data / nrm, labels)
     if mode == "one-norm":
-        # fix the free global phase (largest entry real positive) so a
+        # fix the free global phase (lead entry real positive) so a
         # phase-rotating fixed point still registers as converged; the
-        # Bethe ratio is invariant under per-message rescaling
+        # Bethe ratio is invariant under per-message rescaling.  The lead
+        # is the first entry within 1e-8 (relative) of the largest
+        # magnitude, so rounding cannot flip it between tied entries
         flat = new.data.reshape(-1)
-        lead = flat[np.argmax(np.abs(flat))]
+        mag = np.abs(flat)
+        lead = flat[np.argmax(mag >= (1.0 - 1e-8) * mag.max())]
         if lead != 0.0:
             new = Tensor(new.data * (lead.conjugate() / abs(lead)), labels)
     old = messages[(j, k)]
