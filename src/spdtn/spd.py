@@ -36,10 +36,21 @@ and chunk-sized scratch: 48 bytes per new term on 127 qubits at delta = 0.
 
 Truncation keeps |a| >= delta, so delta = 0 keeps everything (including
 exact zeros).
+
+Only Z-type words read out nonzero at |0...0>.  ``run_spd`` applies the
+circuit's first RX layer last: the leading run of rotations whose axes are
+single-site X words.  An X rotation on site j swaps Z and Y on j and leaves
+I and X, so once only that run is left, a term with an X factor, or with a
+Y factor on a site no remaining rotation turns, keeps that factor in every
+product and never feeds a readable term.  Such terms are dropped before the
+run and after each run rotation that is the last on its site.  Readable
+coefficients and truncation decisions are those of carrying every term, so
+the expectation is the same bit for bit, and the final sum is all Z-type.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -166,6 +177,8 @@ class PauliSum:
         """Coefficient of one word (0 if absent), by binary search."""
         if isinstance(word, str):
             word = parse_pauli(word, self.n)
+        if word.n != self.n:
+            raise ValueError(f"word on {word.n} sites, sum on {self.n}")
         keys = pack_keys(self.words)
         key = pack_keys(word.row[None, :])
         pos = int(np.searchsorted(keys, key[0]))
@@ -405,24 +418,76 @@ def run_spd(
     threshold truncation, and the result is read out at |0...0>.  Once
     truncation empties the sum no rotation can refill it, so the remaining
     rotations are skipped.
+
+    The first RX layer, the leading run of rotations whose axes are
+    single-site X words, carries only the terms that can still read out
+    nonzero (see the module docstring); the expectation is that of carrying
+    every term, bit for bit.  Without such a run nothing is dropped.
+
+    - ``peak_terms``: the largest sum held, counted after each rotation and
+      before the unreadable terms are dropped;
+    - ``final_terms``: the terms left at the end, all Z-type after a run;
+    - ``norm``: ``sqrt(|final|^2 + sum of the dropped a^2)``, so that
+      ``|O|^2 - norm^2`` is the weight truncation removed from terms that
+      could still be read.  At delta = 0 it is ``|O|`` up to rounding.
     """
     t0 = time.perf_counter()
     if not delta >= 0:
         raise ValueError(f"delta must be >= 0, got {delta!r}")
+    rotations = rc.rotations
     s = rc.transformed_observable.truncate(delta)
+    xs = _first_rx_layer(rotations, s.nw)
+    lead = len(xs)
+    # live[i]: the sites that rotations[:i] turn, as raw x words
+    live = np.zeros((lead + 1, s.nw), dtype=np.uint64)
+    np.bitwise_or.accumulate(xs, out=live[1:])
+    # last[i]: rotations[i] is the last on its site in Heisenberg order
+    last = (live[:-1] != live[1:]).any(axis=1).tolist()
     peak = s.num_terms
     cap = _resolve_cap(max_terms)
-    for rot in reversed(rc.rotations):
+    dropped = 0.0  # squared weight of the unreadable terms dropped
+    for i in reversed(range(len(rotations))):
         if not s.num_terms:
             break
+        if i == lead - 1:
+            s, dropped = _drop_unreadable(s, live[lead], dropped)
+        rot = rotations[i]
         s = apply_rotation(s, rot.axis, rot.angle, delta, cap)
         if s.num_terms > peak:
             peak = s.num_terms
+        if i < lead and last[i]:
+            s, dropped = _drop_unreadable(s, live[i], dropped)
     return SpdResult(
         expectation=s.expectation(),
-        norm=s.frobenius_norm(),
+        norm=math.hypot(s.frobenius_norm(), math.sqrt(dropped)),
         peak_terms=peak,
         final_terms=s.num_terms,
-        num_rotations=len(rc.rotations),
+        num_rotations=len(rotations),
         wall_time_s=time.perf_counter() - t0,
     )
+
+
+def _first_rx_layer(rotations, nw: int) -> np.ndarray:
+    """The raw x words, one row per rotation, of the leading run of
+    rotations whose axes are single-site X words."""
+    xs = []
+    for rot in rotations:
+        row = rot.axis.row.tobytes()
+        if any(row[: 8 * nw]) or int.from_bytes(row[8 * nw :], "big").bit_count() != 1:
+            break
+        xs.append(rot.axis.row.view(np.uint64)[nw:])
+    return np.array(xs, dtype=np.uint64).reshape(len(xs), nw)
+
+
+def _drop_unreadable(s: PauliSum, live: np.ndarray, dropped: float) -> tuple[PauliSum, float]:
+    """Drop the terms with an X factor or a Y factor outside the sites whose
+    raw x words are ``live``; returns the rest and ``dropped`` plus their
+    squared weight."""
+    raw = s.words.view(np.uint64)
+    dead = raw[:, s.nw :] & ~(raw[:, : s.nw] & live)
+    gone = dead.any(axis=1)
+    if not gone.any():
+        return s, dropped
+    lost = s.coeffs[gone]
+    keep = ~gone
+    return PauliSum._of(s.n, s.words[keep], s.coeffs[keep]), dropped + float(lost @ lost)

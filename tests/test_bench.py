@@ -364,7 +364,7 @@ class TestSweep:
         assert read_rows(path) == rows
 
     def test_capacity_error_is_flagged_not_fatal(self, tmp_path):
-        cfg = spd_config(theta_h=[0.0, math.pi / 8], max_terms=8)
+        cfg = spd_config(theta_h=[0.0, math.pi / 8], steps=3, max_terms=8)
         path = tmp_path / "run.csv"
         rows = sweep(cfg, out=path)
         assert rows[0].expectation == 1.0 and not rows[0].flagged
@@ -375,6 +375,10 @@ class TestSweep:
         assert rows[1].expectation is None
         back = read_rows(path)
         assert back == rows
+        # two steps carry at most 4 terms: the first RX layer keeps only
+        # readable ones
+        fits = sweep(spd_config(theta_h=[math.pi / 8], max_terms=4), out=tmp_path / "t2.csv")
+        assert not fits[0].flagged and fits[0].peak_terms_or_maxbond == 4
 
     def test_read_rows_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1003,7 +1007,7 @@ class TestCli:
         assert len(read_rows(config_path.with_suffix(".csv"))) == 2
 
     def test_sweep_flagged_rows_exit_one(self, tmp_path, capsys):
-        cfg = spd_config(theta_h=[0.0, math.pi / 8], max_terms=8)
+        cfg = spd_config(theta_h=[0.0, math.pi / 8], steps=3, max_terms=8)
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg.to_dict()))
         assert cli_main(["sweep", "--config", str(path)]) == 1
@@ -1022,7 +1026,7 @@ class TestCli:
         assert "spd theta_h=0.000000" in text
 
     def test_report_flagged_exit_one(self, tmp_path, capsys):
-        cfg = spd_config(theta_h=[0.0, math.pi / 8], max_terms=8)
+        cfg = spd_config(theta_h=[0.0, math.pi / 8], steps=3, max_terms=8)
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg.to_dict()))
         out = tmp_path / "rows.csv"

@@ -1,5 +1,6 @@
 """Sparse Pauli dynamics against dense Heisenberg evolution."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,15 +8,20 @@ import pytest
 
 from spdtn import (
     Circuit,
+    Gate,
     Layer,
     PauliSum,
     PauliWord,
     SpdCapacityError,
     apply_rotation,
     chain,
+    device_127,
+    heavy_hex,
     kicked_ising,
+    lightcone_prune,
     parse_pauli,
     recompile,
+    ring,
     run_spd,
     run_tn,
 )
@@ -94,6 +100,13 @@ class TestPauliSum:
         assert all(type(c) is float for _, c in s.terms())
         with pytest.raises(ValueError, match="imaginary.*real"):
             PauliSum(2, s.words, s.coeffs + 1e-300j)
+
+    def test_coefficient_rejects_a_word_of_another_size(self):
+        s = PauliSum.from_terms(4, [("Z1", 0.5)])
+        assert s.coefficient(parse_pauli("Z1", 4)) == 0.5
+        for n in (3, 60, 70):
+            with pytest.raises(ValueError, match=f"word on {n} sites, sum on 4"):
+                s.coefficient(parse_pauli("Z1", n))
 
     def test_frobenius_norm_matches_dense(self, rng):
         n = 3
@@ -341,6 +354,122 @@ class TestRunSpd:
         assert coarse.peak_terms <= exact.peak_terms
         assert coarse.norm <= exact.norm + 1e-12
         assert abs(coarse.expectation - exact.expectation) < 0.5
+
+
+def _every_rotation(rc, delta: float) -> tuple[PauliSum, int]:
+    """The slow reference of ``run_spd``: ``apply_rotation`` over every
+    rotation, every term carried to the end; the final sum and the peak."""
+    s = rc.transformed_observable.truncate(delta)
+    peak = s.num_terms
+    for rot in reversed(rc.rotations):
+        s = apply_rotation(s, rot.axis, rot.angle, delta)
+        peak = max(peak, s.num_terms)
+    return s, peak
+
+
+_LATTICES = {
+    "chain": lambda: chain(6),
+    "ring": lambda: ring(6),
+    "heavy_hex": lambda: heavy_hex(1, 1),
+}
+
+
+class TestReadableTerms:
+    """Through the first RX layer ``run_spd`` carries only the terms that can
+    still read out nonzero; against the reference that carries them all."""
+
+    def _check(self, monkeypatch, rc, delta: float) -> None:
+        kept = []
+        drop = spd._drop_unreadable
+
+        def recording(*args):
+            out = drop(*args)
+            kept.append(out[0])
+            return out
+
+        monkeypatch.setattr(spd, "_drop_unreadable", recording)
+        res = run_spd(rc, delta)
+        want, peak = _every_rotation(rc, delta)
+        readable = want.z_type_mask()
+        assert kept
+        assert res.expectation == want.expectation()
+        assert res.peak_terms <= peak
+        assert res.final_terms == int(readable.sum())
+        if res.final_terms:
+            # the sum ran to the end, and the last drop came after its last rotation
+            final = kept[-1]
+            assert final.z_type_mask().all()
+            assert np.array_equal(final.words, want.words[readable])
+            assert final.coeffs.tobytes() == want.coeffs[readable].tobytes()
+        if delta == 0.0:
+            assert abs(res.norm - want.frobenius_norm()) <= 1e-12
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 1e-2])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lattice", sorted(_LATTICES))
+    def test_kicked_ising_matches_every_rotation(self, monkeypatch, lattice, steps, delta, sign):
+        lat = _LATTICES[lattice]()
+        word = parse_pauli("Z1", lat.n)
+        circuit = kicked_ising(lat, steps, sign * 7 * math.pi / 32)
+        rc = recompile(lightcone_prune(circuit, word.support()), word)
+        self._check(monkeypatch, rc, delta)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 1e-2])
+    def test_two_rx_gates_on_one_site(self, monkeypatch, delta):
+        """Site 0 is turned twice in the leading run: its Y terms are kept
+        through the first of them (in Heisenberg order) and dropped only
+        after the second."""
+        n = 3
+        layers = [
+            Layer((Gate("rx", (0,), 0.3), Gate("rx", (1,), -0.5))),
+            Layer((Gate("rx", (0,), 0.6),)),
+            Layer((Gate("rzz", (0, 1), 0.4), Gate("rx", (2,), 0.2))),
+            Layer((Gate("rzz", (1, 2), -math.pi / 2),)),
+            Layer(tuple(Gate("rx", (q,), 0.7) for q in range(n))),
+            Layer((Gate("rzz", (0, 2), 0.25),)),
+        ]
+        circuit = Circuit(n, tuple(layers))
+        obs = PauliSum.from_terms(n, [("Z0 Z1", 0.6), ("Y1 Z2", 0.5), ("X0", 0.3), ("Z2", 0.2)])
+        rc = recompile(circuit, obs)
+        run = [str(rot.axis) for rot in rc.rotations[:4]]
+        assert run[:3] == ["X0", "X1", "X0"] and run[3] != "X2"
+        self._check(monkeypatch, rc, delta)
+        if delta == 0.0:
+            got = run_spd(rc, delta).expectation
+            assert got == pytest.approx(statevector_expectation(circuit, obs), abs=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-2])
+    def test_no_leading_rx_layer_is_the_reference(self, monkeypatch, delta):
+        """A circuit whose first rotation is not a single-site X word drops
+        nothing: every field equals the reference's, the norm too."""
+        n = 4
+        rc = recompile(random_circuit(np.random.default_rng(2), n, depth=30), parse_pauli("Z0", n))
+        assert str(rc.rotations[0].axis) not in {f"X{q}" for q in range(n)}
+        monkeypatch.setattr(spd, "_drop_unreadable", None)  # never called
+        res = run_spd(rc, delta)
+        want, peak = _every_rotation(rc, delta)
+        assert dataclasses.replace(res, wall_time_s=0.0) == spd.SpdResult(
+            expectation=want.expectation(),
+            norm=want.frobenius_norm(),
+            peak_terms=peak,
+            final_terms=want.num_terms,
+            num_rotations=len(rc.rotations),
+            wall_time_s=0.0,
+        )
+
+    def test_device_t6_lossless_matches_mix(self):
+        """T = 6 at delta = 0 on the 127-site device: the first RX layer
+        would take 56M terms carrying every term, above the default cap;
+        carrying only readable ones it agrees with lossless mix at chi 8."""
+        lat = device_127()
+        word = parse_pauli("Z62", lat.n)
+        circuit = kicked_ising(lat, 6, 7 * math.pi / 32)
+        res = run_spd(recompile(lightcone_prune(circuit, word.support()), word), delta=0.0)
+        mix = run_tn(circuit, word, method="mix", chi=8)
+        assert abs(res.expectation - mix.expectation) < 1e-10
+        assert abs(mix.n_psi - 1.0) < 1e-9 and abs(mix.n_o - 1.0) < 1e-9
+        assert abs(res.norm - 1.0) < 1e-12
 
 
 # -- complex reference ------------------------------------------------------
