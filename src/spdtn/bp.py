@@ -26,7 +26,16 @@ first sweep delivers the exact messages and the second confirms them with a
 change of exactly zero; on loops the order still carries information across
 the whole network in one sweep.  The change of a message within a sweep is
 the 1-norm of the difference, and iteration stops when a sweep's largest
-change drops below the tolerance.
+change drops below the tolerance.  A NaN or infinite change stops it at
+once, unconverged, with that change as the residual.
+
+Updates are change-driven.  Each message has a version, which goes up only
+when an update writes an array whose bits differ from the old one.  An
+update whose incoming messages (and, with damping, its own message) still
+have the versions it last read would replay the same plan on the same
+arrays and write the same bits, so it is skipped and its change counts as
+0.0.  Messages, sweep counts and residuals are those of recomputing every
+update; on a tree or forest the confirming sweep contracts nothing.
 
 Labels and shapes stay fixed for the whole of one ``bp_iterate`` call, so
 each directed message's update is set up once, before the first sweep: a
@@ -231,9 +240,10 @@ def bp_iterate(
     messages in place in the sweep order of ``_schedule``.
 
     ``iterations`` counts sweeps: on a tree or forest without damping BP
-    converges in two.  In two-norm mode every message is
-    Hermitian-symmetrized over its (ket, bra) split after each update.
-    Non-convergence within max_iter is flagged on the result, not raised.
+    converges in two, and the second skips every update (module docstring).
+    In two-norm mode every message is Hermitian-symmetrized over its
+    (ket, bra) split after each update.  Non-convergence within max_iter, or
+    a non-finite change, is flagged on the result, not raised.
     """
     if mode not in ("one-norm", "two-norm"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -246,30 +256,43 @@ def bp_iterate(
     if sn.dangling:
         raise ValueError(f"network has dangling labels {sn.dangling[:8]}")
     directed = _schedule(sn)
-    start: dict[tuple[Any, Any], Tensor] = {}
+    index = {key: n for n, key in enumerate(directed)}
+    start: list[Tensor] = []
     for i, j in directed:
         labels = sn.bond_labels(i, j)
         if init is not None and (i, j) in init:
-            start[(i, j)] = init[(i, j)].transpose_to(labels)
+            start.append(init[(i, j)].transpose_to(labels))
         else:
-            start[(i, j)] = _uniform_message(sn, labels)
-    # one update per directed message: its key, contraction plan, site
-    # arrays, incoming message keys and (two-norm) symmetrizer
+            start.append(_uniform_message(sn, labels))
+    # one update per directed message, in sweep order: its message's index,
+    # contraction plan, site arrays, incoming message indices, the indices
+    # whose versions decide a skip, and (two-norm) symmetrizer
     updates = []
     for j, k in directed:
         labels = sn.bond_labels(j, k)
-        incoming = [(l, j) for l in sn.neighbors(j) if l != k]
+        incoming = [index[(l, j)] for l in sn.neighbors(j) if l != k]
         plan = plan_contraction(sn.sites[j] + [start[m] for m in incoming], labels)
         sym = None
         if mode == "two-norm":
             sym = _symmetrizer(labels, tuple(sn.dims[l] for l in labels))
-        updates.append(((j, k), plan, [t.data for t in sn.sites[j]], incoming, sym))
+        out = index[(j, k)]
+        watched = incoming + [out] if damping > 0.0 else incoming
+        updates.append((out, plan, [t.data for t in sn.sites[j]], incoming, watched, sym))
 
-    messages = {key: t.data for key, t in start.items()}
+    messages = [t.data for t in start]
+    # a message's version goes up whenever an update writes different bits;
+    # an update whose watched versions are those it last read would replay
+    # the same plan on the same arrays, so it is skipped
+    versions = [0] * len(messages)
+    last_read: list[list[int] | None] = [None] * len(updates)
     iterations, max_delta, converged = 0, math.inf, False
     for iterations in range(1, max_iter + 1):
         max_delta = 0.0
-        for key, plan, site, incoming, sym in updates:
+        for u, (out, plan, site, incoming, watched, sym) in enumerate(updates):
+            read = [versions[m] for m in watched]
+            if read == last_read[u]:
+                continue
+            last_read[u] = read
             new = plan.run(site + [messages[m] for m in incoming])
             if sym is not None:
                 to_pairs, d, shape, back = sym
@@ -291,16 +314,26 @@ def bp_iterate(
                 lead = flat[np.argmax(mag >= (1.0 - 1e-8) * mag.max())]
                 if lead != 0.0:
                     new = new * (lead.conjugate() / abs(lead))
-            old = messages[key]
+            old = messages[out]
             if damping > 0.0:
                 new = (1.0 - damping) * new + damping * old
-            max_delta = max(max_delta, float(np.abs(new - old).sum()))
-            messages[key] = new
+            change = float(np.abs(new - old).sum())
+            messages[out] = new
+            if not math.isfinite(change):
+                # a NaN or infinite message: stop, unconverged, with the
+                # change itself as the residual
+                max_delta = change
+                break
+            max_delta = max(max_delta, change)
+            if change != 0.0 or new.tobytes() != old.tobytes():
+                versions[out] += 1
+        if not math.isfinite(max_delta):
+            break
         if max_delta <= tol:
             converged = True
             break
     return MessageSet(
-        {key: Tensor(data, sn.bond_labels(*key)) for key, data in messages.items()},
+        {key: Tensor(messages[n], sn.bond_labels(*key)) for key, n in index.items()},
         iterations=iterations,
         max_delta=max_delta,
         converged=converged,

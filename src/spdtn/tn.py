@@ -91,7 +91,8 @@ class EvolvingState:
     kind "pepo": Pauli label ``a{i}`` per site (an operator, real).
     Absorbing a layer (``apply_layer``) adds a bond label per two-site gate,
     and compression (``evolve``) fuses each site pair's labels back to a
-    single label of dimension <= chi.
+    single label of dimension <= chi.  ``_gates`` keeps the arrays of each
+    distinct gate absorbed so far (``_gate_arrays``).
     """
 
     kind: str
@@ -101,6 +102,9 @@ class EvolvingState:
     trunc_log: list[tuple[int, int, int, float]] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
     _labels: Iterable[str] = field(default=None, repr=False)
+    _gates: dict[tuple[str, bytes], tuple[np.ndarray, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.kind not in ("peps", "pepo"):
@@ -141,9 +145,7 @@ def _pauli_transfer(u: np.ndarray) -> np.ndarray:
     return np.einsum("aij,bji->ab", basis, images).real / len(u)
 
 
-def _split_two_site(
-    mat: np.ndarray, new_a: str, old_a: str, new_b: str, old_b: str, bond: str
-) -> tuple[Tensor, Tensor]:
+def _split_two_site(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a two-site matrix (new fused, old fused) into site halves.
 
     Returns (L, R) with L over (new_a, old_a, bond) and R over
@@ -153,33 +155,50 @@ def _split_two_site(
     on an operator.
     """
     d = math.isqrt(len(mat))
-    t = Tensor(mat.reshape(d, d, d, d), (new_a, new_b, old_a, old_b))
-    u, s, vh, _ = truncated_svd(t, (new_a, old_a), chi=None, kappa=0.0, new_label=bond)
+    t = Tensor(mat.reshape(d, d, d, d), ("na", "nb", "oa", "ob"))
+    u, s, vh, _ = truncated_svd(t, ("na", "oa"), chi=None, kappa=0.0, new_label="bond")
     r = int(np.sum(s >= ZERO_CUT * s[0]))
     root = np.sqrt(s[:r])
-    left = Tensor(u.data[..., :r] * root[None, None, :], u.inds)
-    right = Tensor(root[:, None, None] * vh.data[:r], vh.inds)
-    return left, right
+    return u.data[..., :r] * root[None, None, :], root[:, None, None] * vh.data[:r]
+
+
+def _gate_arrays(state: EvolvingState, gate: Gate) -> tuple[np.ndarray, ...]:
+    """The gate on ``state`` (its unitary on a state, its Pauli transfer
+    matrix on an operator) as one array per qubit, two-qubit gates split by
+    ``_split_two_site``.  Built once per distinct matrix and kept, read-only,
+    on the state, since a circuit repeats a few gates many times."""
+    mat = gate_matrix(gate)
+    key = (state.kind, mat.tobytes())
+    arrays = state._gates.get(key)
+    if arrays is None:
+        if len(gate.qubits) not in (1, 2):
+            raise ValueError(f"tensor evolution supports 1- and 2-qubit gates, got {gate}")
+        if state.kind == "pepo":
+            mat = _pauli_transfer(mat)
+        arrays = (mat,) if len(gate.qubits) == 1 else _split_two_site(mat)
+        for a in arrays:
+            a.flags.writeable = False
+        state._gates[key] = arrays
+    return arrays
 
 
 def _gate_tensors(state: EvolvingState, gate: Gate) -> list[tuple[int, str, Tensor]]:
-    """The gate (its unitary on a state, its Pauli transfer matrix on an
-    operator) as (q, fresh label, tensor from ``state.phys_label(q)`` to it)
-    per qubit q; a two-qubit gate's pair also shares a fresh bond label."""
-    mat = gate_matrix(gate)
-    if state.kind == "pepo":
-        mat = _pauli_transfer(mat)
+    """The gate's arrays (``_gate_arrays``) as (q, fresh label, tensor from
+    ``state.phys_label(q)`` to it) per qubit q; a two-qubit gate's pair also
+    shares a fresh bond label."""
+    arrays = _gate_arrays(state, gate)
     phys = state.phys_label
     if len(gate.qubits) == 1:
         (q,) = gate.qubits
         new = state.fresh_label()
-        return [(q, new, Tensor(mat, (new, phys(q))))]
-    if len(gate.qubits) == 2:
-        qa, qb = gate.qubits
-        new_a, new_b, bond = state.fresh_label(), state.fresh_label(), state.fresh_label()
-        left, right = _split_two_site(mat, new_a, phys(qa), new_b, phys(qb), bond)
-        return [(qa, new_a, left), (qb, new_b, right)]
-    raise ValueError(f"tensor evolution supports 1- and 2-qubit gates, got {gate}")
+        return [(q, new, Tensor(arrays[0], (new, phys(q))))]
+    qa, qb = gate.qubits
+    new_a, new_b, bond = state.fresh_label(), state.fresh_label(), state.fresh_label()
+    left, right = arrays
+    return [
+        (qa, new_a, Tensor(left, (new_a, phys(qa), bond))),
+        (qb, new_b, Tensor(right, (bond, new_b, phys(qb)))),
+    ]
 
 
 def apply_layer(state: EvolvingState, layer: Layer):

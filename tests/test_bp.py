@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdtn import Tensor
 from spdtn.bp import (
@@ -16,7 +18,7 @@ from spdtn.bp import (
     l1bp_value,
 )
 from spdtn import tensor
-from spdtn.tensor import contract
+from spdtn.tensor import ContractionPlan, contract
 
 import tn_reference as ref
 from conftest import naive_contract, random_tree_sites
@@ -593,3 +595,127 @@ class TestSweepSchedule:
         assert ms.converged and jacobi.converged
         got, want = l1bp_value(sn, ms), l1bp_value(sn, jacobi)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def random_forest_sites(rng, sizes, max_dim=3):
+    """Random trees of the given sizes side by side; tree t's sites are
+    ``100 * t + k`` and its labels carry the prefix ``t<t>``."""
+    sites = {}
+    for t, n_sites in enumerate(sizes):
+        tree, _ = random_tree_sites(rng, n_sites=n_sites, max_dim=max_dim)
+        for k, ts in tree.items():
+            sites[100 * t + k] = [x.relabel({l: f"t{t}{l}" for l in x.inds}) for x in ts]
+    return sites
+
+
+class TestChangeDrivenSweeps:
+    """``bp_iterate`` skips an update whose input messages (and, with
+    damping, its own) carry the bits it last read; it must return the bits
+    of ``tn_reference.bp_iterate_recompute``, which recomputes every update
+    of every sweep."""
+
+    @staticmethod
+    def network(kind, seed, mode):
+        rng = np.random.default_rng(seed)
+        outer = ()
+        if kind == "tree":
+            sites, _ = random_tree_sites(rng, n_sites=int(rng.integers(2, 9)), max_dim=3)
+        elif kind == "forest":
+            # the first tree has a bond, a later one may be a lone site
+            sizes = [int(rng.integers(2, 6))] + [int(rng.integers(1, 6)) for _ in range(2)]
+            sites = random_forest_sites(rng, sizes)
+        else:
+            sites, outer = random_ring_sites(
+                rng, int(rng.integers(4, 8)), phys=mode == "two-norm", real=seed % 2 == 1
+            )
+        if mode == "two-norm":
+            sites = doubled_sites(sites, outer=outer)
+        return SiteNetwork(sites)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["tree", "forest", "ring"]),
+        mode=st.sampled_from(["one-norm", "two-norm"]),
+        damping=st.sampled_from([0.0, 0.3]),
+        with_init=st.booleans(),
+        stop=st.sampled_from([(1e-11, 40), (0.0, 6), (1e-3, 3)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_recompute_reference_bits(self, seed, kind, mode, damping, with_init, stop):
+        sn = self.network(kind, seed, mode)
+        tol, max_iter = stop
+        kwargs = dict(mode=mode, tol=tol, max_iter=max_iter, damping=damping)
+        if with_init:
+            start = ref.bp_iterate_recompute(sn, mode=mode, tol=1e-2, max_iter=2)
+            # init messages in their reversed label order, and one left out
+            init = {key: t.transpose_to(t.inds[::-1]) for key, t in start.messages.items()}
+            del init[min(init)]
+            kwargs["init"] = init
+        assert_same_messages(bp_iterate(sn, **kwargs), ref.bp_iterate_recompute(sn, **kwargs))
+
+    @pytest.mark.parametrize("mode", ["one-norm", "two-norm"])
+    @pytest.mark.parametrize("kind", ["tree", "forest"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_confirming_sweep_contracts_nothing(self, monkeypatch, kind, mode, seed):
+        """On a tree or forest the second sweep's inputs are those of the
+        first, so it replays no plan."""
+        runs = []
+        inner = ContractionPlan.run
+
+        def counting(plan, arrays):
+            runs.append(1)
+            return inner(plan, arrays)
+
+        monkeypatch.setattr(ContractionPlan, "run", counting)
+        sn = self.network(kind, 5100 + seed, mode)
+        first = bp_iterate(sn, tol=0.0, max_iter=1, mode=mode)
+        assert first.iterations == 1 and len(runs) == 2 * len(sn.edges)
+        runs.clear()
+        ms = bp_iterate(sn, tol=0.0, max_iter=10, mode=mode)
+        assert (ms.iterations, ms.max_delta, ms.converged) == (2, 0.0, True)
+        assert len(runs) == 2 * len(sn.edges)
+        for key, t in first.messages.items():
+            assert ms.messages[key].data.tobytes() == t.data.tobytes()
+
+    def test_equal_values_in_another_dtype_count_as_a_change(self):
+        """A rewrite whose change is 0.0 but whose bits differ still moves
+        the message's version.  On the ring 0-1-2 the first sweep sends
+        1 -> 0 from the starting 2 -> 1, which is set to the complex copy
+        of the value 2 -> 1 is about to get; the second sweep must recompute
+        1 -> 0 from the float64 value."""
+        rng = np.random.default_rng(5300)
+        a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
+        sn = SiteNetwork(
+            {0: [Tensor(a, ("ab", "ac"))], 1: [Tensor(b, ("ab", "bc"))], 2: [Tensor(c, ("ac", "bc"))]}
+        )
+        a_to_c = Tensor(np.array([0.25, 0.75]), ("ac",))
+        c_to_b = contract([sn.sites[2][0], a_to_c], output=("bc",))
+        c_to_b, _ = ref._finish(c_to_b, c_to_b, "one-norm", 0.0)
+        init = {(0, 2): a_to_c, (2, 1): Tensor(c_to_b.data.astype(complex), ("bc",))}
+        kwargs = dict(tol=0.0, max_iter=2, init=init)
+        ms = bp_iterate(sn, **kwargs)
+        assert_same_messages(ms, ref.bp_iterate_recompute(sn, **kwargs))
+        assert ms.messages[(1, 0)].data.dtype == np.float64
+
+
+class TestNonFiniteMessages:
+    """A NaN message ends BP unconverged, with the NaN as the residual;
+    ``max`` would otherwise keep the sweep's 0.0 and call it converged."""
+
+    @staticmethod
+    def nan_ring():
+        rng = np.random.default_rng(5200)
+        x_y, y_z, z_x = (rng.standard_normal((2, 2)) for _ in range(3))
+        x_y[0, 1] = np.nan
+        return SiteNetwork(
+            {0: [Tensor(x_y, ("x", "y"))], 1: [Tensor(y_z, ("y", "z"))], 2: [Tensor(z_x, ("z", "x"))]}
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_nan_stops_unconverged(self, damping):
+        sn = self.nan_ring()
+        for bp in (bp_iterate, ref.bp_iterate_recompute, ref.bp_iterate):
+            ms = bp(sn, tol=1e-10, max_iter=50, damping=damping)
+            assert (ms.iterations, ms.converged) == (1, False)
+            assert math.isnan(ms.max_delta)

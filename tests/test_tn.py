@@ -13,6 +13,7 @@ from spdtn import (
     Tensor,
     chain,
     device_127,
+    gate_matrix,
     kicked_ising,
     parse_pauli,
     ring,
@@ -184,6 +185,82 @@ class TestApplyLayer:
         layer = Layer((Gate("rot", (0, 1, 2), 0.4, axis),))
         with pytest.raises(ValueError, match="1- and 2-qubit"):
             apply_layer(psi, layer)
+
+
+class TestGateArrays:
+    """Each distinct gate's arrays are built once per state and kept there,
+    read-only; absorbing them again gives the bits of building them afresh."""
+
+    PAIRS = {
+        "rx": (Gate("rx", (0,), 0.3), Gate("rx", (2,), 0.3)),
+        "rz": (Gate("rz", (1,), -1.1), Gate("rz", (3,), -1.1)),
+        "rzz": (Gate("rzz", (0, 1), -math.pi / 2), Gate("rzz", (2, 3), -math.pi / 2)),
+        "cz": (Gate("cz", (1, 0)), Gate("cz", (3, 2))),
+        "cx": (Gate("cx", (0, 1)), Gate("cx", (2, 3))),
+        "rot": (
+            Gate("rot", (0, 1), 0.7, parse_pauli("Z0 X1", 4)),
+            Gate("rot", (2, 3), 0.7, parse_pauli("Z2 X3", 4)),
+        ),
+    }
+
+    @staticmethod
+    def random_state(kind):
+        rng = np.random.default_rng(1200)
+        tensors = {}
+        for i in range(4):
+            if kind == "peps":
+                data = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                tensors[i] = Tensor(data, (f"p{i}",))
+            else:
+                tensors[i] = Tensor(rng.standard_normal(4), (f"a{i}",))
+        return EvolvingState(kind, 4, tensors)
+
+    @staticmethod
+    def fresh_arrays(kind, gate):
+        mat = gate_matrix(gate)
+        if kind == "pepo":
+            mat = tn._pauli_transfer(mat)
+        return (mat,) if len(gate.qubits) == 1 else tn._split_two_site(mat)
+
+    @pytest.mark.parametrize("kind", ["peps", "pepo"])
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_memo_is_reused_read_only_and_bit_identical(self, kind, name):
+        first, second = self.PAIRS[name]
+        assert gate_matrix(first).tobytes() == gate_matrix(second).tobytes()
+        state = self.random_state(kind)
+        apply_layer(state, Layer((first,)))
+        (arrays,) = state._gates.values()
+        fresh = self.fresh_arrays(kind, first)
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in fresh]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0
+        apply_layer(state, Layer((second,)))
+        (again,) = state._gates.values()
+        assert again is arrays
+        # the second gate, absorbed from the memo, against a state that
+        # builds it afresh
+        alone = self.random_state(kind)
+        apply_layer(alone, Layer((second,)))
+        for q in second.qubits:
+            assert state.tensors[q].data.tobytes() == alone.tensors[q].data.tobytes()
+            assert state.tensors[q].data.shape == alone.tensors[q].data.shape
+        # each gate still draws its own fresh labels: (new, new, bond) per
+        # two-qubit gate, the new ones renamed to the physical labels
+        prefix = "s" if kind == "peps" else "o"
+        bonds = {l for t in state.tensors.values() for l in t.inds if l[0] == prefix}
+        assert bonds == (set() if len(first.qubits) == 1 else {f"{prefix}2", f"{prefix}5"})
+
+    def test_states_keep_their_own_memo(self):
+        gate = Gate("rzz", (0, 1), 0.4)
+        psi, op = self.random_state("peps"), self.random_state("pepo")
+        apply_layer(psi, Layer((gate,)))
+        apply_layer(op, Layer((gate,)))
+        ((key_psi, (left_psi, _)),) = psi._gates.items()
+        ((key_op, (left_op, _)),) = op._gates.items()
+        assert key_psi[0] == "peps" and key_op[0] == "pepo"
+        assert left_psi.dtype == np.complex128 and left_op.dtype == np.float64
+        assert self.random_state("peps")._gates == {}
 
 
 class TestEvolve:
@@ -413,6 +490,38 @@ class TestRunTn:
         assert res.flags
         assert not res.converged
         assert any("nonconverged" in f for f in res.flags)
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_sandwich_is_flagged(self):
+        """A NaN kick reaches the sandwich; its one-norm BP ends unconverged
+        and the row is flagged, not reported as a converged NaN."""
+        circuit = kicked_ising(chain(3), steps=1, theta_h=math.nan)
+        res = run_tn(circuit, parse_pauli("Z1", 3), "peps", chi=2)
+        assert math.isnan(res.expectation) and math.isnan(res.bp_max_delta)
+        assert not res.converged
+        assert res.flags == ("l1bp_nonconverged:delta=nan",)
+
+
+class TestBitPins:
+    """The ``tn_mix_ladder`` instance (T = 5 device light cone, k = 7,
+    ``mix`` at chi 2, 4, 8), pinned to the last bit of the value and both
+    norm proxies.  An intended change in the last bits is re-baselined here
+    and stated in CHANGES.md."""
+
+    PINS = {
+        2: ("0x1.2832c1edc461bp-1", "0x1.c924575050f14p-1", "0x1.0000000000003p+0"),
+        4: ("0x1.4e6ea3982fe06p-1", "0x1.fd67926a85992p-1", "0x1.0000000000003p+0"),
+        8: ("0x1.4fa5f5cedeb34p-1", "0x1.fffffffffff22p-1", "0x1.0000000000003p+0"),
+    }
+
+    def test_mix_ladder_bits(self):
+        circuit = kicked_ising(device_127(), steps=5, theta_h=7 * math.pi / 32)
+        got = {}
+        for chi in self.PINS:
+            res = run_tn(circuit, parse_pauli("Z62", 127), "mix", chi=chi)
+            got[chi] = (res.expectation.hex(), res.n_psi.hex(), res.n_o.hex())
+        assert got == self.PINS
 
 
 class TestTraceHooks:

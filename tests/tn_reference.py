@@ -5,9 +5,11 @@ These are the earlier forms of ``greedy_path``, ``contract`` and
 on each call, and each BP update rebuilding its message's input list and
 contracting it afresh.  ``bp_iterate`` builds its sweep order level by
 level, independently of the sorted ranking in ``spdtn.bp``.  The planned
-versions in ``spdtn`` must give the same bits.  ``bp_iterate_jacobi`` keeps the
-synchronous rounds that the sweeps replaced, as the fixed point the sweeps
-must reach.
+versions in ``spdtn`` must give the same bits.  ``bp_iterate_recompute``
+replays a plan per update, like ``spdtn.bp``, but recomputes every update
+of every sweep, where ``spdtn.bp`` skips those whose inputs are unchanged.
+``bp_iterate_jacobi`` keeps the synchronous rounds that the sweeps
+replaced, as the fixed point the sweeps must reach.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from spdtn.bp import (
     _split_ket_bra,
     _uniform_message,
 )
-from spdtn.tensor import CapacityError, Tensor
+from spdtn.tensor import CapacityError, Tensor, plan_contraction
 
 
 def _letters(labels: Iterable[str]) -> dict[str, str]:
@@ -224,7 +226,13 @@ def _update(
     labels = sn.bond_labels(j, k)
     inputs = list(sn.sites[j])
     inputs += [messages[(l, j)] for l in sn.neighbors(j) if l != k]
-    new = contract(inputs, output=labels)
+    return _finish(contract(inputs, output=labels), messages[(j, k)], mode, damping)
+
+
+def _finish(new: Tensor, old: Tensor, mode: str, damping: float) -> tuple[Tensor, float]:
+    """A contracted message symmetrized (two-norm), normalized, phase-fixed
+    (one-norm) and damped against ``old``, and its 1-norm change."""
+    labels = new.inds
     if mode == "two-norm":
         new = _symmetrize(new).transpose_to(labels)
     nrm = _one_norm(new)
@@ -241,10 +249,33 @@ def _update(
         lead = flat[np.argmax(mag >= (1.0 - 1e-8) * mag.max())]
         if lead != 0.0:
             new = Tensor(new.data * (lead.conjugate() / abs(lead)), labels)
-    old = messages[(j, k)]
     if damping > 0.0:
         new = Tensor((1.0 - damping) * new.data + damping * old.data, labels)
     return new, _one_norm(Tensor(new.data - old.data, labels))
+
+
+def _sweeps(
+    order: Sequence[tuple[Any, Any]],
+    messages: dict[tuple[Any, Any], Tensor],
+    update,
+    tol: float,
+    max_iter: int,
+) -> tuple[int, float, bool]:
+    """Sweep ``update(key) -> (message, change)`` over ``order`` in place
+    until a sweep's largest change is at most ``tol``; a non-finite change
+    stops at once, unconverged, with that change as the residual.  Returns
+    (sweeps, residual, converged)."""
+    it, max_delta = 0, math.inf
+    for it in range(1, max_iter + 1):
+        max_delta = 0.0
+        for key in order:
+            messages[key], delta = update(key)
+            if not math.isfinite(delta):
+                return it, delta, False
+            max_delta = max(max_delta, delta)
+        if max_delta <= tol:
+            return it, max_delta, True
+    return it, max_delta, False
 
 
 def _check(sn: SiteNetwork, mode: str) -> None:
@@ -310,17 +341,41 @@ def bp_iterate(
     """
     _check(sn, mode)
     messages = _start(sn, init)
-    order = sweep_order(sn)
-    it, max_delta, converged = 0, math.inf, False
-    for it in range(1, max_iter + 1):
-        max_delta = 0.0
-        for j, k in order:
-            messages[(j, k)], delta = _update(sn, messages, j, k, mode, damping)
-            max_delta = max(max_delta, delta)
-        if max_delta <= tol:
-            converged = True
-            break
-    return MessageSet(messages, it, max_delta, converged)
+    stats = _sweeps(
+        sweep_order(sn),
+        messages,
+        lambda key: _update(sn, messages, *key, mode, damping),
+        tol,
+        max_iter,
+    )
+    return MessageSet(messages, *stats)
+
+
+def bp_iterate_recompute(
+    sn: SiteNetwork,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    mode: str = "one-norm",
+    damping: float = 0.0,
+    init: Mapping[tuple[Any, Any], Tensor] | None = None,
+) -> MessageSet:
+    """``bp_iterate`` with each update's contraction planned once, before
+    the first sweep, and replayed on every update of every sweep."""
+    _check(sn, mode)
+    messages = _start(sn, init)
+    plans = {}
+    for j, k in messages:
+        inputs = sn.sites[j] + [messages[(l, j)] for l in sn.neighbors(j) if l != k]
+        plans[(j, k)] = plan_contraction(inputs, sn.bond_labels(j, k))
+
+    def update(key):
+        j, k = key
+        arrays = [t.data for t in sn.sites[j]]
+        arrays += [messages[(l, j)].data for l in sn.neighbors(j) if l != k]
+        new = Tensor(plans[key].run(arrays), sn.bond_labels(j, k))
+        return _finish(new, messages[key], mode, damping)
+
+    return MessageSet(messages, *_sweeps(sweep_order(sn), messages, update, tol, max_iter))
 
 
 def bp_iterate_jacobi(
