@@ -37,15 +37,23 @@ arrays and write the same bits, so it is skipped and its change counts as
 0.0.  Messages, sweep counts and residuals are those of recomputing every
 update; on a tree or forest the confirming sweep contracts nothing.
 
+The Bethe value needs each site contracted with all its incoming messages,
+and BP has just contracted it with all but one.  So, without damping,
+``bp_iterate`` keeps in ``MessageSet.scales`` the factor each update's
+normalization and phase fix divided out, for every message whose incoming
+messages have not changed since (on a tree, all of them).  ``l1bp_value``
+takes such a site's factor as that scale times the bond value it computes
+anyway, and contracts only the other sites; values move by rounding only.
+
 Labels and shapes stay fixed for the whole of one ``bp_iterate`` call, so
 each directed message's update is set up once, before the first sweep: a
 ``ContractionPlan`` for the contraction and, in two-norm mode, the
 permutations that symmetrize the result over its (ket, bra) split.  Plans
 are looked up per structure in ``tensor``'s process-wide cache, so messages
 of the same structure, later calls on the same network and ``l1bp_value``
-plan only what has not been seen before.  The sweeps then run on plain
-ndarrays: replay the plan, symmetrize, normalize, fix the phase (one-norm
-mode), damp, and take the change.  Messages are ``Tensor`` objects only
+(for the sites it contracts) plan only what has not been seen before.  The
+sweeps then run on plain ndarrays: replay the plan, symmetrize, normalize,
+fix the phase (one-norm mode), damp, and take the change.  Messages are ``Tensor`` objects only
 where they enter (``init``) and leave (the returned ``MessageSet``).
 
 Messages start in the network's dtype (``SiteNetwork.dtype``), so on a real
@@ -57,7 +65,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -160,12 +168,22 @@ class SiteNetwork:
 
 @dataclass
 class MessageSet:
-    """Directed messages keyed by (source, target), plus iteration stats."""
+    """Directed messages keyed by (source, target), plus iteration stats.
+
+    ``scales[(i, j)]``, where present, is the factor c with which the
+    contraction of site i and its incoming messages other than j's equals
+    c times ``messages[(i, j)]``: what normalization and the phase fix
+    divided out.  ``bp_iterate`` records it only without damping, and only
+    for a message whose incoming messages are still the arrays it was
+    computed from, so that ``l1bp_value`` can take site i's factor as
+    c <m_ij, m_ji> instead of contracting the site again.
+    """
 
     messages: dict[tuple[Any, Any], Tensor]
     iterations: int = 0
     max_delta: float = math.inf
     converged: bool = False
+    scales: dict[tuple[Any, Any], complex] = field(default_factory=dict)
 
 
 def _uniform_message(sn: SiteNetwork, labels: tuple[str, ...]) -> Tensor:
@@ -285,6 +303,9 @@ def bp_iterate(
     # the same plan on the same arrays, so it is skipped
     versions = [0] * len(messages)
     last_read: list[list[int] | None] = [None] * len(updates)
+    # per update, the factor its last contraction was divided by (None when
+    # that was zero or not finite)
+    last_scale: list[complex | None] = [None] * len(updates)
     iterations, max_delta, converged = 0, math.inf, False
     for iterations in range(1, max_iter + 1):
         max_delta = 0.0
@@ -300,6 +321,7 @@ def bp_iterate(
                 m = (m + m.conj().T) / 2.0
                 new = m.reshape(shape).transpose(back)
             nrm = float(np.abs(new).sum())
+            scale = nrm if 0.0 < nrm < math.inf else None
             if nrm > 0.0:
                 new = new / nrm
             if sym is None:
@@ -308,12 +330,17 @@ def bp_iterate(
                 # as converged; the Bethe ratio is invariant under
                 # per-message rescaling.  The lead is the first entry within
                 # 1e-8 of the largest magnitude, not one rounding picks among
-                # exact ties
+                # exact ties; a zero or non-finite lead fixes nothing
                 flat = new.reshape(-1)
                 mag = np.abs(flat)
                 lead = flat[np.argmax(mag >= (1.0 - 1e-8) * mag.max())]
-                if lead != 0.0:
-                    new = new * (lead.conjugate() / abs(lead))
+                size = abs(lead)
+                if 0.0 < size < math.inf:
+                    turn = lead.conjugate() / size
+                    new = new * turn
+                    if scale is not None:
+                        scale = scale / turn.item()
+            last_scale[u] = scale
             old = messages[out]
             if damping > 0.0:
                 new = (1.0 - damping) * new + damping * old
@@ -332,11 +359,19 @@ def bp_iterate(
         if max_delta <= tol:
             converged = True
             break
+    # a message's scale holds only while its incoming messages are those it
+    # was computed from; with damping the stored message mixes in the old one
+    scales = {}
+    if damping == 0.0:
+        for u, (out, _, _, incoming, _, _) in enumerate(updates):
+            if last_scale[u] is not None and last_read[u] == [versions[m] for m in incoming]:
+                scales[directed[out]] = last_scale[u]
     return MessageSet(
         {key: Tensor(messages[n], sn.bond_labels(*key)) for key, n in index.items()},
         iterations=iterations,
         max_delta=max_delta,
         converged=converged,
+        scales=scales,
     )
 
 
@@ -348,21 +383,36 @@ def l1bp_value(sn: SiteNetwork, ms: MessageSet) -> complex:
     messages contracted together, accumulated in the log domain.  Positive
     rescaling of any message cancels between one numerator and one
     denominator factor, so normalization does not matter.
+
+    A site i with a recorded scale c on an outgoing message to j (the first
+    such j in neighbour order, ``MessageSet.scales``) whose bond value
+    <m_ij, m_ji> is nonzero takes c <m_ij, m_ji> as its factor, which is
+    its full contraction up to rounding; every other site is contracted.
     """
     if sn.dangling:
         raise ValueError(f"network has dangling labels {sn.dangling[:8]}")
+    bonds = {
+        (i, j): contract([ms.messages[(i, j)], ms.messages[(j, i)]], output=()).item()
+        for i, j in sn.edges
+    }
     log_mag = 0.0
     phase = 1.0 + 0.0j
     for site in sorted(sn.sites):
-        inputs = list(sn.sites[site])
-        inputs += [ms.messages[(l, site)] for l in sn.neighbors(site)]
-        z = contract(inputs, output=()).item()
+        z = None
+        for l in sn.neighbors(site):
+            scale, bond = ms.scales.get((site, l)), bonds[tuple(sorted((site, l)))]
+            if scale is not None and bond != 0.0:
+                z = scale * bond
+                break
+        if z is None:
+            inputs = list(sn.sites[site])
+            inputs += [ms.messages[(l, site)] for l in sn.neighbors(site)]
+            z = contract(inputs, output=()).item()
         if z == 0.0:
             return 0.0j
         log_mag += math.log(abs(z))
         phase *= z / abs(z)
-    for i, j in sn.edges:
-        z = contract([ms.messages[(i, j)], ms.messages[(j, i)]], output=()).item()
+    for (i, j), z in bonds.items():
         if z == 0.0:
             raise DegenerateBondError(
                 f"messages on bond {sn.edges[(i, j)]} between sites {i} and {j} "

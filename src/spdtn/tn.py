@@ -14,6 +14,9 @@ Compression after each step runs two-norm BP on the doubled network and
 inserts per-bond oblique projectors (see ``bp.compress_bond``), fusing all
 labels a site pair shares into one bond of dimension <= chi.  The final
 scalar sandwich is estimated with the Bethe formula (``bp.l1bp_value``).
+Each state holds only the sites its gates have touched (``EvolvingState``),
+so on a light-cone-pruned circuit every network spans the cone, not the
+device.
 
 Label scheme: the state carries physical labels ``p{site}`` and virtual
 labels ``s{num}``.  The operator is Hermitian, so, as in ``spd``, it is held
@@ -84,14 +87,19 @@ class BpOptions:
 
 @dataclass
 class EvolvingState:
-    """One tensor per site; the bonds between sites are the labels two
+    """One tensor per held site; the bonds between sites are the labels two
     site tensors share (``SiteNetwork`` derives the graph from them).
 
     kind "peps": physical label ``p{i}`` per site (a ket state).
     kind "pepo": Pauli label ``a{i}`` per site (an operator, real).
-    Absorbing a layer (``apply_layer``) adds a bond label per two-site gate,
-    and compression (``evolve``) fuses each site pair's labels back to a
-    single label of dimension <= chi.  ``_gates`` keeps the arrays of each
+    A site the state does not hold is untouched: |0> on a state, I on an
+    operator (``site``).  ``peps_zero`` and ``pepo_from_word`` hold all n
+    sites; ``run_tn`` starts the state empty and the operator on the
+    observable's support, and ``apply_layer`` takes in each site when a
+    gate first touches it, so every per-site loop skips the untouched
+    sites, whose factors are exactly 1.  Absorbing a layer adds a bond label per two-site gate, and
+    compression (``evolve``) fuses each site pair's labels back to a single
+    label of dimension <= chi.  ``_gates`` keeps the arrays of each
     distinct gate absorbed so far (``_gate_arrays``).
     """
 
@@ -102,7 +110,7 @@ class EvolvingState:
     trunc_log: list[tuple[int, int, int, float]] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
     _labels: Iterable[str] = field(default=None, repr=False)
-    _gates: dict[tuple[str, bytes], tuple[np.ndarray, ...]] = field(
+    _gates: dict[tuple, tuple[np.ndarray, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -119,20 +127,33 @@ class EvolvingState:
     def phys_label(self, site: int) -> str:
         return f"{'p' if self.kind == 'peps' else 'a'}{site}"
 
+    def site(self, i: int) -> Tensor:
+        """Site i's tensor, or its untouched factor if the state does not
+        hold it: |0> on a state, I on an operator."""
+        t = self.tensors.get(i)
+        return _product_site(self.kind, i) if t is None else t
+
+
+def _product_site(kind: str, i: int, letter: str = "I") -> Tensor:
+    """Site i of |0...0> (kind "peps"), or of a Pauli word with ``letter``
+    there (kind "pepo")."""
+    if kind == "peps":
+        return Tensor(np.array([1.0, 0.0], dtype=complex), (f"p{i}",))
+    return Tensor(np.eye(4)["IXYZ".index(letter)], (f"a{i}",))
+
+
+def _operator_on(word: PauliWord, sites: Iterable[int]) -> EvolvingState:
+    """The operator ``word``, holding the given sites."""
+    tensors = {i: _product_site("pepo", i, word.site(i)) for i in sites}
+    return EvolvingState("pepo", word.n, tensors)
+
 
 def peps_zero(n: int) -> EvolvingState:
-    tensors = {
-        i: Tensor(np.array([1.0, 0.0], dtype=complex), (f"p{i}",)) for i in range(n)
-    }
-    return EvolvingState("peps", n, tensors)
+    return EvolvingState("peps", n, {i: _product_site("peps", i) for i in range(n)})
 
 
 def pepo_from_word(word: PauliWord) -> EvolvingState:
-    tensors = {
-        i: Tensor(np.eye(4)["IXYZ".index(word.site(i))], (f"a{i}",))
-        for i in range(word.n)
-    }
-    return EvolvingState("pepo", word.n, tensors)
+    return _operator_on(word, range(word.n))
 
 
 def _pauli_transfer(u: np.ndarray) -> np.ndarray:
@@ -165,14 +186,22 @@ def _split_two_site(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gate_arrays(state: EvolvingState, gate: Gate) -> tuple[np.ndarray, ...]:
     """The gate on ``state`` (its unitary on a state, its Pauli transfer
     matrix on an operator) as one array per qubit, two-qubit gates split by
-    ``_split_two_site``.  Built once per distinct matrix and kept, read-only,
-    on the state, since a circuit repeats a few gates many times."""
-    mat = gate_matrix(gate)
-    key = (state.kind, mat.tobytes())
+    ``_split_two_site``.  Built once per distinct gate and kept, read-only,
+    on the state, since a circuit repeats a few gates many times.  A gate is
+    known by what its matrix depends on: its name, its angle's bits and its
+    axis letters on its qubits, in order; the axis weight keeps a rotation
+    whose axis reaches off the gate, which ``gate_matrix`` rejects, from
+    matching a valid one."""
+    angle = None if gate.angle is None else float(gate.angle).hex()
+    axis = None
+    if gate.axis is not None:
+        axis = (tuple(gate.axis.site(q) for q in gate.qubits), gate.axis.weight)
+    key = (state.kind, gate.name, angle, axis)
     arrays = state._gates.get(key)
     if arrays is None:
         if len(gate.qubits) not in (1, 2):
             raise ValueError(f"tensor evolution supports 1- and 2-qubit gates, got {gate}")
+        mat = gate_matrix(gate)
         if state.kind == "pepo":
             mat = _pauli_transfer(mat)
         arrays = (mat,) if len(gate.qubits) == 1 else _split_two_site(mat)
@@ -202,18 +231,21 @@ def _gate_tensors(state: EvolvingState, gate: Gate) -> list[tuple[int, str, Tens
 
 
 def apply_layer(state: EvolvingState, layer: Layer):
-    """Absorb one gate layer: U on a peps, O -> U† O U (as R) on a pepo."""
+    """Absorb one gate layer: U on a peps, O -> U† O U (as R) on a pepo.
+    A site the state does not hold yet is taken in from its untouched
+    factor."""
     for gate in layer.gates:
         for q, new, g in _gate_tensors(state, gate):
             phys = state.phys_label(q)
-            t = state.tensors[q]
+            t = state.site(q)
             bonds = tuple(l for l in g.inds if l not in (new, phys))
             out = (new,) + bonds + tuple(l for l in t.inds if l != phys)
             state.tensors[q] = contract([g, t], output=out).relabel({new: phys})
 
 
 def _two_norm_network(state: EvolvingState) -> SiteNetwork:
-    sites = {i: [state.tensors[i]] for i in range(state.n)}
+    """<state|state> over the held sites; each untouched site gives 1."""
+    sites = {i: [t] for i, t in state.tensors.items()}
     return SiteNetwork(doubled_sites(sites, outer=[state.phys_label(i) for i in sites]))
 
 
@@ -242,19 +274,16 @@ def evolve(
     ms = opts.iterate(sn, mode="two-norm")
     if not ms.converged:
         state.flags.append(f"l2bp_nonconverged:t={state.t}:delta={ms.max_delta:.3e}")
-    projectors: dict[int, list[Tensor]] = {i: [] for i in range(state.n)}
+    projectors: dict[int, list[Tensor]] = {}
     for (i, j), labels in sn.edges.items():
         fused = state.fresh_label()
         p_a, p_b, dw = compress_bond(
             ms.messages[(i, j)], ms.messages[(j, i)], chi, kappa, new_label=fused
         )
-        projectors[i].append(p_a)
-        projectors[j].append(p_b)
+        projectors.setdefault(i, []).append(p_a)
+        projectors.setdefault(j, []).append(p_b)
         state.trunc_log.append((state.t, i, j, dw))
-    for i in range(state.n):
-        ps = projectors[i]
-        if not ps:
-            continue
+    for i, ps in projectors.items():
         t = state.tensors[i]
         fused = [l for p in ps for l in p.inds if l not in t.inds]
         kept = [l for l in t.inds if all(l not in p.inds for p in ps)]
@@ -279,21 +308,23 @@ def state_norm(
 
 
 def sandwich_network(psi: EvolvingState, op: EvolvingState) -> SiteNetwork:
-    """<psi| Op |psi> as a site network.
+    """<psi| Op |psi> as a site network over the sites either side holds.
 
     Per site: the bra (the ket's ``doubled_sites`` copy, every label
     starred), the operator tensor, the Pauli tensor over
-    (a{i}, p{i}*, p{i}), and the ket.
+    (a{i}, p{i}*, p{i}), and the ket.  Where only one side holds a site the
+    other side's untouched factor stands in (``EvolvingState.site``); a
+    site neither holds gives <0|I|0> = 1 and is left out.
     """
     if psi.kind != "peps" or op.kind != "pepo":
         raise ValueError("sandwich needs a peps state and a pepo operator")
     if psi.n != op.n:
         raise ValueError("state and operator sizes differ")
     sites = {}
-    kets = {i: [psi.tensors[i]] for i in range(psi.n)}
+    kets = {i: [psi.site(i)] for i in sorted(psi.tensors.keys() | op.tensors.keys())}
     for i, (ket, bra) in doubled_sites(kets).items():
         pauli = Tensor(PAULI_BASIS, (f"a{i}", star(f"p{i}"), f"p{i}"))
-        sites[i] = [bra, op.tensors[i], pauli, ket]
+        sites[i] = [bra, op.site(i), pauli, ket]
     return SiteNetwork(sites)
 
 
@@ -348,7 +379,13 @@ def run_tn(
     """Expectation <0|U† O U|0> by the peps, pepo, or mix method.
 
     With ``lightcone`` (the default, as in ``sim sweep``) gates outside the
-    observable's causal cone are dropped first (``lightcone_prune``).
+    observable's causal cone are dropped first (``lightcone_prune``).  The
+    state holds only the sites touched by its own steps' gates, and the
+    operator only those touched by its steps' gates plus the observable's
+    support (``EvolvingState``); an untouched site contributes exactly 1 to
+    every norm and to the sandwich, and BP's schedule depends only on the
+    bonds, so values, norms, bonds and sweep counts are those of holding
+    all n sites.
 
     The value is reported without renormalization; the norm proxies
     (n_psi, n_o, and their product n_mix) quantify how much weight the
@@ -378,10 +415,12 @@ def run_tn(
         tau, lazy_count = (total + 1) // 2, 0
     op_steps = total - tau - lazy_count
 
-    psi = peps_zero(circuit.n)
+    # each state holds only the sites its own gates touch (and, for the
+    # operator, the observable's support): every other factor is exactly 1
+    psi = EvolvingState("peps", circuit.n, {})
     for group in steps[:tau]:
         evolve(psi, group, chi, kappa, opts)
-    op = pepo_from_word(word)
+    op = _operator_on(word, word.support())
     for group in reversed(steps[tau + lazy_count :]):
         evolve(op, list(reversed(group)), chi, kappa, opts)
 

@@ -1,5 +1,7 @@
 """Belief propagation: tree exactness, gauges, and bond compression."""
 
+import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +19,7 @@ from spdtn.bp import (
     doubled_sites,
     l1bp_value,
 )
-from spdtn import tensor
+from spdtn import bp, tensor
 from spdtn.tensor import ContractionPlan, contract
 
 import tn_reference as ref
@@ -520,9 +522,15 @@ class TestPlannedBp:
         """Plans are looked up by structure: the first ``bp_iterate`` call
         plans each distinct message structure once, however many sweeps it
         runs, a repeat call plans nothing, and ``l1bp_value`` plans only the
-        structures not seen before."""
+        structures not seen before, among the bonds and the sites it
+        contracts: those with no recorded scale (``MessageSet.scales``)."""
         ring = self.network("ring", 4300, "two-norm")
-        for sn, distinct in ((ring, 12), (self.uniform_ring(6), 2)):
+        # (network, distinct message structures, sites l1bp_value contracts,
+        # structures l1bp_value plans)
+        for sn, distinct, n_contracted, planned in (
+            (ring, 12, 2, 4),
+            (self.uniform_ring(6), 2, 1, 2),
+        ):
             assert len(sn.edges) == 6
             tensor.clear_plan_cache()
             messages = []
@@ -536,12 +544,17 @@ class TestPlannedBp:
                 ms = bp_iterate(sn, tol=1e-12, max_iter=200, mode="two-norm")
                 assert ms.iterations > 2
                 assert len(greedy_calls) == expected
+            contracted = [
+                s for s in sn.sites if not any((s, l) in ms.scales for l in sn.neighbors(s))
+            ]
+            assert len(contracted) == n_contracted
             sites = [
                 (sn.sites[s] + [ms.messages[(l, s)] for l in sn.neighbors(s)], ())
-                for s in sn.sites
+                for s in contracted
             ]
             bonds = [([ms.messages[(i, j)], ms.messages[(j, i)]], ()) for i, j in sn.edges]
-            for expected in (len(structures(sites + bonds) - seen), 0):
+            assert len(structures(sites + bonds) - seen) == planned
+            for expected in (planned, 0):
                 greedy_calls.clear()
                 l1bp_value(sn, ms)
                 assert len(greedy_calls) == expected
@@ -711,11 +724,74 @@ class TestNonFiniteMessages:
             {0: [Tensor(x_y, ("x", "y"))], 1: [Tensor(y_z, ("y", "z"))], 2: [Tensor(z_x, ("z", "x"))]}
         )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("damping", [0.0, 0.3])
     def test_nan_stops_unconverged(self, damping):
+        """No numpy warning escapes either: the one-norm phase fix skips a
+        NaN lead entry, and a NaN message records no scale."""
         sn = self.nan_ring()
-        for bp in (bp_iterate, ref.bp_iterate_recompute, ref.bp_iterate):
-            ms = bp(sn, tol=1e-10, max_iter=50, damping=damping)
+        for run in (bp_iterate, ref.bp_iterate_recompute, ref.bp_iterate):
+            ms = run(sn, tol=1e-10, max_iter=50, damping=damping)
             assert (ms.iterations, ms.converged) == (1, False)
             assert math.isnan(ms.max_delta)
+        ms = bp_iterate(sn, tol=1e-10, max_iter=50, damping=damping)
+        assert all(math.isfinite(abs(c)) for c in ms.scales.values())
+        assert cmath.isnan(l1bp_value(sn, ms))
+
+
+class TestReusedSiteFactors:
+    """Without damping ``bp_iterate`` records, for each message whose
+    incoming messages are still the arrays it was computed from, the factor
+    c its contraction was divided by (``MessageSet.scales``).
+    ``l1bp_value`` takes such a site's factor as c <m_ij, m_ji> instead of
+    contracting it again, which changes the value only by rounding."""
+
+    network = staticmethod(TestChangeDrivenSweeps.network)
+
+    @staticmethod
+    def fresh(sn, ms, i, j):
+        """Site i contracted with its current incoming messages but j's."""
+        incoming = [ms.messages[(l, i)] for l in sn.neighbors(i) if l != j]
+        return contract(sn.sites[i] + incoming, output=ms.messages[(i, j)].inds).data
+
+    @pytest.mark.parametrize("mode", ["one-norm", "two-norm"])
+    @pytest.mark.parametrize("kind", ["tree", "forest", "ring"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_value_with_and_without_scales(self, kind, mode, seed):
+        sn = self.network(kind, 5300 + seed, mode)
+        for kwargs in (dict(tol=1e-11, max_iter=60), dict(tol=0.0, max_iter=2), dict(max_iter=1)):
+            ms = bp_iterate(sn, mode=mode, **kwargs)
+            if kind != "ring":
+                # every message of a tree is final after the first sweep
+                assert ms.scales.keys() == ms.messages.keys()
+            full = l1bp_value(sn, dataclasses.replace(ms, scales={}))
+            assert abs(l1bp_value(sn, ms) - full) <= 1e-12 * abs(full)
+
+    @pytest.mark.parametrize("mode", ["one-norm", "two-norm"])
+    @pytest.mark.parametrize("kind", ["tree", "forest", "ring"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scales_are_what_the_update_divided_out(self, kind, mode, seed):
+        """A recorded scale turns the stored message back into the site's
+        contraction.  A message whose inputs changed after it was computed
+        (only on loops, before convergence) records none: the first update
+        of a ring's first sweep reads start messages that the same sweep
+        replaces."""
+        sn = self.network(kind, 5400 + seed, mode)
+        for max_iter in (1, 2):
+            ms = bp_iterate(sn, mode=mode, tol=0.0, max_iter=max_iter)
+            for (i, j), m in ms.messages.items():
+                if (i, j) in ms.scales:
+                    fresh = self.fresh(sn, ms, i, j)
+                    got = ms.scales[(i, j)] * m.data
+                    assert np.abs(got - fresh).max() <= 1e-12 * np.abs(fresh).max()
+                else:
+                    assert kind == "ring"
+            if kind == "ring" and max_iter == 1:
+                assert bp._schedule(sn)[0] not in ms.scales
+
+    @pytest.mark.parametrize("mode", ["one-norm", "two-norm"])
+    @pytest.mark.parametrize("kind", ["tree", "ring"])
+    def test_no_scales_with_damping_or_without_updates(self, kind, mode):
+        sn = self.network(kind, 5500, mode)
+        assert bp_iterate(sn, mode=mode, tol=1e-11, max_iter=60, damping=0.3).scales == {}
+        assert bp_iterate(sn, mode=mode, max_iter=0).scales == {}

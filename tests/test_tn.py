@@ -14,6 +14,8 @@ from spdtn import (
     chain,
     device_127,
     gate_matrix,
+    grid,
+    heavy_hex,
     kicked_ising,
     parse_pauli,
     ring,
@@ -35,6 +37,7 @@ from spdtn.tn import (
     state_norm,
 )
 
+import tn_reference as ref
 from conftest import PAULI_MATS, dense_gate_local, dense_word, embed_gate
 
 
@@ -250,6 +253,21 @@ class TestGateArrays:
         prefix = "s" if kind == "peps" else "o"
         bonds = {l for t in state.tensors.values() for l in t.inds if l[0] == prefix}
         assert bonds == (set() if len(first.qubits) == 1 else {f"{prefix}2", f"{prefix}5"})
+
+    @pytest.mark.parametrize("kind", ["peps", "pepo"])
+    def test_memo_keeps_each_gate_check(self, kind):
+        """The memo is keyed by the gate's description, so a rotation whose
+        axis reaches off its qubits still fails ``gate_matrix``'s check
+        after a valid rotation with the same letters there, and an angle of
+        -0.0 is not taken for 0.0."""
+        state = self.random_state(kind)
+        apply_layer(state, Layer((Gate("rot", (0, 1), 0.7, parse_pauli("Z0 X1", 4)),)))
+        bad = Gate("rot", (0, 1), 0.7, parse_pauli("Z0 X1 Y3", 4))
+        with pytest.raises(ValueError, match="off the gate"):
+            apply_layer(state, Layer((bad,)))
+        apply_layer(state, Layer((Gate("rx", (2,), 0.0),)))
+        apply_layer(state, Layer((Gate("rx", (2,), -0.0),)))
+        assert len(state._gates) == 3
 
     def test_states_keep_their_own_memo(self):
         gate = Gate("rzz", (0, 1), 0.4)
@@ -492,10 +510,12 @@ class TestRunTn:
         assert any("nonconverged" in f for f in res.flags)
 
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_nan_sandwich_is_flagged(self):
         """A NaN kick reaches the sandwich; its one-norm BP ends unconverged
-        and the row is flagged, not reported as a converged NaN."""
+        and the row is flagged, not reported as a converged NaN.  No numpy
+        warning escapes on the way: the one-norm phase fix skips a NaN
+        lead entry."""
         circuit = kicked_ising(chain(3), steps=1, theta_h=math.nan)
         res = run_tn(circuit, parse_pauli("Z1", 3), "peps", chi=2)
         assert math.isnan(res.expectation) and math.isnan(res.bp_max_delta)
@@ -510,9 +530,9 @@ class TestBitPins:
     and stated in CHANGES.md."""
 
     PINS = {
-        2: ("0x1.2832c1edc461bp-1", "0x1.c924575050f14p-1", "0x1.0000000000003p+0"),
-        4: ("0x1.4e6ea3982fe06p-1", "0x1.fd67926a85992p-1", "0x1.0000000000003p+0"),
-        8: ("0x1.4fa5f5cedeb34p-1", "0x1.fffffffffff22p-1", "0x1.0000000000003p+0"),
+        2: ("0x1.2832c1edc4612p-1", "0x1.c924575050f14p-1", "0x1.0000000000003p+0"),
+        4: ("0x1.4e6ea3982fe1bp-1", "0x1.fd67926a85992p-1", "0x1.0000000000003p+0"),
+        8: ("0x1.4fa5f5cedeb0ap-1", "0x1.fffffffffff22p-1", "0x1.0000000000003p+0"),
     }
 
     def test_mix_ladder_bits(self):
@@ -522,6 +542,93 @@ class TestBitPins:
             res = run_tn(circuit, parse_pauli("Z62", 127), "mix", chi=chi)
             got[chi] = (res.expectation.hex(), res.n_psi.hex(), res.n_o.hex())
         assert got == self.PINS
+
+
+def device_t5():
+    return kicked_ising(device_127(), steps=5, theta_h=7 * math.pi / 32)
+
+
+def held_sites(monkeypatch):
+    """Record, per ``sandwich_network`` call, the sites each side holds."""
+    held = []
+
+    def recording(psi, op):
+        held.append((sorted(psi.tensors), sorted(op.tensors)))
+        return sandwich_network(psi, op)
+
+    monkeypatch.setattr(tn, "sandwich_network", recording)
+    return held
+
+
+class TestHeldSites:
+    """``run_tn`` holds in each state only the sites its own gates touch
+    (plus, for the operator, the observable's support).  The driver on all
+    n sites, ``tn_reference.run_tn_full_sites``, must give the same bits:
+    an untouched site contributes exactly 1, and BP's schedule depends only
+    on the bonds."""
+
+    @staticmethod
+    def padded(n_extra):
+        """A T = 2 kicked-Ising chain of 4 sites inside a register of
+        4 + n_extra, so that no gate touches the last sites."""
+        inner = kicked_ising(chain(4), steps=2, theta_h=0.6)
+        return Circuit(4 + n_extra, inner.layers)
+
+    CASES = [
+        ("device_t5", device_t5, "Z62", {}),
+        *[
+            (f"{name}_t{steps}", lambda lat=lat, steps=steps: kicked_ising(lat(), steps, 0.7), obs, {})
+            for name, lat, obs in (
+                ("heavy_hex", lambda: heavy_hex(1, 1), "Z3"),
+                ("grid", lambda: grid(3, 4), "Z5"),
+            )
+            for steps in (2, 3, 4)
+        ],
+        ("grid_t3_full", lambda: kicked_ising(grid(3, 4), 3, 0.4), "Z5", {"lightcone": False}),
+        ("heavy_hex_t3_full", lambda: kicked_ising(heavy_hex(1, 1), 3, 0.7), "Z3", {"lightcone": False}),
+        ("x_untouched", lambda: TestHeldSites.padded(2), "Z1 X5", {}),
+        ("z_untouched", lambda: TestHeldSites.padded(2), "Z1 Z5", {"lightcone": False}),
+    ]
+
+    @pytest.mark.parametrize("chi", [2, 4])
+    @pytest.mark.parametrize("method", ["peps", "pepo", "mix"])
+    @pytest.mark.parametrize("name, build, obs, kwargs", CASES, ids=[c[0] for c in CASES])
+    def test_matches_full_sites_bits(self, name, build, obs, kwargs, method, chi):
+        circuit = build()
+        word = parse_pauli(obs, circuit.n)
+        got = run_tn(circuit, word, method, chi=chi, **kwargs)
+        want = ref.run_tn_full_sites(circuit, word, method, chi, **kwargs)
+        assert [getattr(got, key) for key in want] == list(want.values())
+        assert got.expectation.hex() == want["expectation"].hex()
+        assert got.n_psi.hex() == want["n_psi"].hex()
+        assert got.n_o.hex() == want["n_o"].hex()
+        if name == "x_untouched":
+            assert got.expectation == 0.0
+
+    def test_mix_ladder_holds_its_cones(self, monkeypatch):
+        """T = 5, Z62: the state's three steps touch 31 of the 127 sites,
+        the operator's two steps 7."""
+        held = held_sites(monkeypatch)
+        run_tn(device_t5(), parse_pauli("Z62", 127), "mix", chi=2)
+        ((psi, op),) = held
+        assert (len(psi), len(op)) == (31, 7)
+        assert 62 in op and set(op) <= set(psi)
+
+    def test_pepo_at_chi_two_holds_no_state_site(self, monkeypatch):
+        held = held_sites(monkeypatch)
+        res = run_tn(device_t5(), parse_pauli("Z62", 127), "pepo", chi=2)
+        ((psi, op),) = held
+        assert res.lazy_steps == 0
+        assert psi == [] and len(op) == 31
+
+    def test_untouched_site_is_its_blank_factor(self):
+        psi = EvolvingState("peps", 3, {})
+        op = EvolvingState("pepo", 3, {})
+        assert psi.site(1).inds == ("p1",) and psi.site(1).data.tolist() == [1.0, 0.0]
+        assert op.site(2).inds == ("a2",) and op.site(2).data.tolist() == [1.0, 0.0, 0.0, 0.0]
+        apply_layer(psi, Layer((Gate("rx", (1,), 0.3),)))
+        assert sorted(psi.tensors) == [1]
+        assert np.allclose(psi.tensors[1].data, gate_matrix(Gate("rx", (1,), 0.3))[:, 0])
 
 
 class TestTraceHooks:

@@ -10,6 +10,10 @@ replays a plan per update, like ``spdtn.bp``, but recomputes every update
 of every sweep, where ``spdtn.bp`` skips those whose inputs are unchanged.
 ``bp_iterate_jacobi`` keeps the synchronous rounds that the sweeps
 replaced, as the fixed point the sweeps must reach.
+
+``run_tn_full_sites`` is the tensor-network driver as it was before the
+states held only their touched sites: every state, doubled network and
+sandwich spans all n sites.  ``spdtn.tn.run_tn`` must give its bits.
 """
 
 from __future__ import annotations
@@ -27,8 +31,21 @@ from spdtn.bp import (
     SiteNetwork,
     _split_ket_bra,
     _uniform_message,
+    l1bp_value,
 )
+from spdtn.circuits import Circuit, lightcone_prune
+from spdtn.spd import PauliSum
 from spdtn.tensor import CapacityError, Tensor, plan_contraction
+from spdtn.tn import (
+    BpOptions,
+    _step_groups,
+    apply_layer,
+    evolve,
+    peps_zero,
+    pepo_from_word,
+    sandwich_network,
+    state_norm,
+)
 
 
 def _letters(labels: Iterable[str]) -> dict[str, str]:
@@ -243,11 +260,12 @@ def _finish(new: Tensor, old: Tensor, mode: str, damping: float) -> tuple[Tensor
         # phase-rotating fixed point still registers as converged; the
         # Bethe ratio is invariant under per-message rescaling.  The lead
         # is the first entry within 1e-8 (relative) of the largest
-        # magnitude, so rounding cannot flip it between tied entries
+        # magnitude, so rounding cannot flip it between tied entries; a zero
+        # or non-finite lead fixes nothing
         flat = new.data.reshape(-1)
         mag = np.abs(flat)
         lead = flat[np.argmax(mag >= (1.0 - 1e-8) * mag.max())]
-        if lead != 0.0:
+        if 0.0 < abs(lead) < math.inf:
             new = Tensor(new.data * (lead.conjugate() / abs(lead)), labels)
     if damping > 0.0:
         new = Tensor((1.0 - damping) * new.data + damping * old.data, labels)
@@ -402,3 +420,50 @@ def bp_iterate_jacobi(
             converged = True
             break
     return MessageSet(messages, it, max_delta, converged)
+
+
+def run_tn_full_sites(
+    circuit: Circuit, observable, method: str, chi: int, lightcone: bool = True, **bp
+) -> dict[str, Any]:
+    """``run_tn``'s value, norm proxies, largest sandwich bond, sandwich
+    sweeps and flags, with the state and operator built on all n sites by
+    ``peps_zero`` and ``pepo_from_word``."""
+    ((word, scale),) = PauliSum.of(observable, circuit.n).terms()
+    if lightcone:
+        circuit = lightcone_prune(circuit, word.support())
+    opts = BpOptions(**bp)
+    steps = _step_groups(circuit)
+    total = len(steps)
+    lazy = {"peps": min(total, 2), "pepo": min(total, int(math.log2(chi) / 2)), "mix": 0}
+    lazy = lazy[method]
+    tau = {"peps": total - lazy, "pepo": 0, "mix": (total + 1) // 2}[method]
+    psi = peps_zero(circuit.n)
+    for group in steps[:tau]:
+        evolve(psi, group, chi, bp_options=opts)
+    op = pepo_from_word(word)
+    for group in reversed(steps[tau + lazy :]):
+        evolve(op, list(reversed(group)), chi, bp_options=opts)
+    n_psi, ms_psi = state_norm(psi, opts)
+    n_o, ms_o = state_norm(op, opts)
+    for state, norm in ((psi, ms_psi), (op, ms_o)):
+        if not norm.converged:
+            state.flags.append(f"norm_bp_nonconverged:delta={norm.max_delta:.3e}")
+    for group in steps[tau : tau + lazy]:
+        for layer in group:
+            apply_layer(psi, layer)
+    sn = sandwich_network(psi, op)
+    ms = opts.iterate(sn, mode="one-norm")
+    value = scale * l1bp_value(sn, ms)
+    flags = psi.flags + op.flags
+    if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
+        flags.append(f"imag_residue:{value.imag:.3e}")
+    if not ms.converged:
+        flags.append(f"l1bp_nonconverged:delta={ms.max_delta:.3e}")
+    return dict(
+        expectation=float(value.real),
+        n_psi=n_psi,
+        n_o=n_o,
+        max_bond=max((sn.bond_dim(i, j) for i, j in sn.edges), default=1),
+        bp_iterations=ms.iterations,
+        flags=tuple(flags),
+    )
