@@ -2,28 +2,6 @@
 Clifford-plus-rotation circuits, via sparse Pauli dynamics and
 belief-propagation tensor networks, with exact small-scale oracles."""
 
-from .bench import (
-    ComparisonReport,
-    ConvergenceReport,
-    LoopErrorReport,
-    ResultRow,
-    RunConfig,
-    compare,
-    convergence_report,
-    loop_error_histogram,
-    read_rows,
-    report_all,
-    run_point,
-    sweep,
-)
-from .bp import (
-    MessageSet,
-    SiteNetwork,
-    bp_iterate,
-    compress_bond,
-    doubled_sites,
-    l1bp_value,
-)
 from .circuits import (
     Circuit,
     Gate,
@@ -40,14 +18,6 @@ from .circuits import (
     ring,
 )
 from .clifford import CliffordTableau, RecompiledCircuit, Rotation, fold_angle, recompile
-from .oracle import (
-    clifford_expectation,
-    exact_contract,
-    heisenberg_dense_expectation,
-    pauli_apply,
-    statevector,
-    statevector_expectation,
-)
 from .paulis import (
     PauliWord,
     PhasedWord,
@@ -64,10 +34,49 @@ from .spd import (
     apply_rotation,
     run_spd,
 )
-from .tensor import CapacityError, Tensor, contract, greedy_path, truncated_svd
-from .tn import BpOptions, EvolvingState, TnResult, run_tn
 
 __version__ = "0.1.0"
+
+# Every other public name, with the module that defines it.  ``import
+# spdtn`` loads the sparse engine and the circuit builders above and no
+# more; the tensor-network stack, the oracles and the sweep harness load on
+# first access to one of their names or to the module itself (PEP 562).
+_LAZY = {
+    "ComparisonReport": "bench",
+    "ConvergenceReport": "bench",
+    "LoopErrorReport": "bench",
+    "ResultRow": "bench",
+    "RunConfig": "bench",
+    "compare": "bench",
+    "convergence_report": "bench",
+    "loop_error_histogram": "bench",
+    "read_rows": "bench",
+    "report_all": "bench",
+    "run_point": "bench",
+    "sweep": "bench",
+    "MessageSet": "bp",
+    "SiteNetwork": "bp",
+    "bp_iterate": "bp",
+    "compress_bond": "bp",
+    "doubled_sites": "bp",
+    "l1bp_value": "bp",
+    "clifford_expectation": "oracle",
+    "exact_contract": "oracle",
+    "heisenberg_dense_expectation": "oracle",
+    "pauli_apply": "oracle",
+    "statevector": "oracle",
+    "statevector_expectation": "oracle",
+    "CapacityError": "tensor",
+    "Tensor": "tensor",
+    "contract": "tensor",
+    "greedy_path": "tensor",
+    "truncated_svd": "tensor",
+    "BpOptions": "tn",
+    "EvolvingState": "tn",
+    "TnResult": "tn",
+    "run_tn": "tn",
+}
+_LAZY_MODULES = frozenset(_LAZY.values())
 
 __all__ = [
     "__version__",
@@ -135,3 +144,19 @@ __all__ = [
     "LoopErrorReport",
     "loop_error_histogram",
 ]
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAZY_MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys() | _LAZY_MODULES)

@@ -34,7 +34,6 @@ import json
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cache, partial
 from itertools import combinations, groupby
@@ -541,6 +540,9 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
 
     try:
         if workers > 1:
+            # imported here: a one-worker sweep loads no thread machinery
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 # leaving the map's iterator cancels the angles not started
                 for results in pool.map(lambda angle: list(angle_rows(*angle)), angles):

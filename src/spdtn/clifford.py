@@ -238,8 +238,11 @@ def fold_angle(theta: float) -> tuple[float, int]:
     """Fold to ``theta = theta' + k*pi/2`` with theta' in (-pi/4, pi/4].
 
     Residual angles within 1e-12 of zero snap to exactly 0.0 so pure
-    Clifford rotations drop cleanly.
+    Clifford rotations drop cleanly.  A NaN or infinite angle raises
+    ``ValueError``.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta!r}")
     half = math.pi / 2
     k = math.ceil((theta - math.pi / 4) / half)
     theta_p = theta - k * half

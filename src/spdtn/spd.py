@@ -235,6 +235,8 @@ def apply_rotation(
         raise ValueError(f"axis on {axis.n} sites, sum on {s.n}")
     if not delta >= 0:
         raise ValueError(f"delta must be >= 0, got {delta!r}")
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta!r}")
     anti = anticommute_mask(s.words, axis).nonzero()[0]
     if anti.size == 0:
         return s

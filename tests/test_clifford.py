@@ -15,7 +15,9 @@ from spdtn import (
     PauliSum,
     PauliWord,
     Rotation,
+    chain,
     fold_angle,
+    kicked_ising,
     parse_pauli,
     recompile,
 )
@@ -160,6 +162,16 @@ class TestFoldAngle:
         theta_p, k = fold_angle(-math.pi / 4)
         assert math.isclose(theta_p, math.pi / 4)
         assert k == -1
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_raises(self, theta):
+        """No fold exists for a NaN or infinite angle; ``math.ceil`` used to
+        fail on it with a message that did not name the angle."""
+        message = f"rotation angle must be finite, got {theta!r}"
+        with pytest.raises(ValueError, match=message):
+            fold_angle(theta)
+        with pytest.raises(ValueError, match=message):
+            recompile(kicked_ising(chain(3), 1, theta), parse_pauli("Z1", 3))
 
 
 class TestRecompile:

@@ -53,3 +53,35 @@ def test_imports_numpy_and_stdlib_only(path):
             if top not in ("numpy", "spdtn") and top not in sys.stdlib_module_names:
                 bad.append(f"{name} (line {node.lineno})")
     assert not bad, f"{path.name} imports {bad}"
+
+
+EAGER_MODULES = ("circuits", "clifford", "paulis", "spd")
+
+
+def test_root_imports_only_the_sparse_engine():
+    """``import spdtn`` loads the modules a sparse run calls and no others:
+    each module-level import of the package root is one of them, and every
+    other exported name is listed in the lazy table (``spdtn._LAZY``), so a
+    new export cannot bring an eager import back unnoticed."""
+    init = Path(spdtn.__file__)
+    tree = ast.parse(init.read_text(), filename=str(init))
+    imported, bad = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in EAGER_MODULES:
+                imported.update(alias.asname or alias.name for alias in node.names)
+            else:
+                bad.append(f"line {node.lineno}")
+    assert not bad, f"__init__.py has module-level imports of other modules at {bad}"
+    assigned = {
+        target.id
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    assert not imported & spdtn._LAZY.keys()
+    assert not set(spdtn._LAZY.values()) & set(EAGER_MODULES)
+    unbound = [
+        name for name in spdtn.__all__
+        if name not in imported | spdtn._LAZY.keys() | (assigned - {"__all__"})
+    ]
+    assert not unbound, f"exported but neither imported nor lazy: {unbound}"

@@ -316,6 +316,17 @@ class TestRunSpd:
         with pytest.raises(ValueError, match="delta must be >= 0"):
             run_spd(rc, delta)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_raises(self, theta):
+        """At a NaN angle every anticommuting term would turn NaN and fail
+        ``|a| >= delta``, leaving a finite sum without them ({Z0: 1, Z1:
+        0.5} -> {Z1: 0.5}); an infinite one also warns.  Both are rejected,
+        even where no term anticommutes."""
+        s = PauliSum.from_terms(3, [("Z0", 1.0), ("Z1", 0.5)])
+        for axis in ("X0", "Z2"):
+            with pytest.raises(ValueError, match=f"rotation angle must be finite, got {theta!r}"):
+                apply_rotation(s, parse_pauli(axis, 3), theta)
+
     def test_stops_once_the_sum_is_empty(self, monkeypatch):
         """At a large threshold truncation empties the sum partway through;
         ``run_spd`` applies no rotation after that, and its result matches

@@ -522,6 +522,19 @@ class TestRunTn:
         assert not res.converged
         assert res.flags == ("l1bp_nonconverged:delta=nan",)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method, steps", [("mix", 2), ("peps", 3), ("pepo", 3)])
+    def test_nan_compressing_step_is_flagged(self, method, steps):
+        """A NaN kick that reaches a compressing step ends its two-norm BP
+        on a NaN message; the run stops there with a flagged NaN row
+        instead of raising from the SVD or eigensolver of the projectors."""
+        circuit = kicked_ising(chain(3), steps=steps, theta_h=math.nan)
+        res = run_tn(circuit, parse_pauli("Z1", 3), method, chi=2)
+        assert math.isnan(res.expectation) and math.isnan(res.n_mix)
+        assert math.isnan(res.bp_max_delta) and res.bp_iterations == 0
+        assert not res.converged
+        assert res.flags == ("l2bp_nonconverged:t=1:delta=nan",)
+
 
 class TestBitPins:
     """The ``tn_mix_ladder`` instance (T = 5 device light cone, k = 7,
