@@ -34,7 +34,7 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cache, partial
 from itertools import combinations, groupby
 from pathlib import Path
@@ -257,10 +257,15 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
         known = {f.name for f in fields(cls)}
         bad = sorted(set(doc) - known)
         if bad:
             raise ValueError(f"unknown config keys: {bad}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+        if missing:
+            raise ValueError(f"missing config keys: {missing}")
         return cls(**doc)
 
     @classmethod
@@ -488,34 +493,66 @@ def _escape_flag(text: str) -> str:
     return _FLAG_UNSAFE.sub(lambda m: f"%{ord(m.group()):02X}", text)
 
 
-def _angle_rows(config, lattice, word, templates, theta, params) -> Iterator[ResultRow]:
+def _sweep_rows(config: RunConfig) -> Callable[[tuple], Iterator[ResultRow]]:
+    """The function that gives, in this process, the rows of one angle
+    ``(theta, [(param_name, param_value), ...])`` of a sweep of ``config``
+    (see ``_angle_rows``).  The lattice and the observable are built here,
+    so a bad one raises before any angle runs; the fold-class templates
+    are built on first use and kept by the function."""
+    lattice = config.build_lattice()
+    word = parse_pauli(config.observable, lattice.n)
+    templates = cache(partial(_spd_template, config, lattice, word))
+    return partial(_angle_rows, config, lattice, word, templates)
+
+
+def _angle_rows(config, lattice, word, templates, angle) -> Iterator[ResultRow]:
     """Rows of the given parameters at one angle, in order, sharing the
     angle's circuit and the sweep's ``templates``; a build that fails is
     tried again by the next point, so each point of the angle records the
     failure."""
+    theta, params = angle
     shared = cache(partial(_angle_circuit, config, lattice, word, theta, templates))
     for name, val in params:
         yield run_point(config, lattice, word, theta, name, val, shared)
 
 
+# The angle rows of the sweep that this worker process runs, set once when
+# the process starts (``_start_worker``).  It is never set in the calling
+# process, and a worker ends with its sweep, so no template outlives it.
+_worker_rows: Callable[[tuple], Iterator[ResultRow]] | None = None
+
+
+def _start_worker(config: RunConfig) -> None:
+    global _worker_rows
+    _worker_rows = _sweep_rows(config)
+
+
+def _rows_in_worker(angle) -> list[ResultRow]:
+    return list(_worker_rows(angle))
+
+
 def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
     """Run every grid point, optionally writing CSV rows as they finish.
 
-    The points of one angle run in order in one worker and share the
+    The points of one angle run in order in one process and share the
     angle's circuit (see ``_angle_circuit``).  For ``spd`` its
-    angle-independent part is built and recompiled once per fold class, in
-    a template that this call keeps until it returns; a failed build is not
-    kept, so the next point of its class tries again.  Two workers may
-    build the same class at once; the results are equal, so either may be
-    kept.  Up to ``workers`` angles run concurrently; fewer than one
-    raises.  Rows emit in grid order through a single writer, flushed per
-    row, so a crash leaves a valid prefix of the table; a failed write or
-    an interrupt stops the angles not yet started.
+    angle-independent part is built and recompiled once per fold class in
+    each process, in a template that the process keeps until the sweep
+    returns; a failed build is not kept, so the next point of its class
+    tries again.
+
+    With one worker the angles run in the calling process.  With more,
+    they run in ``min(workers, number of angles)`` processes started with
+    the ``spawn`` method, each building its own lattice, observable and
+    templates; the processes share nothing, and none is left once this
+    call returns or raises.  Fewer than one worker raises.  Rows emit in
+    grid order through a single writer, flushed per row, so a crash leaves
+    a valid prefix of the table; a failed write or an interrupt stops the
+    angles not yet started.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    lattice = config.build_lattice()
-    word = parse_pauli(config.observable, lattice.n)
+    angle_rows = _sweep_rows(config)
     angles = [
         (theta, [(name, val) for _, name, val in group])
         for theta, group in groupby(config.points(), key=lambda point: point[0])
@@ -528,31 +565,32 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         handle.flush()
-    templates = cache(partial(_spd_template, config, lattice, word))
-    angle_rows = partial(_angle_rows, config, lattice, word, templates)
     rows: list[ResultRow] = []
-
-    def emit(row: ResultRow) -> None:
-        rows.append(row)
-        if writer is not None:
-            writer.writerow(row.to_csv())
-            handle.flush()
-
+    results = map(angle_rows, angles)
+    pool = None
     try:
         if workers > 1:
-            # imported here: a one-worker sweep loads no thread machinery
-            from concurrent.futures import ThreadPoolExecutor
+            # imported here: a one-worker sweep loads no process machinery
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
 
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # leaving the map's iterator cancels the angles not started
-                for results in pool.map(lambda angle: list(angle_rows(*angle)), angles):
-                    for row in results:
-                        emit(row)
-        else:
-            for theta, params in angles:
-                for row in angle_rows(theta, params):
-                    emit(row)
+            # spawn, not fork: this process may already run BLAS threads
+            pool = ProcessPoolExecutor(
+                max_workers=min(workers, len(angles)),
+                mp_context=get_context("spawn"),
+                initializer=_start_worker,
+                initargs=(config,),
+            )
+            results = pool.map(_rows_in_worker, angles)
+        for angle in results:
+            for row in angle:
+                rows.append(row)
+                if writer is not None:
+                    writer.writerow(row.to_csv())
+                    handle.flush()
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         if handle is not None:
             handle.close()
     return rows

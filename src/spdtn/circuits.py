@@ -350,6 +350,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
     Rotations return cos(angle/2) I - i sin(angle/2) W with W the axis word's
     matrix restricted to the gate's qubits; the axis must be supported there.
+    An infinite angle raises ``ValueError``; a NaN angle gives a NaN matrix.
     """
     if gate.name in _NAMED_MATS:
         return _NAMED_MATS[gate.name].copy()
@@ -368,5 +369,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     w = _SITE_MATS[letters[0]]
     for letter in letters[1:]:
         w = np.kron(w, _SITE_MATS[letter])
+    if math.isinf(gate.angle):
+        raise ValueError(f"rotation angle must be finite, got {gate.angle!r}")
     half = 0.5 * gate.angle
     return math.cos(half) * np.eye(w.shape[0], dtype=complex) - 1j * math.sin(half) * w

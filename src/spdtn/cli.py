@@ -27,7 +27,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--out", default=None, help="output CSV (default: config path with .csv)"
     )
-    p_sweep.add_argument("--workers", type=int, default=1, help="concurrent angles")
+    p_sweep.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes running angles at once (1: run them in this process)",
+    )
 
     p_report = sub.add_parser("report", help="convergence diagnostics for a CSV")
     p_report.add_argument("--in", dest="in_path", required=True, help="sweep CSV")

@@ -4,7 +4,6 @@ import gc
 import hashlib
 import json
 import math
-import sys
 import time
 import weakref
 from urllib.parse import unquote
@@ -446,10 +445,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_multi_delta_csv_same_for_any_workers(self, tmp_path, workers):
-        """Also for ``mix``, whose angles' threads share the contraction plan
-        cache, and for ``spd``, whose threads share the templates and the
-        constants their axis words keep: from cold caches they race to fill
-        them."""
+        """Also for ``mix``, whose worker processes each plan their own
+        contractions, and for ``spd``, whose worker processes each build
+        their own templates."""
         theta_h = [0.0, 0.3, 0.6, 1.2]
         for cfg in (
             spd_config(theta_h=theta_h, deltas=[1e-2, 1e-3]),
@@ -530,10 +528,17 @@ class TestSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_write_stops_the_sweep(self, monkeypatch, tmp_path, workers):
         """With two workers a writer failing on the first row used to leave
-        every other angle to run before the error surfaced."""
+        every other angle to run before the error surfaced.  One worker runs
+        the points in this process, which counts them; worker processes are
+        seen through the futures of their pool: the angles not started are
+        cancelled, and no worker outlives the sweep."""
+        import concurrent.futures
+        import multiprocessing
+
         from spdtn import bench
 
         run = []
+        futures = []
 
         def point(*args, **kwargs):
             run.append(args[3])
@@ -544,14 +549,51 @@ class TestSweep:
         def fail(row):
             raise OSError("disk full")
 
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
         monkeypatch.setattr(bench, "run_point", point)
         monkeypatch.setattr(ResultRow, "to_csv", fail)
-        cfg = spd_config(theta_h=[k * math.pi / 16 for k in range(12)], deltas=[1e-2, 0.0])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = spd_config(theta_h=[k * math.pi / 16 for k in range(24)], deltas=[1e-2, 0.0])
         with pytest.raises(OSError, match="disk full"):
             sweep(cfg, out=tmp_path / "rows.csv", workers=workers)
-        # the angles started before the first row failed (with two workers
-        # the first angle, the second and maybe the third), not the rest
-        assert len(run) <= 2 * (workers + 1)
+        assert multiprocessing.active_children() == []
+        if workers == 1:
+            # the first angle's points, not the rest
+            assert len(run) <= 2 * (workers + 1)
+            assert futures == []
+        else:
+            # the angles running or queued when the first row failed, not
+            # the rest
+            assert run == [] and len(futures) == 24
+            assert sum(not f.cancelled() for f in futures) <= len(futures) // 2
+
+    @pytest.mark.parametrize("workers, angles, size", [(1, 3, None), (2, 3, 2), (8, 3, 3)])
+    def test_pool_has_at_most_one_process_per_angle(self, monkeypatch, workers, angles, size):
+        """The pool holds ``min(workers, angles)`` spawned processes; one
+        worker starts no pool.  A fake executor records its size and starts
+        no process."""
+        import concurrent.futures
+
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                made.append((max_workers, mp_context.get_start_method()))
+
+            def map(self, fn, *iterables):
+                return iter(())
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        rows = sweep(spd_config(theta_h=[0.1 * k for k in range(angles)]), workers=workers)
+        assert made == ([] if size is None else [(size, "spawn")])
+        assert len(rows) == (angles if size is None else 0)
 
     def test_timing_recorded_only_on_request(self, tmp_path):
         quiet = sweep(spd_config(theta_h=[0.3]))
@@ -659,8 +701,12 @@ class TestFoldClassTemplates:
         )
 
     def test_no_template_outlives_its_sweep(self, monkeypatch):
-        """One worker builds each class's template once; once the sweep
-        returns, no template is reachable, with one worker or two."""
+        """One worker builds each class's template once, in this process;
+        once the sweep returns, no template is reachable.  Two workers
+        build theirs in worker processes, none of which is left when the
+        sweep returns, and give the same rows."""
+        import multiprocessing
+
         from spdtn import bench
 
         built = []
@@ -673,30 +719,15 @@ class TestFoldClassTemplates:
 
         monkeypatch.setattr(bench, "_spd_template", tracked)
         cfg = spd_config(theta_h=[0.1, 0.9, 0.3, 1.2], deltas=[1e-2, 0.0])
-        for workers in (1, 2):
-            built.clear()
-            rows = sweep(cfg, workers=workers)
-            gc.collect()
-            assert len(rows) == 8 and not any(r.flagged for r in rows)
-            assert len(built) == 2 if workers == 1 else len(built) >= 2
-            assert all(ref() is None for ref in built)
-
-    def test_threads_share_templates_without_lost_updates(self):
-        """More threads than cores, switching often, on angles of all four
-        fold classes, whose first angles start together: the rows are those
-        of one worker."""
-        cfg = spd_config(
-            theta_h=[k * math.pi / 2 + d for k in range(4) for d in (0.1, 0.2, -0.3, 0.4)],
-            deltas=[1e-2, 0.0],
-        )
-        alone = sweep(cfg)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rows = sweep(cfg, workers=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert rows == alone
+        rows = sweep(cfg)
+        gc.collect()
+        assert len(rows) == 8 and not any(r.flagged for r in rows)
+        assert len(built) == 2
+        assert all(ref() is None for ref in built)
+        built.clear()
+        assert sweep(cfg, workers=2) == rows
+        assert built == []
+        assert multiprocessing.active_children() == []
 
     def test_sweeps_in_one_process_match_each_alone(self):
         """Sweeps that differ in steps, lattice, observable and extra RX
@@ -1080,13 +1111,22 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_inputs_exit_two(self, tmp_path, capsys):
+        """A config that is not a JSON object, or that lacks a required
+        key, used to end in a ``TypeError`` traceback and exit 1."""
         missing = tmp_path / "nope.json"
         assert cli_main(["sweep", "--config", str(missing)]) == 2
+        capsys.readouterr()
+        no_method = spd_config().to_dict()
+        del no_method["method"], no_method["steps"]
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"volume": 11}))
-        assert cli_main(["sweep", "--config", str(bad)]) == 2
-        err = capsys.readouterr().err
-        assert "unknown config keys" in err
+        for doc, message in (
+            ({"volume": 11}, "unknown config keys: ['volume']"),
+            ([], "config must be a JSON object, got list"),
+            (no_method, "missing config keys: ['steps', 'method']"),
+        ):
+            bad.write_text(json.dumps(doc))
+            assert cli_main(["sweep", "--config", str(bad)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_nan_delta_exit_two(self, tmp_path, capsys):
         """``NaN`` is valid JSON to Python; a sweep on it would drop every

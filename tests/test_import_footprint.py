@@ -24,6 +24,7 @@ NOT_ON_SPD_PATH = (
     "spdtn.tn",
     "hashlib",
     "concurrent.futures",
+    "multiprocessing",
 )
 
 
@@ -53,7 +54,7 @@ def test_spd_quick_start_loads_no_tensor_network_or_harness():
     assert peak == 70  # the README quick start's figure: the run really happened
 
 
-def test_one_worker_sweep_loads_no_thread_pool(tmp_path):
+def test_one_worker_sweep_loads_no_process_pool(tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({
         "lattice": {"kind": "chain", "n": 4},
@@ -67,10 +68,10 @@ def test_one_worker_sweep_loads_no_thread_pool(tmp_path):
         from spdtn.cli import main
 
         status = main(["sweep", "--config", sys.argv[1], "--workers", sys.argv[2]])
-        print((status, "concurrent.futures" in sys.modules))
+        print((status, "concurrent.futures" in sys.modules, "multiprocessing" in sys.modules))
     """
-    assert run_fresh(code, str(config), "1") == (0, False)
-    assert run_fresh(code, str(config), "2") == (0, True)
+    assert run_fresh(code, str(config), "1") == (0, False, False)
+    assert run_fresh(code, str(config), "2") == (0, True, True)
 
 
 def test_every_export_resolves_to_its_defining_module():

@@ -535,6 +535,19 @@ class TestRunTn:
         assert not res.converged
         assert res.flags == ("l2bp_nonconverged:t=1:delta=nan",)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf])
+    def test_infinite_kick_raises_naming_the_angle(self, theta):
+        """An infinite kick has no gate; ``math.cos`` used to fail on it
+        with a bare "math domain error", both here and in the statevector
+        referee."""
+        circuit = kicked_ising(chain(3), steps=2, theta_h=theta)
+        word = parse_pauli("Z1", 3)
+        message = f"rotation angle must be finite, got {theta!r}"
+        with pytest.raises(ValueError, match=message):
+            run_tn(circuit, word, "mix", chi=2)
+        with pytest.raises(ValueError, match=message):
+            statevector_expectation(circuit, word)
+
 
 class TestBitPins:
     """The ``tn_mix_ladder`` instance (T = 5 device light cone, k = 7,
