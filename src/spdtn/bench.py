@@ -547,8 +547,12 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
     templates; the processes share nothing, and none is left once this
     call returns or raises.  Fewer than one worker raises.  Rows emit in
     grid order through a single writer, flushed per row, so a crash leaves
-    a valid prefix of the table; a failed write or an interrupt stops the
-    angles not yet started.
+    a valid prefix of the table; a failed write or an interrupt cancels the
+    angles not yet handed to a worker, and returns once the angles already
+    running or queued in workers finish, up to ``workers + 1`` of them.  A
+    worker process that dies raises ``RuntimeError``: each worker imports
+    the caller's main module, so a script must call ``sweep`` under
+    ``if __name__ == "__main__":``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -568,11 +572,15 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
     rows: list[ResultRow] = []
     results = map(angle_rows, angles)
     pool = None
+    broken: tuple[type[BaseException], ...] = ()  # how a dead worker shows
     try:
         if workers > 1:
             # imported here: a one-worker sweep loads no process machinery
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
             from multiprocessing import get_context
+
+            broken = (BrokenProcessPool,)
 
             # spawn, not fork: this process may already run BLAS threads
             pool = ProcessPoolExecutor(
@@ -588,6 +596,12 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
                 if writer is not None:
                     writer.writerow(row.to_csv())
                     handle.flush()
+    except broken as exc:
+        raise RuntimeError(
+            f"a sweep worker process died (workers={workers}); each worker "
+            "imports the calling script, so a script that calls sweep with "
+            'workers > 1 must call it under `if __name__ == "__main__":`'
+        ) from exc
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -20,8 +20,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .paulis import PauliWord
-
 __all__ = [
     "Gate",
     "Layer",
@@ -47,12 +45,20 @@ _AXIS_LETTERS = {"rx": "X", "ry": "Y", "rz": "Z"}
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate: a named Clifford, or a Pauli rotation ``exp(-i angle/2 * axis)``."""
+    """One gate: a named Clifford, or a Pauli rotation ``exp(-i angle/2 * W)``.
+
+    A gate is valid when it is built, so every engine and oracle reads it
+    by the same rule.  The axis W of ``rx``, ``ry``, ``rz`` and ``rzz`` is
+    X, Y, Z and Z Z on ``qubits``; a ``rot`` gate names it as a string of
+    Pauli letters, one of X, Y, Z per entry of ``qubits`` and in the same
+    order ("ZX" on qubits (3, 1) is Z3 X1), so no axis reaches off its gate.
+    Every rotation angle is finite.  Any other gate raises ``ValueError``.
+    """
 
     name: str
     qubits: tuple[int, ...]
     angle: float | None = None
-    axis: PauliWord | None = None  # only for name == "rot"
+    axis: str | None = None  # only for name == "rot"
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
@@ -65,9 +71,18 @@ class Gate:
         elif self.name in ROTATION_GATES:
             if self.angle is None:
                 raise ValueError(f"rotation {self.name!r} needs an angle")
+            if not math.isfinite(self.angle):
+                raise ValueError(f"rotation angle must be finite, got {self.angle!r}")
             if self.name == "rot":
-                if self.axis is None:
-                    raise ValueError("generic rotation needs an axis word")
+                if not (
+                    isinstance(self.axis, str)
+                    and len(self.axis) == len(self.qubits)
+                    and set(self.axis) <= set("XYZ")
+                ):
+                    raise ValueError(
+                        f"rot axis must be one of X, Y, Z per qubit of {self.qubits}, "
+                        f"got {self.axis!r}"
+                    )
             elif self.name == "rzz":
                 if len(self.qubits) != 2:
                     raise ValueError("rzz acts on 2 qubits")
@@ -75,6 +90,8 @@ class Gate:
                 raise ValueError(f"{self.name!r} acts on 1 qubit")
         else:
             raise ValueError(f"unknown gate name {self.name!r}")
+        if self.axis is not None and self.name != "rot":
+            raise ValueError(f"{self.name!r} takes no axis, got {self.axis!r}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"repeated qubit in {self.name!r} gate: {self.qubits}")
 
@@ -86,7 +103,6 @@ class Gate:
 @dataclass(frozen=True)
 class Layer:
     gates: tuple[Gate, ...]
-    tag: str = ""
     step: int = -1
 
     def __post_init__(self):
@@ -265,12 +281,12 @@ def kicked_ising(
     layers = []
     for t in range(steps):
         rx = tuple(Gate("rx", (j,), theta_h) for j in range(lattice.n))
-        layers.append(Layer(rx, tag="rx", step=t))
+        layers.append(Layer(rx, step=t))
         rzz = tuple(Gate("rzz", e, -math.pi / 2) for e in lattice.edges)
-        layers.append(Layer(rzz, tag="rzz", step=t))
+        layers.append(Layer(rzz, step=t))
     if extra_x_layer:
         rx = tuple(Gate("rx", (j,), theta_h) for j in range(lattice.n))
-        layers.append(Layer(rx, tag="rx", step=steps))
+        layers.append(Layer(rx, step=steps))
     return Circuit(lattice.n, tuple(layers))
 
 
@@ -318,7 +334,7 @@ def lightcone_prune(circuit: Circuit, support: Iterable[int]) -> Circuit:
                     changed = True
         if kept:
             gates = tuple(layer.gates[idx] for idx in sorted(kept))
-            kept_layers.append(Layer(gates, tag=layer.tag, step=layer.step))
+            kept_layers.append(Layer(gates, step=layer.step))
     return Circuit(circuit.n, tuple(reversed(kept_layers)))
 
 
@@ -348,28 +364,19 @@ _NAMED_MATS = {
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Dense unitary over ``gate.qubits`` (kron in qubit-tuple order).
 
-    Rotations return cos(angle/2) I - i sin(angle/2) W with W the axis word's
-    matrix restricted to the gate's qubits; the axis must be supported there.
-    An infinite angle raises ``ValueError``; a NaN angle gives a NaN matrix.
+    Rotations return cos(angle/2) I - i sin(angle/2) W, with W the kron of
+    the axis letters in qubit order (see ``Gate``).
     """
     if gate.name in _NAMED_MATS:
         return _NAMED_MATS[gate.name].copy()
     if gate.name == "rot":
-        letters = [gate.axis.site(q) for q in gate.qubits]
-        outside = [
-            j for j in range(gate.axis.n)
-            if gate.axis.site(j) != "I" and j not in gate.qubits
-        ]
-        if outside:
-            raise ValueError(f"rotation axis touches qubits {outside} off the gate")
+        letters = gate.axis
     elif gate.name == "rzz":
-        letters = ["Z", "Z"]
+        letters = "ZZ"
     else:
-        letters = [_AXIS_LETTERS[gate.name]]
+        letters = _AXIS_LETTERS[gate.name]
     w = _SITE_MATS[letters[0]]
     for letter in letters[1:]:
         w = np.kron(w, _SITE_MATS[letter])
-    if math.isinf(gate.angle):
-        raise ValueError(f"rotation angle must be finite, got {gate.angle!r}")
     half = 0.5 * gate.angle
     return math.cos(half) * np.eye(w.shape[0], dtype=complex) - 1j * math.sin(half) * w

@@ -31,7 +31,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes running angles at once (1: run them in this process)",
+        help=(
+            "worker processes running angles at once (1: run them in this "
+            "process); an interrupt or a failed write returns once the angles "
+            "already in workers finish, up to workers + 1 of them"
+        ),
     )
 
     p_report = sub.add_parser("report", help="convergence diagnostics for a CSV")

@@ -90,13 +90,13 @@ def _sign_exponent(e: int) -> int:
     return e
 
 
-def _axis_ints(gate: Gate, n: int) -> tuple[int, int]:
-    """(z, x) bits of a rotation gate's axis over n sites."""
+def _axis_ints(gate: Gate) -> tuple[int, int]:
+    """(z, x) site bits of a rotation gate's axis."""
     name = gate.name
     if name == "rot":
-        if gate.axis.n != n:
-            raise ValueError(f"rotation axis on {gate.axis.n} sites, circuit on {n}")
-        return _ints(gate.axis.row, nwords64(n))
+        z = sum(1 << i for i, letter in enumerate(gate.axis) if letter != "X")
+        x = sum(1 << i for i, letter in enumerate(gate.axis) if letter != "Z")
+        return _spread(z, gate.qubits), _spread(x, gate.qubits)
     bit = 1 << gate.qubits[0]
     if name == "rx":
         return 0, bit
@@ -137,7 +137,7 @@ class CliffordTableau:
                 theta_p, k = fold_angle(g.angle)
                 if theta_p != 0.0:
                     raise ValueError(f"gate {g} is not Clifford (residual angle {theta_p})")
-                acc._absorb_half_turns(*_axis_ints(g, n), k)
+                acc._absorb_half_turns(*_axis_ints(g), k)
         return acc
 
     # -- conjugation ---------------------------------------------------
@@ -303,7 +303,7 @@ def recompile(circuit: Circuit, observable) -> RecompiledCircuit:
         if gate.is_clifford:
             acc._absorb_named(gate.name, gate.qubits)
             continue
-        az, ax = _axis_ints(gate, n)
+        az, ax = _axis_ints(gate)
         theta_p, k = fold_angle(gate.angle)
         if theta_p != 0.0:
             z, x, e = acc._conjugate(az, ax)

@@ -175,21 +175,14 @@ def _word(n: int, letters) -> PauliWord:
 def _gate_tableau(gate: Gate) -> CliffordTableau:
     """Tableau of ``gate`` over its own qubits: local site i is gate.qubits[i].
 
-    Raises ValueError for a rotation that does not fold to a Clifford and
-    for a ``rot`` axis with support off the gate's qubits.
+    Raises ValueError for a rotation that does not fold to a Clifford.
     """
-    k = len(gate.qubits)
-    local_axis = None
     if not gate.is_clifford:
         theta_p, _ = fold_angle(gate.angle)
         if theta_p != 0.0:
             raise ValueError(f"gate {gate} is not Clifford (residual angle {theta_p})")
-    if gate.name == "rot":
-        outside = [j for j in gate.axis.support() if j not in gate.qubits]
-        if outside:
-            raise ValueError(f"rotation axis touches qubits {outside} off the gate")
-        local_axis = _word(k, enumerate(gate.axis.site(q) for q in gate.qubits))
-    local = Gate(gate.name, tuple(range(k)), gate.angle, local_axis)
+    k = len(gate.qubits)
+    local = Gate(gate.name, tuple(range(k)), gate.angle, gate.axis)
     return CliffordTableau.from_gates(k, [local])
 
 
@@ -226,8 +219,7 @@ def clifford_image(circuit: Circuit, word: PauliWord) -> PhasedWord:
 
     Conjugates gate by gate, last circuit gate first (see
     :func:`clifford_expectation`).  Raises ValueError for a gate that is not
-    Clifford or a ``rot`` axis off its gate, and for a word whose site count
-    differs from the circuit's.
+    Clifford, and for a word whose site count differs from the circuit's.
     """
     return _image(_gate_tableaus(circuit), circuit.n, word)
 
@@ -241,12 +233,12 @@ def clifford_expectation(circuit: Circuit, observable) -> float:
     gate's qubits, through a tableau over those qubits alone, and joins the
     image with the untouched rest; gates disjoint from a word's support
     leave it fixed and are skipped.  This is exact because a gate acts only
-    on its qubits (a ``rot`` axis must lie on them) and a canonical word
+    on its qubits (a ``rot`` axis names a letter per qubit) and a canonical word
     factors over disjoint supports with no extra phase:
     C†(W_A ⊗ W_B)C = (C†W_A C) ⊗ W_B, and the phase of the result is the
     phase of the image.  The cost per gate thus scales with its arity, not
     with the site count.  Raises ValueError if any gate fails to fold to a
-    Clifford or has a ``rot`` axis off its qubits.
+    Clifford.
     """
     observable = PauliSum.of(observable, circuit.n)
     steps = _gate_tableaus(circuit)

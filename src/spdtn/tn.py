@@ -98,12 +98,11 @@ class EvolvingState:
     sites; ``run_tn`` starts the state empty and the operator on the
     observable's support, and ``apply_layer`` takes in each site when a
     gate first touches it, so every per-site loop skips the untouched
-    sites, whose factors are exactly 1.  Absorbing a layer adds a bond label per two-site gate, and
-    compression (``evolve``) fuses each site pair's labels back to a single
-    label of dimension <= chi.  ``_gates`` keeps the arrays of each
-    distinct gate absorbed so far (``_gate_arrays``).  ``finite`` turns
-    False when a step's two-norm BP meets a NaN or infinite message (a
-    non-finite gate angle); ``evolve`` leaves that step uncompressed.
+    sites, whose factors are exactly 1.  Absorbing a layer adds a bond
+    label per two-site gate, and compression (``evolve``) fuses each site
+    pair's labels back to a single label of dimension <= chi.  ``_gates``
+    keeps the arrays of each distinct gate absorbed so far
+    (``_gate_arrays``).
     """
 
     kind: str
@@ -112,7 +111,6 @@ class EvolvingState:
     t: int = 0
     trunc_log: list[tuple[int, int, int, float]] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
-    finite: bool = True
     _labels: Iterable[str] = field(default=None, repr=False)
     _gates: dict[tuple, tuple[np.ndarray, ...]] = field(
         default_factory=dict, repr=False, compare=False
@@ -193,14 +191,9 @@ def _gate_arrays(state: EvolvingState, gate: Gate) -> tuple[np.ndarray, ...]:
     ``_split_two_site``.  Built once per distinct gate and kept, read-only,
     on the state, since a circuit repeats a few gates many times.  A gate is
     known by what its matrix depends on: its name, its angle's bits and its
-    axis letters on its qubits, in order; the axis weight keeps a rotation
-    whose axis reaches off the gate, which ``gate_matrix`` rejects, from
-    matching a valid one."""
+    axis letters."""
     angle = None if gate.angle is None else float(gate.angle).hex()
-    axis = None
-    if gate.axis is not None:
-        axis = (tuple(gate.axis.site(q) for q in gate.qubits), gate.axis.weight)
-    key = (state.kind, gate.name, angle, axis)
+    key = (state.kind, gate.name, angle, gate.axis)
     arrays = state._gates.get(key)
     if arrays is None:
         if len(gate.qubits) not in (1, 2):
@@ -266,9 +259,9 @@ def evolve(
     bonded site pair, and contracts each site's tensor with its adjacent
     projectors, leaving one bond label of dimension <= chi per pair.
     BP non-convergence is recorded in ``state.flags`` and evolution
-    proceeds with the best available messages, unless a message is not
-    finite: no projector can be built from it, so the step stays
-    uncompressed and ``state.finite`` turns False.
+    proceeds with the best available messages.  A message that is not
+    finite (a NaN or infinite entry in a state's tensors) has no
+    projector: ``ValueError`` names the step.
     """
     opts = bp_options or BpOptions()
     for layer in layers:
@@ -278,11 +271,10 @@ def evolve(
     if not sn.edges:
         return state
     ms = opts.iterate(sn, mode="two-norm")
+    if not math.isfinite(ms.max_delta):
+        raise ValueError(f"two-norm BP message is not finite at step {state.t}")
     if not ms.converged:
         state.flags.append(f"l2bp_nonconverged:t={state.t}:delta={ms.max_delta:.3e}")
-    if not math.isfinite(ms.max_delta):
-        state.finite = False
-        return state
     projectors: dict[int, list[Tensor]] = {}
     for (i, j), labels in sn.edges.items():
         fused = state.fresh_label()
@@ -398,9 +390,7 @@ def run_tn(
 
     The value is reported without renormalization; the norm proxies
     (n_psi, n_o, and their product n_mix) quantify how much weight the
-    compressions discarded.  A step whose two-norm BP meets a non-finite
-    message (a NaN or infinite gate angle) ends the run: the result is NaN,
-    unconverged, and carries that step's ``l2bp_nonconverged`` flag.
+    compressions discarded.  Every gate angle is finite (``Gate``).
     """
     if method not in ("peps", "pepo", "mix"):
         raise ValueError(f"unknown method {method!r}")
@@ -431,42 +421,10 @@ def run_tn(
     psi = EvolvingState("peps", circuit.n, {})
     op = _operator_on(word, word.support())
 
-    def result(
-        value: complex,
-        n_psi: float,
-        n_o: float,
-        ms: MessageSet | None,
-        max_bond: int,
-        flags: tuple[str, ...],
-    ) -> TnResult:
-        discards = [dw for _, _, _, dw in psi.trunc_log + op.trunc_log]
-        return TnResult(
-            expectation=float(value.real),
-            n_psi=n_psi,
-            n_o=n_o,
-            n_mix=n_psi * n_o,
-            method=method,
-            chi=chi,
-            kappa=kappa,
-            tau=tau,
-            op_steps=op_steps,
-            lazy_steps=lazy_count,
-            bp_iterations=0 if ms is None else ms.iterations,
-            bp_max_delta=math.nan if ms is None else ms.max_delta,
-            converged=ms is not None and ms.converged and not flags,
-            max_bond=max_bond,
-            trunc_max_discarded=max(discards, default=0.0),
-            trunc_sum_discarded=float(sum(discards)),
-            flags=flags,
-        )
-
     schedule = [(psi, group) for group in steps[:tau]]
     schedule += [(op, list(reversed(group))) for group in reversed(steps[tau + lazy_count :])]
     for state, layers in schedule:
         evolve(state, layers, chi, kappa, opts)
-        if not state.finite:
-            # no sandwich is built: the row is NaN with no BP of its own
-            return result(math.nan, math.nan, math.nan, None, 0, tuple(psi.flags + op.flags))
 
     n_psi, ms_psi = state_norm(psi, opts)
     n_o, ms_o = state_norm(op, opts)
@@ -496,5 +454,23 @@ def run_tn(
     flags = tuple(psi.flags) + tuple(op.flags) + imag_flags + (
         () if ms.converged else (f"l1bp_nonconverged:delta={ms.max_delta:.3e}",)
     )
-    max_bond = max((sn.bond_dim(i, j) for i, j in sn.edges), default=1)
-    return result(value, n_psi, n_o, ms, max_bond, flags)
+    discards = [dw for _, _, _, dw in psi.trunc_log + op.trunc_log]
+    return TnResult(
+        expectation=float(value.real),
+        n_psi=n_psi,
+        n_o=n_o,
+        n_mix=n_psi * n_o,
+        method=method,
+        chi=chi,
+        kappa=kappa,
+        tau=tau,
+        op_steps=op_steps,
+        lazy_steps=lazy_count,
+        bp_iterations=ms.iterations,
+        bp_max_delta=ms.max_delta,
+        converged=ms.converged and not flags,
+        max_bond=max((sn.bond_dim(i, j) for i, j in sn.edges), default=1),
+        trunc_max_discarded=max(discards, default=0.0),
+        trunc_sum_discarded=float(sum(discards)),
+        flags=flags,
+    )

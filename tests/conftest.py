@@ -82,7 +82,7 @@ def dense_gate_local(gate) -> np.ndarray:
     elif gate.name in ("rx", "ry", "rz"):
         w = PAULI_MATS[gate.name[-1].upper()]
     elif gate.name == "rot":
-        w = dense_letters("".join(gate.axis.site(q) for q in gate.qubits))
+        w = dense_letters(gate.axis)
     else:
         raise ValueError(f"oracle does not know gate {gate.name!r}")
     dim = w.shape[0]
@@ -190,12 +190,7 @@ def random_gate(rng: np.random.Generator, n: int, clifford_only: bool = False) -
         return Gate("rzz", (int(q[0]), int(q[1])), angle)
     k = int(rng.integers(1, min(3, n) + 1))
     qubits = tuple(int(v) for v in rng.choice(n, size=k, replace=False))
-    letters = [("X", "Y", "Z")[int(rng.integers(0, 3))] for _ in qubits]
-    axis = PauliWord.from_sites(
-        n,
-        z=[q for q, l in zip(qubits, letters) if l in ("Z", "Y")],
-        x=[q for q, l in zip(qubits, letters) if l in ("X", "Y")],
-    )
+    axis = "".join(("X", "Y", "Z")[int(rng.integers(0, 3))] for _ in qubits)
     return Gate("rot", qubits, angle, axis)
 
 
@@ -219,12 +214,7 @@ def mixed_gate(rng: np.random.Generator, n: int, sites=None) -> Gate:
         return Gate("rzz", qubits[:2], angle)
     if kind != "rot":
         return Gate(kind, qubits[:1], angle)
-    letters = [("X", "Y", "Z")[int(rng.integers(0, 3))] for _ in qubits]
-    axis = PauliWord.from_sites(
-        n,
-        z=[q for q, lt in zip(qubits, letters) if lt in "ZY"],
-        x=[q for q, lt in zip(qubits, letters) if lt in "XY"],
-    )
+    axis = "".join(("X", "Y", "Z")[int(rng.integers(0, 3))] for _ in qubits)
     return Gate("rot", qubits, angle, axis)
 
 

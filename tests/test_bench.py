@@ -571,6 +571,55 @@ class TestSweep:
             assert run == [] and len(futures) == 24
             assert sum(not f.cancelled() for f in futures) <= len(futures) // 2
 
+    def test_script_without_main_guard_names_the_guard(self, tmp_path):
+        """A script that calls ``sweep`` with two workers at module level
+        used to die with a bare ``BrokenProcessPool``: each spawned worker
+        re-runs the script, whose own ``sweep`` cannot start processes.  The
+        error now names ``workers`` and the guard, and no process of the
+        script's session outlives it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import math\n"
+            "from spdtn import RunConfig, sweep\n"
+            "config = RunConfig.from_dict({'lattice': {'kind': 'chain', 'n': 4},"
+            " 'observable': 'Z1', 'steps': 2, 'method': 'spd',"
+            " 'theta_h': [0.1, 0.2], 'deltas': [0.0]})\n"
+            "sweep(config, workers=2)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, str(script)], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        _, stderr = proc.communicate(timeout=300)
+        assert proc.returncode != 0
+        assert "RuntimeError: a sweep worker process died (workers=2)" in stderr
+        assert 'if __name__ == "__main__":' in stderr
+
+        def session(sid):
+            members = []
+            for entry in os.listdir("/proc"):
+                try:
+                    stat = Path(f"/proc/{entry}/stat").read_text()
+                except (OSError, ValueError):
+                    continue
+                # after "(comm)": state, ppid, pgrp, session
+                if entry.isdigit() and int(stat.rpartition(")")[2].split()[3]) == sid:
+                    members.append(int(entry))
+            return members
+
+        if Path("/proc/self/stat").exists():
+            deadline = time.monotonic() + 10.0
+            while session(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert session(proc.pid) == []
+
     @pytest.mark.parametrize("workers, angles, size", [(1, 3, None), (2, 3, 2), (8, 3, 3)])
     def test_pool_has_at_most_one_process_per_angle(self, monkeypatch, workers, angles, size):
         """The pool holds ``min(workers, angles)`` spawned processes; one
@@ -690,7 +739,7 @@ class TestFoldClassTemplates:
 
         def build(lattice, steps, theta, extra_x_layer=False):
             circuit = kicked_ising(lattice, steps, theta, extra_x_layer)
-            extra = Layer((Gate("rz", (1,), 0.25),), tag="rz", step=steps)
+            extra = Layer((Gate("rz", (1,), 0.25),), step=steps)
             return Circuit(circuit.n, circuit.layers + (extra,))
 
         monkeypatch.setattr(bench, "kicked_ising", build)

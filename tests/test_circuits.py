@@ -1,6 +1,7 @@
 """Lattices, circuit builders and pruning."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,8 +134,7 @@ class TestKickedIsing:
         assert len(circuit.layers) == 6
         for t in range(3):
             rx, rzz = circuit.layers[2 * t], circuit.layers[2 * t + 1]
-            assert rx.tag == "rx" and rx.step == t
-            assert rzz.tag == "rzz" and rzz.step == t
+            assert rx.step == t and rzz.step == t
             assert len(rx.gates) == 5 and len(rzz.gates) == 5
             assert all(g.name == "rx" and g.angle == 0.4 for g in rx.gates)
             assert all(
@@ -146,7 +146,8 @@ class TestKickedIsing:
         circuit = kicked_ising(ring(4), steps=2, theta_h=0.1, extra_x_layer=True)
         assert len(circuit.layers) == 5
         last = circuit.layers[-1]
-        assert last.tag == "rx" and last.step == 2
+        assert last.step == 2
+        assert [g.name for g in last.gates] == ["rx"] * 4
 
     def test_bad_steps(self):
         with pytest.raises(ValueError):
@@ -217,8 +218,9 @@ class TestLightcone:
         pruned = lightcone_prune(circuit, [62])
         assert pruned.num_gates == kept
         # the last RZZ layer keeps only the edges at site 62 itself
-        assert pruned.layers[-1].tag == "rzz"
-        assert all(62 in g.qubits for g in pruned.layers[-1].gates)
+        assert all(
+            g.name == "rzz" and 62 in g.qubits for g in pruned.layers[-1].gates
+        )
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_lattices_keep_values(self, seed):
@@ -285,10 +287,26 @@ class TestGateMatrix:
             )
 
     def test_rot_axis_off_support_raises(self):
-        axis = parse_pauli("X0 Z2", 3)
-        gate = Gate("rot", (0, 1), 0.5, axis)
-        with pytest.raises(ValueError, match="off the gate"):
-            gate_matrix(gate)
+        """An axis names one letter per gate qubit, so it cannot reach off
+        the gate: the word X0 Z2 is refused, and the letters "XZ" on
+        qubits (0, 1) give X kron Z."""
+        with pytest.raises(ValueError, match=re.escape(repr(parse_pauli("X0 Z2", 3)))):
+            Gate("rot", (0, 1), 0.5, parse_pauli("X0 Z2", 3))
+        xz = np.kron([[0, 1], [1, 0]], [[1, 0], [0, -1]])
+        np.testing.assert_allclose(
+            gate_matrix(Gate("rot", (0, 1), 0.5, "XZ")),
+            math.cos(0.25) * np.eye(4) - 1j * math.sin(0.25) * xz,
+            atol=1e-15,
+        )
+
+
+ROTATIONS = (
+    ("rx", (0,), None),
+    ("ry", (0,), None),
+    ("rz", (0,), None),
+    ("rzz", (0, 1), None),
+    ("rot", (0, 1), "XZ"),
+)
 
 
 class TestGateValidation:
@@ -309,6 +327,31 @@ class TestGateValidation:
             Gate("rzz", (0,), 0.5)
         with pytest.raises(ValueError):
             Gate("rot", (0,), 0.5)
+
+    @pytest.mark.parametrize(
+        "name, qubits, angle, axis",
+        [
+            (name, qubits, angle, axis)
+            for angle in (math.nan, math.inf, -math.inf)
+            for name, qubits, axis in ROTATIONS
+        ]
+        + [
+            ("rot", (0, 1), 0.3, "X"),
+            ("rot", (0, 1), 0.3, "XYZ"),
+            ("rot", (0, 1), 0.3, "XI"),
+            ("rot", (0, 1), 0.3, "xz"),
+            ("rot", (0,), 0.3, parse_pauli("X0 Z2", 3)),
+            ("rot", (0, 2), 0.3, parse_pauli("X0 Z2", 3)),
+            ("rx", (0,), 0.3, "X"),
+        ],
+    )
+    def test_gate_contract(self, name, qubits, angle, axis):
+        """Every gate is valid when it is built: a rotation angle is finite,
+        and a ``rot`` axis is one X, Y or Z per qubit, as a string, so it
+        cannot reach off the gate.  Each refusal names the value."""
+        bad = angle if not math.isfinite(angle) else axis
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            Gate(name, qubits, angle, axis)
 
     def test_circuit_range_check(self):
         with pytest.raises(ValueError):

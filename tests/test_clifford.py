@@ -74,8 +74,7 @@ class TestSingleGates:
 
     def test_half_turn_rot_gate(self, rng):
         n = 4
-        axis = parse_pauli("X0 Y2 Z3", n)
-        gate = Gate("rot", (0, 2, 3), -math.pi / 2, axis)
+        gate = Gate("rot", (0, 2, 3), -math.pi / 2, "XYZ")
         tableau = CliffordTableau.from_gates(n, [gate])
         circuit = Circuit(n, (Layer((gate,)),))
         words = [random_word(rng, n) for _ in range(12)]
@@ -166,12 +165,14 @@ class TestFoldAngle:
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_raises(self, theta):
         """No fold exists for a NaN or infinite angle; ``math.ceil`` used to
-        fail on it with a message that did not name the angle."""
+        fail on it with a message that did not name the angle.  No circuit
+        reaches ``recompile`` with one: its gates refuse it, in the same
+        words."""
         message = f"rotation angle must be finite, got {theta!r}"
         with pytest.raises(ValueError, match=message):
             fold_angle(theta)
         with pytest.raises(ValueError, match=message):
-            recompile(kicked_ising(chain(3), 1, theta), parse_pauli("Z1", 3))
+            kicked_ising(chain(3), 1, theta)
 
 
 class TestRecompile:
@@ -240,11 +241,11 @@ class TestRecompile:
 
 def _axis_word(gate: Gate, n: int) -> PauliWord:
     """Axis of a rotation gate over n sites, built from its letters."""
-    if gate.name == "rot":
-        return gate.axis
-    z = gate.qubits if gate.name in ("ry", "rz", "rzz") else ()
-    x = gate.qubits if gate.name in ("rx", "ry") else ()
-    return PauliWord.from_sites(n, z=z, x=x)
+    letters = gate.axis or {"rx": "X", "ry": "Y", "rz": "Z", "rzz": "ZZ"}[gate.name]
+    pairs = list(zip(gate.qubits, letters))
+    return PauliWord.from_sites(
+        n, z=[q for q, lt in pairs if lt in "ZY"], x=[q for q, lt in pairs if lt in "XY"]
+    )
 
 
 class TestRecompileAgainstOracle:

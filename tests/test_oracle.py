@@ -166,16 +166,16 @@ class TestCliffordRoute:
             clifford_expectation(circuit, parse_pauli("Z0", 3))
 
     def test_rejects_rot_axis_off_gate(self):
-        # The axis X0 X1 reaches qubit 1, off the gate's qubit 0.  The
-        # observable Z1 is disjoint from the gate, so a gate-local skip alone
-        # would silently return 1; the true rotation about X0 X1 maps it off
-        # the Z type.
-        axis = parse_pauli("X0 X1", 2)
-        circuit = Circuit(2, (Layer((Gate("rot", (0,), math.pi / 2, axis),)),))
-        with pytest.raises(ValueError, match=r"rotation axis touches qubits \[1\] off the gate"):
-            clifford_expectation(circuit, parse_pauli("Z1", 2))
-        with pytest.raises(ValueError, match="off the gate"):
-            clifford_image(circuit, parse_pauli("Z0", 2))
+        # An axis X0 X1 on a gate over qubit 0 alone would let the
+        # gate-local skip return 1 for the disjoint observable Z1, where the
+        # true rotation maps it off the Z type.  Such a gate cannot be
+        # built: its axis names one letter per gate qubit.
+        with pytest.raises(ValueError, match="rot axis must be one of X, Y, Z per qubit"):
+            Gate("rot", (0,), math.pi / 2, parse_pauli("X0 X1", 2))
+        circuit = Circuit(2, (Layer((Gate("rot", (0, 1), math.pi / 2, "XX"),)),))
+        image = clifford_image(circuit, parse_pauli("Z1", 2))
+        assert (image.word, image.phase) == (parse_pauli("X0 Y1", 2), 1.0)
+        assert clifford_expectation(circuit, parse_pauli("Z1", 2)) == 0.0
 
     @pytest.mark.parametrize("n", [65, 127])
     @pytest.mark.parametrize("seed", range(3))

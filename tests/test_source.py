@@ -85,3 +85,24 @@ def test_root_imports_only_the_sparse_engine():
         if name not in imported | spdtn._LAZY.keys() | (assigned - {"__all__"})
     ]
     assert not unbound, f"exported but neither imported nor lazy: {unbound}"
+
+
+def test_circuits_imports_no_other_package_module():
+    """``circuits`` is the bottom layer: a gate is checked where it is
+    built, so the module that builds gates needs nothing else from the
+    package, and every engine reads the same gate."""
+    path = Path(spdtn.__file__).parent / "circuits.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        bad += [
+            f"{name} (line {node.lineno})" for name in names
+            if name.startswith(".") or name.partition(".")[0] == "spdtn"
+        ]
+    assert not bad, f"circuits.py imports {bad}"
