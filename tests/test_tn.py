@@ -518,6 +518,25 @@ class TestRunTn:
         assert not res.converged
         assert any("nonconverged" in f for f in res.flags)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method, steps", [("mix", 2), ("peps", 3), ("pepo", 3)])
+    def test_nan_compressing_step_is_flagged(self, monkeypatch, method, steps):
+        """A non-finite kick matrix (no ``Gate`` can build one, so it is
+        patched in) that reaches a compressing step ends its two-norm BP on
+        a NaN message; ``run_tn`` stops there, raising with the step named,
+        instead of failing in the SVD or eigensolver of the projectors or
+        returning a NaN row.  No numpy warning escapes."""
+        real_matrix = tn.gate_matrix
+
+        def nan_kick(gate):
+            mat = real_matrix(gate)
+            return np.full_like(mat, math.nan) if gate.name == "rx" else mat
+
+        monkeypatch.setattr(tn, "gate_matrix", nan_kick)
+        circuit = kicked_ising(chain(3), steps=steps, theta_h=0.3)
+        with pytest.raises(ValueError, match="two-norm BP message is not finite at step 1"):
+            run_tn(circuit, parse_pauli("Z1", 3), method, chi=2)
+
     @pytest.mark.parametrize("theta", [math.inf, -math.inf])
     def test_infinite_kick_raises_naming_the_angle(self, theta):
         """An infinite kick has no gate; ``math.cos`` used to fail on it
