@@ -19,6 +19,7 @@ from .circuits import (
 )
 from .clifford import CliffordTableau, RecompiledCircuit, Rotation, fold_angle, recompile
 from .paulis import (
+    PauliSum,
     PauliWord,
     PhasedWord,
     anticommutes,
@@ -26,14 +27,7 @@ from .paulis import (
     parse_pauli,
     pauli_mul,
 )
-from .spd import (
-    MAX_TERMS_ENV,
-    PauliSum,
-    SpdCapacityError,
-    SpdResult,
-    apply_rotation,
-    run_spd,
-)
+from .spd import MAX_TERMS_ENV, SpdCapacityError, SpdResult, apply_rotation, run_spd
 
 __version__ = "0.1.0"
 

@@ -62,7 +62,6 @@ from .tensor import contract, greedy_path
 from .tn import (
     DEFAULT_KAPPA,
     BpOptions,
-    _step_groups,
     apply_layer,
     evolve,
     pepo_from_word,
@@ -898,7 +897,7 @@ def loop_error_histogram(
         for depth in steps:
             for theta in thetas:
                 circuit = kicked_ising(lattice, depth, theta)
-                groups = _step_groups(circuit)
+                groups = circuit.steps()
                 psi = peps_zero(lattice.n)
                 for group in groups[:-1]:
                     psi = evolve(psi, group, chi=chi, bp_options=opts)

@@ -3,7 +3,9 @@
 Circuits are flat sequences of layers; each layer is a tuple of gates that
 commute as applied (one sublattice-wide rotation layer, or an explicit gate
 list).  Gates act on the state in layer order, first layer first, and within
-a layer in tuple order.
+a layer in tuple order.  A layer's ``step`` tag joins it to the neighbouring
+layers of the same step; ``Circuit.steps`` gives those groups, the unit the
+tensor-network engine compresses after.
 
 The kicked-Ising builder emits, per step, one RX(theta_h) layer over all
 sites (gate ``exp(-i theta_h X / 2)``) followed by one RZZ layer over all
@@ -129,6 +131,20 @@ class Circuit:
     @property
     def num_gates(self) -> int:
         return sum(len(layer.gates) for layer in self.layers)
+
+    def steps(self) -> list[list[Layer]]:
+        """Layers grouped into steps: consecutive layers sharing a step tag
+        >= 0 form one group, and every untagged layer is a group alone."""
+        groups: list[list[Layer]] = []
+        current = object()
+        for layer in self.layers:
+            key = layer.step if layer.step >= 0 else object()
+            if groups and key == current:
+                groups[-1].append(layer)
+            else:
+                groups.append([layer])
+            current = key
+        return groups
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .paulis import PauliWord, PhasedWord, nwords64
+from .paulis import PauliSum, PauliWord, PhasedWord, nwords64
 
 __all__ = [
     "CliffordTableau",
@@ -128,9 +128,12 @@ class CliffordTableau:
     @classmethod
     def from_gates(cls, n: int, gates: Iterable) -> "CliffordTableau":
         """Accumulate named Clifford gates and rotations whose angles fold to
-        pure Cliffords (k*pi/2); any other angle raises."""
+        pure Cliffords (k*pi/2); any other angle, or a qubit outside
+        ``0..n-1``, raises."""
         acc = cls.identity(n)
         for g in gates:
+            if any(q >= n or q < 0 for q in g.qubits):
+                raise ValueError(f"gate {g} out of range for n={n}")
             if g.is_clifford:
                 acc._absorb_named(g.name, g.qubits)
             else:
@@ -276,21 +279,19 @@ class RecompiledCircuit:
     n: int
     rotations: tuple[Rotation, ...]
     residual_clifford: CliffordTableau
-    transformed_observable: "object"  # spd.PauliSum
+    transformed_observable: PauliSum
 
 
 def recompile(circuit: Circuit, observable) -> RecompiledCircuit:
     """Fold all Clifford content of a circuit into one tableau.
 
-    ``observable`` is a ``spd.PauliSum`` or a single ``PauliWord`` on the
+    ``observable`` is a ``PauliSum`` or a single ``PauliWord`` on the
     circuit's sites (see ``PauliSum.of``).  Rotation angles fold to
     (-pi/4, pi/4]; axes are conjugated through the Clifford content earlier
     in circuit time; folded k*pi/2 parts and all named Cliffords accumulate
     in the tableau, which finally transforms the observable.  Rotations on
     equal axes share one ``PauliWord``.
     """
-    from .spd import PauliSum
-
     n = circuit.n
     observable = PauliSum.of(observable, n)
     nw = nwords64(n)

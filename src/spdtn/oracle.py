@@ -19,8 +19,7 @@ import numpy as np
 
 from .circuits import PAULI_BASIS, Circuit, Gate, gate_matrix
 from .clifford import CliffordTableau, fold_angle
-from .paulis import PauliWord, PhasedWord
-from .spd import PauliSum
+from .paulis import PauliSum, PauliWord, PhasedWord
 from .tensor import CapacityError, Tensor, contract, greedy_path
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Bit-packed Pauli words and their product algebra.
+"""Bit-packed Pauli words, their product algebra, and sums of words.
 
 An n-qubit Pauli word is a pair of bit vectors (z, x), packed little-endian
 into ``ceil(n/64)`` uint64 words each and stored concatenated as
@@ -20,9 +20,13 @@ packed row ``[z_0, .., z_{w-1}, x_0, .., x_{w-1}]`` with each uint64 compared
 numerically.  Written big-endian (dtype ``">u8"``), a row's bytes compare in
 that same order, so :func:`pack_keys` turns each row into one fixed-width
 byte string; on rows already stored big-endian and C-contiguous, as
-``spd.PauliSum`` stores them, the keys are a view of the same memory.
+``PauliSum`` stores them, the keys are a view of the same memory.
 
-Every row is held big-endian: ``PauliWord.row`` like ``spd.PauliSum.words``.
+A ``PauliSum`` is a real linear combination of words: its rows sorted by
+that order and unique, one float64 coefficient each.  It is the observable
+every engine takes and the sum that ``spd`` propagates.
+
+Every row is held big-endian: ``PauliWord.row`` like ``PauliSum.words``.
 The batch kernels below work on the raw bytes of big-endian rows (a native
 batch is converted by value first): AND, XOR and the parity of a popcount do
 not depend on the order of the bytes within a word, so stored rows are never
@@ -36,13 +40,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "PauliWord",
     "PhasedWord",
+    "PauliSum",
     "nwords64",
     "pauli_mul",
     "anticommutes",
@@ -346,3 +351,137 @@ def format_pauli(word: PauliWord) -> str:
         if letter != "I":
             out.append(f"{letter}{j}")
     return " ".join(out)
+
+
+@dataclass(frozen=True)
+class PauliSum:
+    """Sorted, duplicate-free packed Pauli words with real coefficients.
+
+    ``words`` is stored C-contiguous big-endian (dtype ``">u8"``); the
+    constructor converts other input once.  The numeric values are those of
+    native rows, but each row's bytes already compare in the packed-key
+    order, so :func:`pack_keys` on ``words`` is a view, not a copy.
+    """
+
+    n: int
+    words: np.ndarray  # (N, 2*nw) ">u8", sorted by packed key
+    coeffs: np.ndarray  # (N,) float64
+
+    def __post_init__(self):
+        words = np.ascontiguousarray(self.words, dtype=">u8")
+        coeffs = _real(self.coeffs)
+        if words.ndim != 2 or words.shape[1] != 2 * nwords64(self.n):
+            raise ValueError(f"words shape {words.shape} does not match n={self.n}")
+        if coeffs.shape != (words.shape[0],):
+            raise ValueError("coefficient count does not match word count")
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _of(cls, n: int, words: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
+        """A sum on arrays that already meet the constructor's conditions
+        (C-contiguous sorted unique ``">u8"`` words, float64 coefficients),
+        taken as they are."""
+        s = object.__new__(cls)
+        s.__dict__.update(n=n, words=words, coeffs=coeffs)
+        return s
+
+    # -- construction ----------------------------------------------------
+
+    @classmethod
+    def from_terms(cls, n: int, terms: Iterable[tuple[PauliWord | str, float]]) -> "PauliSum":
+        """Build from (word-or-text, coefficient) pairs; duplicates combine."""
+        nw = nwords64(n)
+        rows, coeffs = [], []
+        for word, coeff in terms:
+            if isinstance(word, str):
+                word = parse_pauli(word, n)
+            if word.n != n:
+                raise ValueError(f"term on {word.n} sites in an n={n} sum")
+            rows.append(word.row)
+            coeffs.append(coeff)
+        words = np.array(rows, dtype=">u8").reshape(-1, 2 * nw)
+        _, first, group = np.unique(pack_keys(words), return_index=True, return_inverse=True)
+        summed = np.bincount(group, weights=_real(coeffs), minlength=len(first))
+        return cls(n, words[first], summed)
+
+    @classmethod
+    def of(cls, observable: "PauliSum | PauliWord", n: int) -> "PauliSum":
+        """An observable on n sites as a sum: a word becomes a one-term sum
+        with coefficient 1, a sum is taken as it is."""
+        if isinstance(observable, PauliWord):
+            observable = cls.from_terms(observable.n, [(observable, 1.0)])
+        elif not isinstance(observable, PauliSum):
+            raise TypeError(f"unsupported observable type {type(observable).__name__}")
+        if observable.n != n:
+            raise ValueError(
+                f"observable and circuit sizes differ: {observable.n} != {n}"
+            )
+        return observable
+
+    # -- basic queries -----------------------------------------------------
+
+    @property
+    def num_terms(self) -> int:
+        return self.words.shape[0]
+
+    @property
+    def nw(self) -> int:
+        return nwords64(self.n)
+
+    def terms(self) -> Iterator[tuple[PauliWord, float]]:
+        for row, coeff in zip(self.words, self.coeffs):
+            yield PauliWord(self.n, row), float(coeff)
+
+    def coefficient(self, word: PauliWord | str) -> float:
+        """Coefficient of one word (0 if absent), by binary search."""
+        if isinstance(word, str):
+            word = parse_pauli(word, self.n)
+        if word.n != self.n:
+            raise ValueError(f"word on {word.n} sites, sum on {self.n}")
+        keys = pack_keys(self.words)
+        key = pack_keys(word.row[None, :])
+        pos = int(np.searchsorted(keys, key[0]))
+        if pos < len(keys) and keys[pos] == key[0]:
+            return float(self.coeffs[pos])
+        return 0.0
+
+    def validate(self) -> None:
+        """Assert sortedness and uniqueness of the packed words."""
+        keys = pack_keys(self.words)
+        if np.any(keys[1:] <= keys[:-1]):
+            raise AssertionError("words are not strictly sorted")
+
+    # -- observable functionals -------------------------------------------
+
+    def z_type_mask(self) -> np.ndarray:
+        """Terms with no X or Y factor (all x words clear)."""
+        return ~self.words[:, self.nw :].any(axis=1)
+
+    def expectation(self) -> float:
+        """<0| sum |0> = sum of coefficients of z-type words.
+
+        Every Z-only word fixes |0...0>, all others map it off-diagonal.
+        """
+        return float(self.coeffs[self.z_type_mask()].sum())
+
+    def frobenius_norm(self) -> float:
+        """sqrt(Tr(O' O) / 2^n) = l2 norm of the coefficient vector."""
+        return float(np.linalg.norm(self.coeffs))
+
+    def truncate(self, delta: float) -> "PauliSum":
+        """Keep terms with |a| >= delta (identity at delta = 0)."""
+        if not delta >= 0:
+            raise ValueError(f"delta must be >= 0, got {delta!r}")
+        keep = np.abs(self.coeffs) >= delta
+        if keep.all():
+            return self
+        return PauliSum._of(self.n, self.words[keep], self.coeffs[keep])
+
+
+def _real(coeffs) -> np.ndarray:
+    """Coefficients as float64; a nonzero imaginary part is rejected."""
+    coeffs = np.asarray(coeffs)
+    if np.iscomplexobj(coeffs) and np.any(coeffs.imag):
+        raise ValueError("coefficient with a nonzero imaginary part; Pauli sums are real")
+    return coeffs.real.astype(np.float64, copy=False)

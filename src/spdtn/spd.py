@@ -1,8 +1,9 @@
 """Sparse Pauli dynamics: Heisenberg propagation of observable sums.
 
-A ``PauliSum`` holds N packed words (rows, sorted by packed key and unique)
-with real coefficients.  A rotation ``exp(-i theta sigma / 2)`` maps each
-stored word P that anticommutes with the axis sigma to
+A ``PauliSum`` (see ``paulis``) holds N packed words (rows, sorted by
+packed key and unique) with real coefficients.  A rotation
+``exp(-i theta sigma / 2)`` maps each stored word P that anticommutes with
+the axis sigma to
 
     a'_P      = cos(theta) a_P          (own coefficient damped)
     a'_{s^P} += i sin(theta) i^k a_P    with op(sigma) op(P) = i^k op(s^P)
@@ -43,9 +44,10 @@ single-site X words.  An X rotation on site j swaps Z and Y on j and leaves
 I and X, so once only that run is left, a term with an X factor, or with a
 Y factor on a site no remaining rotation turns, keeps that factor in every
 product and never feeds a readable term.  Such terms are dropped before the
-run and after each run rotation that is the last on its site.  Readable
-coefficients and truncation decisions are those of carrying every term, so
-the expectation is the same bit for bit, and the final sum is all Z-type.
+run and after each run rotation (after one that is not the last on its site
+the drop finds nothing, as its site is still live).  Readable coefficients
+and truncation decisions are those of carrying every term, so the
+expectation is the same bit for bit, and the final sum is all Z-type.
 """
 
 from __future__ import annotations
@@ -54,22 +56,13 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .clifford import RecompiledCircuit
-from .paulis import (
-    PauliWord,
-    anticommute_mask,
-    mul_rows,
-    nwords64,
-    pack_keys,
-    parse_pauli,
-)
+from .paulis import PauliSum, PauliWord, anticommute_mask, mul_rows, pack_keys
 
 __all__ = [
-    "PauliSum",
     "SpdResult",
     "SpdCapacityError",
     "apply_rotation",
@@ -91,132 +84,6 @@ class SpdCapacityError(RuntimeError):
         )
         self.needed = needed
         self.cap = cap
-
-
-@dataclass(frozen=True)
-class PauliSum:
-    """Sorted, duplicate-free packed Pauli words with real coefficients.
-
-    ``words`` is stored C-contiguous big-endian (dtype ``">u8"``); the
-    constructor converts other input once.  The numeric values are those of
-    native rows, but each row's bytes already compare in the packed-key
-    order, so :func:`pack_keys` on ``words`` is a view, not a copy.
-    """
-
-    n: int
-    words: np.ndarray  # (N, 2*nw) ">u8", sorted by packed key
-    coeffs: np.ndarray  # (N,) float64
-
-    def __post_init__(self):
-        words = np.ascontiguousarray(self.words, dtype=">u8")
-        coeffs = _real(self.coeffs)
-        if words.ndim != 2 or words.shape[1] != 2 * nwords64(self.n):
-            raise ValueError(f"words shape {words.shape} does not match n={self.n}")
-        if coeffs.shape != (words.shape[0],):
-            raise ValueError("coefficient count does not match word count")
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def _of(cls, n: int, words: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
-        """A sum on arrays that already meet the constructor's conditions
-        (C-contiguous sorted unique ``">u8"`` words, float64 coefficients),
-        taken as they are."""
-        s = object.__new__(cls)
-        s.__dict__.update(n=n, words=words, coeffs=coeffs)
-        return s
-
-    # -- construction ----------------------------------------------------
-
-    @classmethod
-    def from_terms(cls, n: int, terms: Iterable[tuple[PauliWord | str, float]]) -> "PauliSum":
-        """Build from (word-or-text, coefficient) pairs; duplicates combine."""
-        nw = nwords64(n)
-        rows, coeffs = [], []
-        for word, coeff in terms:
-            if isinstance(word, str):
-                word = parse_pauli(word, n)
-            if word.n != n:
-                raise ValueError(f"term on {word.n} sites in an n={n} sum")
-            rows.append(word.row)
-            coeffs.append(coeff)
-        words = np.array(rows, dtype=">u8").reshape(-1, 2 * nw)
-        _, first, group = np.unique(pack_keys(words), return_index=True, return_inverse=True)
-        summed = np.bincount(group, weights=_real(coeffs), minlength=len(first))
-        return cls(n, words[first], summed)
-
-    @classmethod
-    def of(cls, observable: "PauliSum | PauliWord", n: int) -> "PauliSum":
-        """An observable on n sites as a sum: a word becomes a one-term sum
-        with coefficient 1, a sum is taken as it is."""
-        if isinstance(observable, PauliWord):
-            observable = cls.from_terms(observable.n, [(observable, 1.0)])
-        elif not isinstance(observable, PauliSum):
-            raise TypeError(f"unsupported observable type {type(observable).__name__}")
-        if observable.n != n:
-            raise ValueError(
-                f"observable and circuit sizes differ: {observable.n} != {n}"
-            )
-        return observable
-
-    # -- basic queries -----------------------------------------------------
-
-    @property
-    def num_terms(self) -> int:
-        return self.words.shape[0]
-
-    @property
-    def nw(self) -> int:
-        return nwords64(self.n)
-
-    def terms(self) -> Iterator[tuple[PauliWord, float]]:
-        for row, coeff in zip(self.words, self.coeffs):
-            yield PauliWord(self.n, row), float(coeff)
-
-    def coefficient(self, word: PauliWord | str) -> float:
-        """Coefficient of one word (0 if absent), by binary search."""
-        if isinstance(word, str):
-            word = parse_pauli(word, self.n)
-        if word.n != self.n:
-            raise ValueError(f"word on {word.n} sites, sum on {self.n}")
-        keys = pack_keys(self.words)
-        key = pack_keys(word.row[None, :])
-        pos = int(np.searchsorted(keys, key[0]))
-        if pos < len(keys) and keys[pos] == key[0]:
-            return float(self.coeffs[pos])
-        return 0.0
-
-    def validate(self) -> None:
-        """Assert sortedness and uniqueness of the packed words."""
-        keys = pack_keys(self.words)
-        if np.any(keys[1:] <= keys[:-1]):
-            raise AssertionError("words are not strictly sorted")
-
-    # -- observable functionals -------------------------------------------
-
-    def z_type_mask(self) -> np.ndarray:
-        """Terms with no X or Y factor (all x words clear)."""
-        return ~self.words[:, self.nw :].any(axis=1)
-
-    def expectation(self) -> float:
-        """<0| sum |0> = sum of coefficients of z-type words.
-
-        Every Z-only word fixes |0...0>, all others map it off-diagonal.
-        """
-        return float(self.coeffs[self.z_type_mask()].sum())
-
-    def frobenius_norm(self) -> float:
-        """sqrt(Tr(O' O) / 2^n) = l2 norm of the coefficient vector."""
-        return float(np.linalg.norm(self.coeffs))
-
-    def truncate(self, delta: float) -> "PauliSum":
-        """Keep terms with |a| >= delta (identity at delta = 0)."""
-        if not delta >= 0:
-            raise ValueError(f"delta must be >= 0, got {delta!r}")
-        keep = np.abs(self.coeffs) >= delta
-        if keep.all():
-            return self
-        return PauliSum._of(self.n, self.words[keep], self.coeffs[keep])
 
 
 def apply_rotation(
@@ -375,14 +242,6 @@ def _from_rows(rows: np.ndarray) -> np.ndarray:
     return rows.view(">u8").reshape(len(rows), rows.dtype.itemsize // 8)
 
 
-def _real(coeffs) -> np.ndarray:
-    """Coefficients as float64; a nonzero imaginary part is rejected."""
-    coeffs = np.asarray(coeffs)
-    if np.iscomplexobj(coeffs) and np.any(coeffs.imag):
-        raise ValueError("coefficient with a nonzero imaginary part; Pauli sums are real")
-    return coeffs.real.astype(np.float64, copy=False)
-
-
 def _resolve_cap(max_terms: int | None) -> int:
     if max_terms is not None:
         return max_terms
@@ -443,8 +302,6 @@ def run_spd(
     # live[i]: the sites that rotations[:i] turn, as raw x words
     live = np.zeros((lead + 1, s.nw), dtype=np.uint64)
     np.bitwise_or.accumulate(xs, out=live[1:])
-    # last[i]: rotations[i] is the last on its site in Heisenberg order
-    last = (live[:-1] != live[1:]).any(axis=1).tolist()
     peak = s.num_terms
     cap = _resolve_cap(max_terms)
     dropped = 0.0  # squared weight of the unreadable terms dropped
@@ -457,7 +314,7 @@ def run_spd(
         s = apply_rotation(s, rot.axis, rot.angle, delta, cap)
         if s.num_terms > peak:
             peak = s.num_terms
-        if i < lead and last[i]:
+        if i < lead:
             s, dropped = _drop_unreadable(s, live[i], dropped)
     return SpdResult(
         expectation=s.expectation(),

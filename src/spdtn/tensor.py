@@ -19,15 +19,15 @@ Plans are cached per process, keyed by the network's structure: each
 input's labels renumbered in order of first appearance, each input's shape,
 the output's labels in the same numbering, and the explicit path if one is
 given.  Two networks that differ only in label names share a key, and a hit
-returns the cached plan with ``inds`` set to the caller's output labels.  A
-hit is bit-identical to planning afresh: a plan reads labels only through
-their positions (greedy tie-breaks follow tensor order, ``tensordot``
-axes are positions), so it is a function of the key.  Only a network that
-passed every check is cached, and every check is a function of the key
-too, so an invalid network never hits: it raises, naming its own labels,
-on every call.  The cache holds the ``PLAN_CACHE_SIZE`` most recently used
-plans and is shared by threads; two threads that miss on one structure
-both plan it, to the same plan.
+returns the cached plan itself: a plan holds no labels, and ``contract``
+labels its result with the caller's own output.  A hit is bit-identical to
+planning afresh: a plan reads labels only through their positions (greedy
+tie-breaks follow tensor order, ``tensordot`` axes are positions), so it is
+a function of the key.  Only a network that passed every check is cached,
+and every check is a function of the key too, so an invalid network never
+hits: it raises, naming its own labels, on every call.  The cache holds
+the ``PLAN_CACHE_SIZE`` most recently used plans and is shared by threads;
+two threads that miss on one structure both plan it, to the same plan.
 
 The order comes from a greedy pairwise path: repeatedly contract the pair
 sharing at least one label whose result is smallest (ties broken by fewer
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -198,18 +198,18 @@ def _pair_step(a: dict[str, int], b: dict[str, int]) -> tuple[tuple, dict[str, i
 
 @dataclass(frozen=True)
 class ContractionPlan:
-    """One contraction compiled for fixed input labels and shapes.
+    """One contraction compiled for a network structure; it holds no labels.
 
     ``steps`` is the complete path: each ``(i, j, perm_a, mat_a, perm_b,
     mat_b, shape)`` removes positions i and j, transposes and reshapes each
     operand to a matrix, multiplies and reshapes the product, which is
     ``np.tensordot`` with its axis bookkeeping done at plan time, and
-    appends the result.  ``perm`` transposes the last tensor to ``inds``.
+    appends the result.  ``perm`` transposes the last tensor to the order
+    of the output labels it was planned for.
     """
 
     steps: tuple[tuple, ...]
     perm: tuple[int, ...]
-    inds: tuple[str, ...]
 
     def run(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
         """Contract arrays in the planned shapes, in the planned order."""
@@ -279,9 +279,7 @@ def plan_contraction(
             _plans[key] = plan
             if len(_plans) > PLAN_CACHE_SIZE:
                 _plans.popitem(last=False)
-    if plan.inds == output:
-        return plan
-    return replace(plan, inds=output)
+    return plan
 
 
 def _plan(
@@ -292,7 +290,7 @@ def _plan(
     if not tensors:
         if output:
             raise ValueError(f"no tensors supply output labels {output}")
-        return ContractionPlan((), (), ())
+        return ContractionPlan((), ())
     counts: dict[str, int] = {}
     for t in tensors:
         for l in t.inds:
@@ -327,7 +325,7 @@ def _plan(
     if len(live) > 1:
         raise ValueError(f"path stops with {len(live)} tensors left; it must be complete")
     inds = tuple(live[0])
-    return ContractionPlan(tuple(steps), tuple(inds.index(l) for l in output), output)
+    return ContractionPlan(tuple(steps), tuple(inds.index(l) for l in output))
 
 
 def contract(
@@ -337,8 +335,9 @@ def contract(
 ) -> Tensor:
     """Contract a pairwise tensor network down to its dangling labels, in
     the order ``output`` lists them; shared labels are summed."""
+    output = tuple(output)
     plan = plan_contraction(tensors, output, path)
-    return Tensor(plan.run([t.data for t in tensors]), plan.inds)
+    return Tensor(plan.run([t.data for t in tensors]), output)
 
 
 def svd_rank(s: np.ndarray, chi: int | None, kappa: float) -> int:

@@ -52,8 +52,7 @@ from .bp import (
     star,
 )
 from .circuits import PAULI_BASIS, Circuit, Gate, Layer, gate_matrix, lightcone_prune
-from .paulis import PauliWord
-from .spd import PauliSum
+from .paulis import PauliSum, PauliWord
 from .tensor import Tensor, contract, truncated_svd
 
 __all__ = [
@@ -352,20 +351,6 @@ class TnResult:
     flags: tuple[str, ...]
 
 
-def _step_groups(circuit: Circuit) -> list[list[Layer]]:
-    """Layers grouped into steps: consecutive layers sharing a step tag >= 0."""
-    groups: list[list[Layer]] = []
-    current = object()
-    for layer in circuit.layers:
-        key = layer.step if layer.step >= 0 else object()
-        if groups and key == current:
-            groups[-1].append(layer)
-        else:
-            groups.append([layer])
-        current = key
-    return groups
-
-
 def run_tn(
     circuit: Circuit,
     observable,
@@ -405,7 +390,7 @@ def run_tn(
     if lightcone:
         circuit = lightcone_prune(circuit, word.support())
     opts = BpOptions(tol=bp_tol, max_iter=bp_max_iter, damping=damping)
-    steps = _step_groups(circuit)
+    steps = circuit.steps()
     total = len(steps)
     if method == "peps":
         lazy_count = min(total, 2)

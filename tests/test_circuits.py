@@ -154,6 +154,26 @@ class TestKickedIsing:
             kicked_ising(ring(4), steps=0, theta_h=0.1)
 
 
+class TestSteps:
+    def test_kicked_ising_groups(self):
+        groups = kicked_ising(ring(4), steps=3, theta_h=0.2).steps()
+        assert len(groups) == 3
+        assert all(len(g) == 2 for g in groups)
+        assert [[layer.gates[0].name for layer in g] for g in groups] == [["rx", "rzz"]] * 3
+
+    def test_extra_layer_is_own_group(self):
+        groups = kicked_ising(ring(4), steps=2, theta_h=0.2, extra_x_layer=True).steps()
+        assert len(groups) == 3
+        assert len(groups[-1]) == 1
+
+    def test_untagged_layers_stay_separate(self):
+        layers = (
+            Layer((Gate("h", (0,)),)),
+            Layer((Gate("h", (1,)),)),
+        )
+        assert len(Circuit(2, layers).steps()) == 2
+
+
 class TestLightcone:
     def test_prunes_disconnected_component(self):
         two_pairs = Lattice(4, ((0, 1), (2, 3)))

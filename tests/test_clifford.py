@@ -84,6 +84,17 @@ class TestSingleGates:
         with pytest.raises(ValueError, match="not Clifford"):
             CliffordTableau.from_gates(2, [Gate("rx", (0,), 0.3)])
 
+    @pytest.mark.parametrize(
+        "gate",
+        [Gate("rz", (2,), math.pi), Gate("cx", (0, 3)), Gate("h", (-1,))],
+        ids=["rz-2", "cx-0-3", "h-minus-1"],
+    )
+    def test_qubit_out_of_range_raises(self, gate):
+        """A qubit outside 0..n-1 raises with ``Circuit``'s message, not a
+        sign flip on another site, an ``IndexError`` or a shift error."""
+        with pytest.raises(ValueError, match=r"gate .* out of range for n=2"):
+            CliffordTableau.from_gates(2, [gate])
+
 
 class TestSequences:
     @pytest.mark.parametrize("seed", range(8))

@@ -106,3 +106,50 @@ def test_circuits_imports_no_other_package_module():
             if name.startswith(".") or name.partition(".")[0] == "spdtn"
         ]
     assert not bad, f"circuits.py imports {bad}"
+
+
+# The package's modules, lowest first: each may import only the ones before it.
+STACK = ("paulis", "circuits", "clifford", "spd", "tensor", "bp", "tn", "oracle", "bench", "cli")
+
+
+def _package_imports(path):
+    """(line, module stem or "", names) of every import, at any depth of a
+    module, from the package: relative, or absolute from ``spdtn``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            top, _, rest = (node.module or "").partition(".")
+            if node.level or top == "spdtn":
+                module = top if node.level else rest
+                yield node.lineno, module.partition(".")[0], [a.name for a in node.names]
+
+
+def test_stack_lists_every_module():
+    assert set(STACK) == {p.stem for p in MODULES} - {"__init__"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"], ids=lambda p: p.name)
+def test_imports_follow_the_stack(path):
+    """Every package import, at any depth of a module, names a module lower
+    in ``STACK``, so the modules form a stack with no import cycle and no
+    import needs hiding inside a function.  (``__init__`` loads the upper
+    modules on first access, through ``importlib``.)"""
+    below = set(STACK[: STACK.index(path.stem)])
+    bad = [
+        f"{stem} (line {line})"
+        for line, module, names in _package_imports(path)
+        for stem in ([module] if module else names) if stem not in below
+    ]
+    assert not bad, f"{path.name} imports modules not below it: {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    """No module imports another module's ``_``-prefixed name: what two
+    modules share is public, in the module it belongs to."""
+    bad = [
+        f"{name} (line {line})"
+        for line, _, names in _package_imports(path)
+        for name in names if name.startswith("_")
+    ]
+    assert not bad, f"{path.name} imports private names {bad}"

@@ -274,12 +274,18 @@ class TestPlannedContraction:
         t3 = random_tensor(rng, ("c", "e", "a"), dims)
         plan = plan_contraction([t1, t2, t3], output=("d", "b"))
         assert isinstance(plan, ContractionPlan)
-        assert plan.inds == ("d", "b")
         names = {"a": "x", "b": "d", "c": "b", "d": "a", "e": "y"}
-        hit = plan_contraction([t.relabel(names) for t in (t1, t2, t3)], output=("a", "d"))
-        assert hit.inds == ("a", "d")
-        assert hit.steps == plan.steps and hit.perm == plan.perm
-        assert plan_contraction([t1, t2, t3], output=("d", "b")).inds == ("d", "b")
+        renamed = [t.relabel(names) for t in (t1, t2, t3)]
+        # a plan holds no labels: a hit under other labels is the cached plan
+        assert plan_contraction(renamed, output=("a", "d")) is plan
+        assert plan_contraction([t1, t2, t3], output=("d", "b")) is plan
+        got = contract(renamed, ("a", "d"))
+        assert got.inds == ("a", "d")
+        tensor.clear_plan_cache()
+        fresh_plan = plan_contraction(renamed, output=("a", "d"))
+        assert fresh_plan is not plan
+        assert (fresh_plan.steps, fresh_plan.perm) == (plan.steps, plan.perm)
+        assert got.data.tobytes() == fresh_plan.run([t.data for t in renamed]).tobytes()
         for _ in range(3):
             fresh = [random_tensor(rng, t.inds, dims) for t in (t1, t2, t3)]
             got = plan.run([t.data for t in fresh])

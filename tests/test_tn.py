@@ -27,7 +27,6 @@ from spdtn.tensor import contract
 from spdtn.tn import (
     BpOptions,
     EvolvingState,
-    _step_groups,
     apply_layer,
     evolve,
     peps_zero,
@@ -282,7 +281,7 @@ class TestEvolve:
         n = 5
         circuit = kicked_ising(chain(n), steps=3, theta_h=0.9)
         psi = peps_zero(n)
-        for group in _step_groups(circuit):
+        for group in circuit.steps():
             evolve(psi, group, chi=8, kappa=0.0, bp_options=BpOptions(tol=1e-12))
         got = state_vector_of(psi).reshape(-1)
         want = statevector(circuit)
@@ -310,7 +309,7 @@ class TestEvolve:
         n = 8
         circuit = kicked_ising(ring(n), steps=4, theta_h=0.9)
         psi = peps_zero(n)
-        for group in _step_groups(circuit):
+        for group in circuit.steps():
             evolve(psi, group, chi=2, kappa=0.0, bp_options=BpOptions(tol=1e-10))
         norm, _ = state_norm(psi)
         assert norm <= 1.0 + 1e-8
@@ -322,7 +321,7 @@ class TestEvolve:
         n = 6
         circuit = kicked_ising(chain(n), steps=3, theta_h=1.1)
         op = pepo_from_word(parse_pauli("Z2", n))
-        for group in reversed(_step_groups(circuit)):
+        for group in reversed(circuit.steps()):
             evolve(op, list(reversed(group)), chi=4, kappa=0.0)
             assert all(t.data.dtype == np.float64 for t in op.tensors.values())
         norm, ms = state_norm(op)
@@ -335,7 +334,7 @@ class TestSandwich:
         n = 4
         theta = 1.05
         circuit = kicked_ising(chain(n), steps=2, theta_h=theta)
-        groups = _step_groups(circuit)
+        groups = circuit.steps()
         psi = peps_zero(n)
         evolve(psi, groups[0], chi=16, kappa=0.0, bp_options=BpOptions(tol=1e-12))
         word = parse_pauli("Z1", n)
@@ -371,29 +370,6 @@ class TestOneNormPhase:
         sn = sandwich_network(psi, pepo_from_word(parse_pauli("Z0", 6)))
         ms = bp_iterate(sn, tol=0.0, max_iter=sweeps, mode="one-norm")
         assert ms.max_delta <= 1e-12
-
-
-class TestStepGroups:
-    def test_kicked_ising_groups(self):
-        circuit = kicked_ising(ring(4), steps=3, theta_h=0.2)
-        groups = _step_groups(circuit)
-        assert len(groups) == 3
-        assert all(len(g) == 2 for g in groups)
-        assert [[layer.gates[0].name for layer in g] for g in groups] == [["rx", "rzz"]] * 3
-
-    def test_extra_layer_is_own_group(self):
-        circuit = kicked_ising(ring(4), steps=2, theta_h=0.2, extra_x_layer=True)
-        groups = _step_groups(circuit)
-        assert len(groups) == 3
-        assert len(groups[-1]) == 1
-
-    def test_untagged_layers_stay_separate(self):
-        layers = (
-            Layer((Gate("h", (0,)),)),
-            Layer((Gate("h", (1,)),)),
-        )
-        groups = _step_groups(Circuit(2, layers))
-        assert len(groups) == 2
 
 
 class TestRunTn:
@@ -520,7 +496,7 @@ class TestRunTn:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method, steps", [("mix", 2), ("peps", 3), ("pepo", 3)])
-    def test_nan_compressing_step_is_flagged(self, monkeypatch, method, steps):
+    def test_nan_compressing_step_raises(self, monkeypatch, method, steps):
         """A non-finite kick matrix (no ``Gate`` can build one, so it is
         patched in) that reaches a compressing step ends its two-norm BP on
         a NaN message; ``run_tn`` stops there, raising with the step named,

@@ -34,11 +34,10 @@ from spdtn.bp import (
     l1bp_value,
 )
 from spdtn.circuits import Circuit, lightcone_prune
-from spdtn.spd import PauliSum
+from spdtn.paulis import PauliSum
 from spdtn.tensor import CapacityError, Tensor, plan_contraction
 from spdtn.tn import (
     BpOptions,
-    _step_groups,
     apply_layer,
     evolve,
     peps_zero,
@@ -432,7 +431,7 @@ def run_tn_full_sites(
     if lightcone:
         circuit = lightcone_prune(circuit, word.support())
     opts = BpOptions(**bp)
-    steps = _step_groups(circuit)
+    steps = circuit.steps()
     total = len(steps)
     lazy = {"peps": min(total, 2), "pepo": min(total, int(math.log2(chi) / 2)), "mix": 0}
     lazy = lazy[method]
