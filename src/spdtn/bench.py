@@ -544,15 +544,18 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
     they run in ``min(workers, number of angles)`` processes started with
     the ``spawn`` method, each building its own lattice, observable and
     templates; the processes share nothing, and none is left once this
-    call returns or raises.  Fewer than one worker raises.  Rows emit in
-    grid order through a single writer, flushed per row, so a crash leaves
-    a valid prefix of the table; a failed write or an interrupt cancels the
-    angles not yet handed to a worker, and returns once the angles already
-    running or queued in workers finish, up to ``workers + 1`` of them.  A
-    worker process that dies raises ``RuntimeError``: each worker imports
-    the caller's main module, so a script must call ``sweep`` under
-    ``if __name__ == "__main__":``.
+    call returns or raises.  A worker count that is not an int >= 1 (a
+    bool included) raises ``ValueError`` before ``out`` is opened.  Rows
+    emit in grid order through a single writer, flushed per row, so a crash
+    leaves a valid prefix of the table; a failed write or an interrupt
+    cancels the angles not yet handed to a worker, and returns once the
+    angles already running or queued in workers finish, up to
+    ``workers + 1`` of them.  A worker process that dies raises
+    ``RuntimeError``: each worker imports the caller's main module, so a
+    script must call ``sweep`` under ``if __name__ == "__main__":``.
     """
+    if not isinstance(workers, int) or isinstance(workers, bool):
+        raise ValueError(f"workers must be an int, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     angle_rows = _sweep_rows(config)

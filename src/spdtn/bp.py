@@ -70,7 +70,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, contract, eigh_psd, plan_contraction, svd_rank
+from .tensor import Tensor, contract, plan_contraction, svd_rank
 
 __all__ = [
     "SiteNetwork",
@@ -427,8 +427,13 @@ ZERO_CUT = 1e-12
 
 
 def _psd_root(m: np.ndarray) -> np.ndarray:
-    """Factor a Hermitian PSD matrix as R†R with R = sqrt(lam) W†."""
-    lam, w, _ = eigh_psd((m + m.conj().T) / 2.0)
+    """Factor a Hermitian PSD matrix as R†R with R = sqrt(lam) W†.
+
+    Rows follow the eigenvalues in descending order; eigenvalues below
+    ``ZERO_CUT`` of the largest, negative ones included, are cut to zero.
+    """
+    lam, w = np.linalg.eigh((m + m.conj().T) / 2.0)
+    lam, w = lam[::-1], w[:, ::-1]
     lam = np.where(lam >= ZERO_CUT * max(lam[0], 0.0), lam, 0.0) if len(lam) else lam
     return np.sqrt(lam)[:, None] * w.conj().T
 

@@ -10,9 +10,9 @@ of rows use the ``mul_rows`` phase rule written for ints,
     op(a) op(b) = i^k op(a ^ b),  k = y(a^b) - y(a) - y(b) + 2|a.x & b.z|,
 
 with ``y`` the Y-site count ``(z & x).bit_count()``, so conjugation is
-integer bit arithmetic only.  Packed ``PauliWord`` rows appear only where
-words enter or leave: ``conjugate``, the rotation axes and the transformed
-observable of ``recompile``.
+integer bit arithmetic only.  Words enter and leave through
+``PauliWord.bits`` and ``PauliWord.from_bits``: in ``conjugate``, and for
+the rotation axes and the transformed observable of ``recompile``.
 
 ``recompile`` rewrites a Clifford + Pauli-rotation circuit as an equivalent
 sequence of pure Pauli rotations followed by one residual Clifford: it scans
@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .circuits import Circuit, Gate
 from .paulis import PauliSum, PauliWord, PhasedWord, nwords64
@@ -59,18 +57,6 @@ _GATE_IMAGES = {
     "cx": ((0b00, 0b11, 0), (0b01, 0b00, 0), (0b00, 0b10, 0), (0b11, 0b00, 0)),
     "cz": ((0b10, 0b01, 0), (0b01, 0b00, 0), (0b01, 0b10, 0), (0b10, 0b00, 0)),
 }
-
-
-def _ints(row: np.ndarray, nw: int) -> tuple[int, int]:
-    """(z, x) ints of a packed ``[z-words | x-words]`` uint64 row."""
-    data = np.ascontiguousarray(row, dtype="<u8").tobytes()
-    return int.from_bytes(data[: 8 * nw], "little"), int.from_bytes(data[8 * nw :], "little")
-
-
-def _row(z: int, x: int, nw: int) -> np.ndarray:
-    """Packed uint64 row of the word with bits (z, x)."""
-    data = z.to_bytes(8 * nw, "little") + x.to_bytes(8 * nw, "little")
-    return np.frombuffer(data, dtype="<u8")
 
 
 def _spread(mask: int, qubits: tuple[int, ...]) -> int:
@@ -174,9 +160,8 @@ class CliffordTableau:
             word, in_phase = p, 1.0 + 0.0j
         if word.n != self.n:
             raise ValueError(f"site counts differ: {word.n} != {self.n}")
-        nw = nwords64(self.n)
-        z, x, e = self._conjugate(*_ints(word.row, nw))
-        return PhasedWord(PauliWord(self.n, _row(z, x, nw)), in_phase * _UNITS[e])
+        z, x, e = self._conjugate(*word.bits)
+        return PhasedWord(PauliWord.from_bits(self.n, z, x), in_phase * _UNITS[e])
 
     def validate(self) -> None:
         """Check the symplectic condition: generator images preserve all
@@ -294,7 +279,6 @@ def recompile(circuit: Circuit, observable) -> RecompiledCircuit:
     """
     n = circuit.n
     observable = PauliSum.of(observable, n)
-    nw = nwords64(n)
     acc = CliffordTableau.identity(n)
     rotations: list[Rotation] = []
     # one word per distinct axis, so that rotations on the same axis share
@@ -311,13 +295,13 @@ def recompile(circuit: Circuit, observable) -> RecompiledCircuit:
             sign = 1 - _sign_exponent(e)
             axis = axes.get((z, x))
             if axis is None:
-                axis = axes[z, x] = PauliWord(n, _row(z, x, nw))
+                axis = axes[z, x] = PauliWord.from_bits(n, z, x)
             rotations.append(Rotation(axis, sign * theta_p))
         if k % 4:
             acc._absorb_half_turns(az, ax, k)
     new_terms = []
     for word, coeff in observable.terms():
-        z, x, e = acc._conjugate(*_ints(word.row, nw))
-        new_terms.append((PauliWord(n, _row(z, x, nw)), coeff * (1 - _sign_exponent(e))))
+        z, x, e = acc._conjugate(*word.bits)
+        new_terms.append((PauliWord.from_bits(n, z, x), coeff * (1 - _sign_exponent(e))))
     transformed = PauliSum.from_terms(n, new_terms)
     return RecompiledCircuit(n, tuple(rotations), acc, transformed)

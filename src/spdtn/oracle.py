@@ -82,17 +82,9 @@ def pauli_apply(vec: np.ndarray, word: PauliWord) -> np.ndarray:
     n = word.n
     if vec.shape != (2**n,):
         raise ValueError(f"vector length {vec.shape} does not match n={n}")
-    z_int = 0
-    x_int = 0
-    ys = 0
-    for j in range(n):
-        letter = word.site(j)
-        if letter in ("Z", "Y"):
-            z_int |= 1 << (n - 1 - j)
-        if letter in ("X", "Y"):
-            x_int |= 1 << (n - 1 - j)
-        if letter == "Y":
-            ys += 1
+    # site j's bit j becomes index bit n - 1 - j: reverse the n-bit strings
+    z_int, x_int = (int(f"{b:0{n}b}"[::-1], 2) for b in word.bits)
+    ys = (z_int & x_int).bit_count()
     idx = np.arange(2**n, dtype=np.int64)
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & z_int) & 1)
     return ((-1j) ** ys) * signs * vec[idx ^ x_int]

@@ -4,7 +4,11 @@ An n-qubit Pauli word is a pair of bit vectors (z, x), packed little-endian
 into ``ceil(n/64)`` uint64 words each and stored concatenated as
 ``[z-words | x-words]`` (bit ``j`` lives in word ``j // 64`` at position
 ``j % 64``).  Bit j of z (x) means a Z (X) factor on site j; both bits set
-means a Y factor.
+means a Y factor.  ``PauliWord.bits`` reads a word's (z, x) as two Python
+ints, bit j for site j, and ``PauliWord.from_bits`` builds a word from them;
+this pair is the package's one conversion between a row and its bits, and
+the single-word queries (``site``, ``weight``, ``support``, parsing and
+formatting) work on the ints.
 
 The operator denoted by (z, x) is the canonical Hermitian word
 
@@ -38,6 +42,7 @@ as long as the word does.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
@@ -53,7 +58,6 @@ __all__ = [
     "anticommutes",
     "parse_pauli",
     "format_pauli",
-    "popcount",
     "pack_keys",
     "anticommute_mask",
     "mul_rows",
@@ -68,11 +72,6 @@ def nwords64(n: int) -> int:
     if n < 1:
         raise ValueError(f"need at least one site, got n={n}")
     return (n + 63) // 64
-
-
-def popcount(a: np.ndarray) -> np.ndarray:
-    """Set-bit count per element of a uint64 array (any shape)."""
-    return np.bitwise_count(a)
 
 
 def pack_keys(rows: np.ndarray) -> np.ndarray:
@@ -91,7 +90,7 @@ def pack_keys(rows: np.ndarray) -> np.ndarray:
 def y_counts(rows: np.ndarray) -> np.ndarray:
     """Number of Y sites (z and x both set) per packed row."""
     nw = rows.shape[-1] // 2
-    return popcount(rows[..., :nw] & rows[..., nw:]).sum(axis=-1, dtype=np.int64)
+    return np.bitwise_count(rows[..., :nw] & rows[..., nw:]).sum(axis=-1, dtype=np.int64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,48 +112,65 @@ class PauliWord:
 
     @classmethod
     def identity(cls, n: int) -> "PauliWord":
-        return cls(n, np.zeros(2 * nwords64(n), dtype=np.uint64))
+        return cls.from_bits(n, 0, 0)
+
+    @classmethod
+    def from_bits(cls, n: int, z: int, x: int) -> "PauliWord":
+        """The word whose z and x bits are the ints ``z`` and ``x``, bit j
+        for site j; a negative int or a bit at or above n raises."""
+        z, x = operator.index(z), operator.index(x)
+        nw = nwords64(n)
+        if z < 0 or x < 0 or (z | x) >> n:
+            raise ValueError(f"bits z={z:#x}, x={x:#x} out of range for n={n}")
+        data = z.to_bytes(8 * nw, "little") + x.to_bytes(8 * nw, "little")
+        return cls(n, np.frombuffer(data, dtype="<u8"))
 
     @classmethod
     def from_sites(cls, n: int, z=(), x=()) -> "PauliWord":
         """Build from site index iterables; a site in both z and x is a Y."""
-        nw = nwords64(n)
-        row = np.zeros(2 * nw, dtype=np.uint64)
-        for block, sites in ((0, z), (nw, x)):
-            for j in sites:
+        masks = []
+        for sites in (z, x):
+            mask = 0
+            for j in map(operator.index, sites):
                 if not 0 <= j < n:
                     raise ValueError(f"site {j} out of range for n={n}")
-                row[block + (j >> 6)] |= np.uint64(1) << np.uint64(j & 63)
-        return cls(n, row)
+                mask |= 1 << j
+            masks.append(mask)
+        return cls.from_bits(n, *masks)
 
     @property
     def nw(self) -> int:
         return nwords64(self.n)
 
+    @property
+    def bits(self) -> tuple[int, int]:
+        """(z, x) as Python ints, bit j for site j."""
+        data = self.row.astype("<u8").tobytes()
+        half = len(data) // 2
+        return int.from_bytes(data[:half], "little"), int.from_bytes(data[half:], "little")
+
     def site(self, j: int) -> str:
         """Letter at site j: one of 'I', 'X', 'Y', 'Z'."""
+        j = operator.index(j)
         if not 0 <= j < self.n:
             raise ValueError(f"site {j} out of range for n={self.n}")
-        w, b = j >> 6, np.uint64(j & 63)
-        z = int(self.row[w] >> b) & 1
-        x = int(self.row[self.nw + w] >> b) & 1
-        return "IXZY"[x + 2 * z]
+        z, x = self.bits
+        return "IXZY"[(x >> j & 1) + 2 * (z >> j & 1)]
 
     @property
     def weight(self) -> int:
         """Number of non-identity sites."""
-        return int(popcount(self.row[: self.nw] | self.row[self.nw :]).sum())
+        z, x = self.bits
+        return (z | x).bit_count()
 
     def support(self) -> tuple[int, ...]:
         """Sites carrying a non-identity factor, ascending."""
-        mask = self.row[: self.nw] | self.row[self.nw :]
-        sites = []
-        for w in range(self.nw):
-            bits = int(mask[w])
-            while bits:
-                low = bits & -bits
-                sites.append(64 * w + low.bit_length() - 1)
-                bits ^= low
+        z, x = self.bits
+        mask, sites = z | x, []
+        while mask:
+            low = mask & -mask
+            sites.append(low.bit_length() - 1)
+            mask ^= low
         return tuple(sites)
 
     @property
@@ -322,8 +338,7 @@ def parse_pauli(text: str, n: int) -> PauliWord:
     Raises ValueError naming the offending token position for a bad letter,
     an out-of-range index, or a repeated site.
     """
-    nw = nwords64(n)
-    row = np.zeros(2 * nw, dtype=np.uint64)
+    z = x = 0
     seen: set[int] = set()
     for pos, tok in enumerate(text.split()):
         m = _TOKEN.match(tok)
@@ -335,22 +350,16 @@ def parse_pauli(text: str, n: int) -> PauliWord:
         if j in seen:
             raise ValueError(f"site {j} repeated (token {pos})")
         seen.add(j)
-        w, bit = j >> 6, np.uint64(1) << np.uint64(j & 63)
-        if letter in ("Z", "Y"):
-            row[w] |= bit
-        if letter in ("X", "Y"):
-            row[nw + w] |= bit
-    return PauliWord(n, row)
+        if letter != "X":
+            z |= 1 << j
+        if letter != "Z":
+            x |= 1 << j
+    return PauliWord.from_bits(n, z, x)
 
 
 def format_pauli(word: PauliWord) -> str:
     """Inverse of :func:`parse_pauli`; identity formats as the empty string."""
-    out = []
-    for j in range(word.n):
-        letter = word.site(j)
-        if letter != "I":
-            out.append(f"{letter}{j}")
-    return " ".join(out)
+    return " ".join(f"{word.site(j)}{j}" for j in word.support())
 
 
 @dataclass(frozen=True)
@@ -376,15 +385,6 @@ class PauliSum:
             raise ValueError("coefficient count does not match word count")
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def _of(cls, n: int, words: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
-        """A sum on arrays that already meet the constructor's conditions
-        (C-contiguous sorted unique ``">u8"`` words, float64 coefficients),
-        taken as they are."""
-        s = object.__new__(cls)
-        s.__dict__.update(n=n, words=words, coeffs=coeffs)
-        return s
 
     # -- construction ----------------------------------------------------
 
@@ -476,7 +476,7 @@ class PauliSum:
         keep = np.abs(self.coeffs) >= delta
         if keep.all():
             return self
-        return PauliSum._of(self.n, self.words[keep], self.coeffs[keep])
+        return PauliSum(self.n, self.words[keep], self.coeffs[keep])
 
 
 def _real(coeffs) -> np.ndarray:

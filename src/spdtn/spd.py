@@ -40,7 +40,10 @@ exact zeros).
 
 Only Z-type words read out nonzero at |0...0>.  ``run_spd`` applies the
 circuit's first RX layer last: the leading run of rotations whose axes are
-single-site X words.  An X rotation on site j swaps Z and Y on j and leaves
+single-site X words, which ``_first_rx_layer`` tells by the axis's
+``PauliWord.bits`` (no z bit, one x bit); the sites the run turns are kept
+as raw x words, views of the axes' rows in the layout of
+``PauliSum.words``, so the drop below is one masked pass over the sum.  An X rotation on site j swaps Z and Y on j and leaves
 I and X, so once only that run is left, a term with an X factor, or with a
 Y factor on a site no remaining rotation turns, keeps that factor in every
 product and never feeds a readable term.  Such terms are dropped before the
@@ -169,7 +172,7 @@ def apply_rotation(
     del born_rows
     merged_coeffs = np.empty(total)
     _merge(merged_coeffs, coeffs, born_coeffs, slots, kept_below, dropped)
-    return PauliSum._of(s.n, _from_rows(merged_rows), merged_coeffs)
+    return PauliSum(s.n, _from_rows(merged_rows), merged_coeffs)
 
 
 _CHUNK = 1 << 14  # items per step of the chunked passes below
@@ -328,11 +331,11 @@ def run_spd(
 
 def _first_rx_layer(rotations, nw: int) -> np.ndarray:
     """The raw x words, one row per rotation, of the leading run of
-    rotations whose axes are single-site X words."""
+    rotations whose axes are single-site X words (by ``bits``)."""
     xs = []
     for rot in rotations:
-        row = rot.axis.row.tobytes()
-        if any(row[: 8 * nw]) or int.from_bytes(row[8 * nw :], "big").bit_count() != 1:
+        z, x = rot.axis.bits
+        if z or x.bit_count() != 1:
             break
         xs.append(rot.axis.row.view(np.uint64)[nw:])
     return np.array(xs, dtype=np.uint64).reshape(len(xs), nw)
@@ -349,4 +352,4 @@ def _drop_unreadable(s: PauliSum, live: np.ndarray, dropped: float) -> tuple[Pau
         return s, dropped
     lost = s.coeffs[gone]
     keep = ~gone
-    return PauliSum._of(s.n, s.words[keep], s.coeffs[keep]), dropped + float(lost @ lost)
+    return PauliSum(s.n, s.words[keep], s.coeffs[keep]), dropped + float(lost @ lost)

@@ -58,7 +58,6 @@ __all__ = [
     "greedy_path",
     "truncated_svd",
     "svd_rank",
-    "eigh_psd",
 ]
 
 
@@ -385,18 +384,3 @@ def truncated_svd(
     u_t = Tensor(u[:, :r].reshape(ldims + (r,)), left + (new_label,))
     vh_t = Tensor(vh[:r].reshape((r,) + rdims), (new_label,) + right)
     return u_t, s[:r].copy(), vh_t, dw
-
-
-def eigh_psd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Hermitian eigendecomposition for nominally PSD matrices.
-
-    Returns eigenvalues in descending order with negatives clamped to zero,
-    the matching eigenvectors (columns), and the clamped relative mass
-    ``|sum of negative eigenvalues| / max eigenvalue`` as a diagnostic.
-    """
-    vals, vecs = np.linalg.eigh(mat)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    neg = float(-np.sum(vals[vals < 0.0]))
-    top = float(vals[0]) if len(vals) and vals[0] > 0 else 0.0
-    clamped = np.clip(vals, 0.0, None)
-    return clamped, vecs, (neg / top if top > 0 else (0.0 if neg == 0.0 else np.inf))

@@ -473,6 +473,15 @@ class TestSweep:
             sweep(spd_config(), out=out, workers=workers)
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", [1.5, 2.5, "2", True])
+    def test_non_int_workers_raise(self, tmp_path, workers):
+        """A float once failed inside the process pool or was used as
+        ``min(2.5, angles)`` processes, and a string failed at ``<``."""
+        out = tmp_path / "rows.csv"
+        with pytest.raises(ValueError, match="workers must be an int"):
+            sweep(spd_config(), out=out, workers=workers)
+        assert not out.exists()
+
     def test_failed_angle_flags_each_of_its_points(self, monkeypatch):
         """A failed template build fails every point of every angle of its
         fold class and is retried by each next point; the other class's

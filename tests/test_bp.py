@@ -336,6 +336,28 @@ class TestCompressBond:
             compress_bond(m, m, None, 0.0)
 
 
+class TestPsdRoot:
+    """``_psd_root`` factors a nominally PSD matrix as R†R; eigenvalues
+    below ``ZERO_CUT`` of the largest, negative ones included, give zero
+    rows."""
+
+    def test_psd_matrix(self, rng):
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        g = a @ a.conj().T
+        r = bp._psd_root(g)
+        np.testing.assert_allclose(r.conj().T @ r, g, atol=1e-10)
+        # row norms are the roots of the eigenvalues, in descending order
+        assert np.all(np.diff(np.linalg.norm(r, axis=1)) <= 1e-12)
+
+    def test_negative_eigenvalue_gives_zero_row(self):
+        r = bp._psd_root(np.diag([2.0, -0.5]).astype(complex))
+        np.testing.assert_allclose(np.abs(r[0]), [math.sqrt(2.0), 0.0])
+        assert not r[1].any()
+
+    def test_all_negative(self):
+        assert not bp._psd_root(np.diag([-1.0, -2.0]).astype(complex)).any()
+
+
 class TestRealNetworks:
     """A real network runs BP and compression in float64, and agrees with
     the same network cast to complex."""

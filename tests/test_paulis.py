@@ -213,6 +213,70 @@ class TestWordBasics:
         assert word.weight == len(word.support())
 
 
+# -- the int codec against rows built bit by bit ----------------------------
+
+CODEC_SITES = (1, 63, 64, 65, 127, 128, 129)
+
+
+@st.composite
+def lettered_words(draw):
+    """A site count around the 64-bit word boundaries and one letter per site."""
+    n = draw(st.sampled_from(CODEC_SITES))
+    return n, draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n))
+
+
+def row_of(n: int, letters) -> np.ndarray:
+    """The packed big-endian row of a word, set one bit at a time."""
+    nw = nwords64(n)
+    row = np.zeros(2 * nw, dtype=">u8")
+    for j, letter in enumerate(letters):
+        bit = np.uint64(1 << (j % 64))
+        if letter in "ZY":
+            row[j // 64] |= bit
+        if letter in "XY":
+            row[nw + j // 64] |= bit
+    return row
+
+
+class TestIntCodec:
+    @given(lettered_words())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_bitwise_row(self, case):
+        n, letters = case
+        w = PauliWord(n, row_of(n, letters))
+        z, x = w.bits
+        assert z == sum(1 << j for j, letter in enumerate(letters) if letter in "ZY")
+        assert x == sum(1 << j for j, letter in enumerate(letters) if letter in "XY")
+        assert PauliWord.from_bits(n, z, x) == w
+        assert [w.site(j) for j in range(n)] == letters
+        support = tuple(j for j, letter in enumerate(letters) if letter != "I")
+        assert w.support() == support
+        assert w.weight == len(support)
+        text = " ".join(f"{letters[j]}{j}" for j in support)
+        assert format_pauli(w) == text
+        assert parse_pauli(text, n) == w
+
+    @given(st.sampled_from(CODEC_SITES), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_from_bits_rejects_out_of_range(self, n, data):
+        bad = data.draw(st.integers(max_value=-1) | st.integers(min_value=1 << n))
+        good = data.draw(st.integers(0, (1 << n) - 1))
+        for z, x in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="out of range"):
+                PauliWord.from_bits(n, z, x)
+
+    def test_numpy_site_indices(self):
+        """Site indices go through ``operator.index``: an int shifted by an
+        ``np.int64`` would overflow past bit 63."""
+        w = PauliWord.from_sites(127, z=[np.int64(3)], x=np.array([0, 3, 126]))
+        assert [w.site(np.int64(j)) for j in (0, 3, 126, 5)] == ["X", "Y", "X", "I"]
+        assert w.support() == (0, 3, 126)
+        with pytest.raises(TypeError):
+            w.site(1.0)
+        with pytest.raises(TypeError):
+            PauliWord.from_sites(127, x=[1.0])
+
+
 # -- batch kernels against the popcount-sum references ---------------------
 
 KERNEL_SITES = (1, 63, 64, 65, 127, 128, 139, 200)

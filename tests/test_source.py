@@ -153,3 +153,41 @@ def test_no_private_imports(path):
         for name in names if name.startswith("_")
     ]
     assert not bad, f"{path.name} imports private names {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_attributes_of_imports(path):
+    """No module reads a ``_``-prefixed attribute of a name it imports from
+    the package, such as another module's unchecked constructor: what a
+    module uses of another is public."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("spdtn")):
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(
+                alias.asname or "spdtn" for alias in node.names if alias.name.startswith("spdtn")
+            )
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                bad.append(f"{ast.unparse(node)} (line {node.lineno})")
+    assert not bad, f"{path.name} reads private attributes {bad}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "paulis"], ids=lambda p: p.name)
+def test_only_paulis_converts_ints_and_bytes(path):
+    """A word's bits and its packed row convert in one place,
+    ``PauliWord.bits`` and ``PauliWord.from_bits``: no other module calls
+    ``int.from_bytes`` or ``int.to_bytes``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes")
+    ]
+    assert not bad, f"{path.name} converts ints and bytes at lines {bad}"

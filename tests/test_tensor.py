@@ -10,7 +10,6 @@ from spdtn.tensor import (
     CapacityError,
     ContractionPlan,
     contract,
-    eigh_psd,
     greedy_path,
     plan_contraction,
     svd_rank,
@@ -398,26 +397,3 @@ class TestSvdRank:
 
     def test_at_least_one(self):
         assert svd_rank(np.array([1.0]), 0, 0.9999) == 1
-
-
-class TestEighPsd:
-    def test_psd_matrix(self, rng):
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        g = a @ a.conj().T
-        vals, vecs, neg = eigh_psd(g)
-        assert neg < 1e-12
-        assert np.all(np.diff(vals) <= 1e-12)
-        np.testing.assert_allclose(
-            (vecs * vals) @ vecs.conj().T, g, atol=1e-10
-        )
-
-    def test_negative_clamping(self):
-        mat = np.diag([2.0, -0.5]).astype(complex)
-        vals, _, neg = eigh_psd(mat)
-        assert vals.tolist() == [2.0, 0.0]
-        assert np.isclose(neg, 0.25)
-
-    def test_all_negative(self):
-        vals, _, neg = eigh_psd(np.diag([-1.0, -2.0]).astype(complex))
-        assert vals.tolist() == [0.0, 0.0]
-        assert neg == np.inf
