@@ -5,12 +5,16 @@ commute as applied (one sublattice-wide rotation layer, or an explicit gate
 list).  Gates act on the state in layer order, first layer first, and within
 a layer in tuple order.  A layer's ``step`` tag joins it to the neighbouring
 layers of the same step; ``Circuit.steps`` gives those groups, the unit the
-tensor-network engine compresses after.
+tensor-network engine compresses after.  Gates and layers are immutable, so
+layers may share one ``gates`` tuple; ``Circuit`` checks the range of each
+distinct tuple once.
 
 The kicked-Ising builder emits, per step, one RX(theta_h) layer over all
 sites (gate ``exp(-i theta_h X / 2)``) followed by one RZZ layer over all
 edges with angle ``-pi/2`` (gate ``exp(+i pi Z Z / 4)``).  The RZZ angle is
 a rotation like any other; recompilation folds it to a pure Clifford.
+Every step shares one RX tuple and one RZZ tuple, so a circuit holds one
+``Gate`` per site and per edge however deep it is.
 """
 
 from __future__ import annotations
@@ -118,8 +122,9 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        for layer in self.layers:
-            for g in layer.gates:
+        # layers may share a gates tuple; check each distinct one once
+        for gates in {id(layer.gates): layer.gates for layer in self.layers}.values():
+            for g in gates:
                 if any(q >= self.n or q < 0 for q in g.qubits):
                     raise ValueError(f"gate {g} out of range for n={self.n}")
 
@@ -291,17 +296,19 @@ def kicked_ising(
     extra_x_layer: bool = False,
 ) -> Circuit:
     """Kicked-Ising circuit: per step an RX(theta_h) layer over all sites,
-    then an RZZ(-pi/2) layer over all edges; optionally one trailing RX layer."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    then an RZZ(-pi/2) layer over all edges; optionally one trailing RX layer.
+
+    ``steps`` is an int >= 1 (a bool is not).  All RX layers share one
+    gates tuple and all RZZ layers another.
+    """
+    if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 1):
+        raise ValueError(f"steps must be an int >= 1, got {steps!r}")
+    rx = tuple(Gate("rx", (j,), theta_h) for j in range(lattice.n))
+    rzz = tuple(Gate("rzz", e, -math.pi / 2) for e in lattice.edges)
     layers = []
     for t in range(steps):
-        rx = tuple(Gate("rx", (j,), theta_h) for j in range(lattice.n))
-        layers.append(Layer(rx, step=t))
-        rzz = tuple(Gate("rzz", e, -math.pi / 2) for e in lattice.edges)
-        layers.append(Layer(rzz, step=t))
+        layers += (Layer(rx, step=t), Layer(rzz, step=t))
     if extra_x_layer:
-        rx = tuple(Gate("rx", (j,), theta_h) for j in range(lattice.n))
         layers.append(Layer(rx, step=steps))
     return Circuit(lattice.n, tuple(layers))
 
@@ -330,27 +337,36 @@ def lightcone_prune(circuit: Circuit, support: Iterable[int]) -> Circuit:
     chain into the cone through each other.  In any other layer the scan
     repeats until the cone stops growing, since gates of the same layer can
     chain into the cone through shared qubits regardless of their tuple
-    order.  Layers left empty are dropped.  Idempotent, and
-    value-preserving for Heisenberg expectations of observables supported
-    on ``support``.
+    order.  A layer that keeps all its gates is kept as it is, and layers
+    left empty are dropped.  Idempotent, and value-preserving for
+    Heisenberg expectations of observables supported on ``support``.  A
+    support site outside ``0..n-1`` raises ``ValueError``.
     """
     cone = set(support)
+    outside = sorted(s for s in cone if not 0 <= s < circuit.n)
+    if outside:
+        raise ValueError(f"support site {outside[0]!r} out of range for n={circuit.n}")
     kept_layers: list[Layer] = []
     for layer in reversed(circuit.layers):
-        # a commuting layer meets the cone as it stood on reaching the layer
-        reach = set(cone) if _commuting(layer) else cone
-        kept: dict[int, Gate] = {}
-        changed = True
-        while changed:
-            changed = False
-            for idx, g in enumerate(layer.gates):
-                if idx not in kept and reach.intersection(g.qubits):
-                    kept[idx] = g
-                    cone.update(g.qubits)
-                    changed = True
-        if kept:
+        if _commuting(layer):
+            # a gate is kept iff it meets the cone as it stood on reaching the layer
+            gates = tuple(g for g in layer.gates if not cone.isdisjoint(g.qubits))
+            for g in gates:
+                cone.update(g.qubits)
+        else:
+            kept: dict[int, Gate] = {}
+            changed = True
+            while changed:
+                changed = False
+                for idx, g in enumerate(layer.gates):
+                    if idx not in kept and not cone.isdisjoint(g.qubits):
+                        kept[idx] = g
+                        cone.update(g.qubits)
+                        changed = True
             gates = tuple(layer.gates[idx] for idx in sorted(kept))
-            kept_layers.append(Layer(gates, step=layer.step))
+        if gates:
+            whole = len(gates) == len(layer.gates)
+            kept_layers.append(layer if whole else Layer(gates, step=layer.step))
     return Circuit(circuit.n, tuple(reversed(kept_layers)))
 
 

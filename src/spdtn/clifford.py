@@ -275,7 +275,8 @@ def recompile(circuit: Circuit, observable) -> RecompiledCircuit:
     (-pi/4, pi/4]; axes are conjugated through the Clifford content earlier
     in circuit time; folded k*pi/2 parts and all named Cliffords accumulate
     in the tableau, which finally transforms the observable.  Rotations on
-    equal axes share one ``PauliWord``.
+    equal axes share one ``PauliWord``, and a gate object that recurs (the
+    steps of ``kicked_ising`` share theirs) is folded once.
     """
     n = circuit.n
     observable = PauliSum.of(observable, n)
@@ -284,12 +285,17 @@ def recompile(circuit: Circuit, observable) -> RecompiledCircuit:
     # one word per distinct axis, so that rotations on the same axis share
     # the kernel constants the word keeps
     axes: dict[tuple[int, int], PauliWord] = {}
+    # axis bits and folded angle per gate object; the circuit keeps every
+    # gate, and so its id, alive
+    folded: dict[int, tuple[int, int, float, int]] = {}
     for gate in circuit.gates():
         if gate.is_clifford:
             acc._absorb_named(gate.name, gate.qubits)
             continue
-        az, ax = _axis_ints(gate)
-        theta_p, k = fold_angle(gate.angle)
+        parts = folded.get(id(gate))
+        if parts is None:
+            parts = folded[id(gate)] = (*_axis_ints(gate), *fold_angle(gate.angle))
+        az, ax, theta_p, k = parts
         if theta_p != 0.0:
             z, x, e = acc._conjugate(az, ax)
             sign = 1 - _sign_exponent(e)

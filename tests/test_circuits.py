@@ -23,6 +23,7 @@ from spdtn import (
     recompile,
     ring,
     run_spd,
+    run_tn,
     statevector_expectation,
 )
 
@@ -150,8 +151,18 @@ class TestKickedIsing:
         assert [g.name for g in last.gates] == ["rx"] * 4
 
     def test_bad_steps(self):
-        with pytest.raises(ValueError):
-            kicked_ising(ring(4), steps=0, theta_h=0.1)
+        """Only an int >= 1 is a depth: a bool or a float is refused like
+        zero, by a ``ValueError`` naming the value, as ``RunConfig`` does."""
+        for steps in (0, -1, True, False, 2.0, "2"):
+            with pytest.raises(ValueError, match=re.escape(repr(steps))):
+                kicked_ising(ring(4), steps=steps, theta_h=0.1)
+
+    def test_steps_share_one_gate_per_site_and_edge(self):
+        circuit = kicked_ising(device_127(), 20, 7 * math.pi / 32)
+        assert circuit.num_gates == 20 * (127 + 144)
+        assert len({id(g) for g in circuit.gates()}) == 127 + 144
+        extra = kicked_ising(ring(5), 3, 0.2, extra_x_layer=True)
+        assert all(layer.gates is extra.layers[0].gates for layer in extra.layers[::2])
 
 
 class TestSteps:
@@ -281,6 +292,18 @@ class TestLightcone:
         cut = run_spd(recompile(pruned, obs), delta=0.0)
         assert cut.expectation == full.expectation
 
+    @pytest.mark.parametrize("site", [7, -1])
+    def test_support_outside_the_circuit_raises(self, site):
+        circuit = kicked_ising(ring(6), 2, 0.3)
+        with pytest.raises(ValueError, match=f"support site {site} out of range"):
+            lightcone_prune(circuit, (0, site))
+
+    def test_keeps_a_full_layer_as_it_is(self):
+        circuit = kicked_ising(ring(6), 3, 0.3)
+        pruned = lightcone_prune(circuit, [0])
+        assert pruned.layers[0] is circuit.layers[0]
+        assert pruned.layers[-1] is not circuit.layers[-1]
+
     def test_empty_cone(self):
         circuit = kicked_ising(chain(4), steps=1, theta_h=0.2)
         pruned = lightcone_prune(Circuit(4, ()), [0])
@@ -376,3 +399,45 @@ class TestGateValidation:
     def test_circuit_range_check(self):
         with pytest.raises(ValueError):
             Circuit(2, (Layer((Gate("h", (2,)),)),))
+
+    def test_range_check_past_shared_layers(self):
+        """Layers sharing a gates tuple are checked once; a bad gate in an
+        unshared layer after them, or in a shared tuple, still raises."""
+        shared = (Gate("h", (0,)), Gate("cx", (0, 1)))
+        bad = Layer((Gate("h", (2,)),))
+        with pytest.raises(ValueError, match="out of range for n=2"):
+            Circuit(2, (Layer(shared), Layer(shared, step=1), bad))
+        shared_bad = shared + bad.gates
+        with pytest.raises(ValueError, match="out of range for n=2"):
+            Circuit(2, (Layer(shared_bad), Layer(shared_bad, step=1)))
+
+
+class TestSharedSteps:
+    """A kicked-Ising circuit whose steps share gates computes what the same
+    circuit rebuilt with fresh ``Gate`` objects in every layer computes."""
+
+    def test_same_results_as_fresh_gates(self):
+        lattice = heavy_hex(1, 1)
+        obs = parse_pauli("Z0", lattice.n)
+        shared = kicked_ising(lattice, 5, 7 * math.pi / 32, extra_x_layer=True)
+        fresh = Circuit(shared.n, tuple(
+            Layer(tuple(Gate(g.name, g.qubits, g.angle, g.axis) for g in layer.gates), layer.step)
+            for layer in shared.layers
+        ))
+        assert len({id(g) for g in fresh.gates()}) == fresh.num_gates
+        assert shared == fresh
+        pruned = [lightcone_prune(c, obs.support()) for c in (shared, fresh)]
+        assert pruned[0] == pruned[1]
+        a, b = (recompile(c, obs) for c in pruned)
+        assert [(r.axis.bits, r.angle) for r in a.rotations] == [
+            (r.axis.bits, r.angle) for r in b.rotations
+        ]
+        oa, ob = a.transformed_observable, b.transformed_observable
+        assert (oa.words.tobytes(), oa.coeffs.tobytes()) == (ob.words.tobytes(), ob.coeffs.tobytes())
+        for delta in (0.0, 1e-3):
+            ra, rb = run_spd(a, delta=delta), run_spd(b, delta=delta)
+            assert ra.expectation.hex() == rb.expectation.hex()
+            assert ra.peak_terms == rb.peak_terms
+        assert statevector_expectation(shared, obs) == statevector_expectation(fresh, obs)
+        ta, tb = (run_tn(c, obs, "mix", 4) for c in (shared, fresh))
+        assert ta.expectation == tb.expectation
