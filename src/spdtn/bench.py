@@ -548,9 +548,8 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
     bool included) raises ``ValueError`` before ``out`` is opened.  Rows
     emit in grid order through a single writer, flushed per row, so a crash
     leaves a valid prefix of the table; a failed write or an interrupt
-    cancels the angles not yet handed to a worker, and returns once the
-    angles already running or queued in workers finish, up to
-    ``workers + 1`` of them.  A worker process that dies raises
+    terminates the worker processes, so the angles they run end with them,
+    and cancels the rest.  A worker process that dies raises
     ``RuntimeError``: each worker imports the caller's main module, so a
     script must call ``sweep`` under ``if __name__ == "__main__":``.
     """
@@ -604,6 +603,14 @@ def sweep(config: RunConfig, out=None, workers: int = 1) -> list[ResultRow]:
             "imports the calling script, so a script that calls sweep with "
             'workers > 1 must call it under `if __name__ == "__main__":`'
         ) from exc
+    except BaseException:
+        if pool is not None:
+            # Python 3.11 has no public call that stops a running worker
+            # (3.14 adds terminate_workers); the executor's _processes map
+            # holds them
+            for process in tuple(pool._processes.values()):
+                process.terminate()
+        raise
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

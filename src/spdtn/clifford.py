@@ -247,8 +247,15 @@ def fold_angle(theta: float) -> tuple[float, int]:
 
 @dataclass(frozen=True, slots=True)
 class Rotation:
+    """``exp(-i angle axis / 2)``; a NaN or infinite angle raises
+    ``ValueError``, as ``Gate`` does."""
+
     axis: PauliWord
     angle: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.angle):
+            raise ValueError(f"rotation angle must be finite, got {self.angle!r}")
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,10 @@ The batch kernels below work on the raw bytes of big-endian rows (a native
 batch is converted by value first): AND, XOR and the parity of a popcount do
 not depend on the order of the bytes within a word, so stored rows are never
 byte-swapped.  What they need of an axis (its raw words, the columns and
-masks of the parity fold, its Y count and the words that carry the phase) is
-derived on the first use of the axis word and kept on the word, so it lives
-as long as the word does.
+masks of the parity fold, its Y count, the words that carry the phase and,
+for a one-site axis, the phase by the letter at its site) is derived on the
+first use of the axis word and kept on the word, so it lives as long as the
+word does.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ __all__ = [
     "pack_keys",
     "anticommute_mask",
     "mul_rows",
-    "y_counts",
 ]
 
 _PHASES = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
@@ -87,12 +87,6 @@ def pack_keys(rows: np.ndarray) -> np.ndarray:
     return be.view(f"S{be.shape[-1] * 8}").reshape(be.shape[:-1])
 
 
-def y_counts(rows: np.ndarray) -> np.ndarray:
-    """Number of Y sites (z and x both set) per packed row."""
-    nw = rows.shape[-1] // 2
-    return np.bitwise_count(rows[..., :nw] & rows[..., nw:]).sum(axis=-1, dtype=np.int64)
-
-
 @dataclass(frozen=True, slots=True)
 class PauliWord:
     """One n-site Pauli word as a packed (z | x) big-endian uint64 row."""
@@ -101,6 +95,8 @@ class PauliWord:
     row: np.ndarray = field(repr=False)
     # the batch kernels' constants of this word as an axis, once derived
     _axis: _Axis | None = field(default=None, init=False, repr=False, compare=False)
+    # ``support_bits``, once read
+    _support: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nw = nwords64(self.n)
@@ -160,13 +156,20 @@ class PauliWord:
     @property
     def weight(self) -> int:
         """Number of non-identity sites."""
-        z, x = self.bits
-        return (z | x).bit_count()
+        return self.support_bits.bit_count()
+
+    @property
+    def support_bits(self) -> int:
+        """The sites carrying a non-identity factor as an int, bit j for
+        site j; kept on the word after the first read."""
+        if self._support is None:
+            z, x = self.bits
+            object.__setattr__(self, "_support", z | x)
+        return self._support
 
     def support(self) -> tuple[int, ...]:
         """Sites carrying a non-identity factor, ascending."""
-        z, x = self.bits
-        mask, sites = z | x, []
+        mask, sites = self.support_bits, []
         while mask:
             low = mask & -mask
             sites.append(low.bit_length() - 1)
@@ -229,22 +232,41 @@ class _Axis(NamedTuple):
     y: int  # Y sites of the axis
     # (word, x mask or None) of each word where the axis is nonzero
     phase: tuple[tuple[int, np.ndarray | None], ...]
+    # of a one-site axis: the rows' z and x columns at its site, its raw
+    # mask there and k by the row's letter there, indexed 2 * z bit + x bit
+    site: tuple[int, int, np.ndarray, np.ndarray] | None
+
+
+# k of op(axis) op(r) = i^k op(axis ^ r) for a one-site axis, by the letter
+# of r at the site (I, X, Z, Y), for an X, Z and Y axis
+_SITE_K = {
+    (0, 1): np.array([0, 0, 3, 1], dtype=np.int64),
+    (1, 0): np.array([0, 1, 0, 3], dtype=np.int64),
+    (1, 1): np.array([0, 3, 1, 0], dtype=np.int64),
+}
 
 
 def _derive_axis(word: PauliWord) -> _Axis:
     """The constants of ``word`` as an axis, stored on the word for its later
-    uses.  Two threads may derive them at once; the results are equal, so
-    either may be kept."""
+    uses.  The raw words are read as ints once.  Two threads may derive them
+    at once; the results are equal, so either may be kept."""
     words = word.row.view(np.uint64)
-    nw = words.shape[0] // 2
-    masks = {int(w): np.array(words[w]) for w in words.nonzero()[0]}
+    raw = words.tolist()
+    nw = len(raw) // 2
+    masks = {w: np.array(v, dtype=np.uint64) for w, v in enumerate(raw) if v}
     fold = tuple(((w + nw) % (2 * nw), m) for w, m in masks.items())
-    bits = {int(m) for m in masks.values()}
+    bits = {raw[w] for w in masks}
     single = len(bits) == 1 and bits.pop().bit_count() == 1
+    y = sum((raw[w] & raw[nw + w]).bit_count() for w in range(nw))
     phase = tuple(
         (w, masks.get(nw + w)) for w in range(nw) if w in masks or nw + w in masks
     )
-    axis = _Axis(words, fold, single, int(y_counts(words)), phase)
+    site = None
+    if single and len(phase) == 1:
+        w = phase[0][0]
+        mask = masks.get(w, masks.get(nw + w))
+        site = (w, nw + w, mask, _SITE_K[bool(raw[w]), bool(raw[nw + w])])
+    axis = _Axis(words, fold, single, y, phase, site)
     object.__setattr__(word, "_axis", axis)
     return axis
 
@@ -289,7 +311,8 @@ def mul_rows(axis: PauliWord, rights: np.ndarray, out: np.ndarray | None = None)
 
     On a word where ``axis`` is zero, c equals r, so ``y(c) - y(r)`` and the
     swaps are summed over the nonzero words of ``axis`` only; the terms of r
-    are counted before the product overwrites it.
+    are counted before the product overwrites it.  For a one-site axis k
+    depends only on r's letter at that site and is looked up by it.
     """
     rights = np.asarray(rights, dtype=">u8")
     if out is None:
@@ -299,13 +322,21 @@ def mul_rows(axis: PauliWord, rights: np.ndarray, out: np.ndarray | None = None)
                          f"not {rights.shape} and >u8")
     const = axis._axis or _derive_axis(axis)
     raw = rights.view(np.uint64)
+    prod = out.view(np.uint64)
+    if const.site is not None:
+        zc, xc, mask, site_k = const.site
+        letter = np.bitwise_count(raw[..., zc] & mask)
+        letter <<= 1
+        letter |= np.bitwise_count(raw[..., xc] & mask)
+        k = site_k.take(letter)
+        np.bitwise_xor(raw, const.words, out=prod)
+        return out, k
     nw = raw.shape[-1] // 2
     k = np.full(raw.shape[:-1], -const.y, dtype=np.int64)
     for w, x in const.phase:
         k -= np.bitwise_count(raw[..., w] & raw[..., nw + w])
         if x is not None:
             k += 2 * np.bitwise_count(raw[..., w] & x)
-    prod = out.view(np.uint64)
     np.bitwise_xor(raw, const.words, out=prod)
     for w, _ in const.phase:
         k += np.bitwise_count(prod[..., w] & prod[..., nw + w])
@@ -428,6 +459,12 @@ class PauliSum:
     @property
     def nw(self) -> int:
         return nwords64(self.n)
+
+    @property
+    def support_bits(self) -> int:
+        """The sites where some term has a non-identity factor, as an int,
+        bit j for site j."""
+        return PauliWord(self.n, np.bitwise_or.reduce(self.words, axis=0)).support_bits
 
     def terms(self) -> Iterator[tuple[PauliWord, float]]:
         for row, coeff in zip(self.words, self.coeffs):

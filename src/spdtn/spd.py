@@ -38,19 +38,28 @@ and chunk-sized scratch: 48 bytes per new term on 127 qubits at delta = 0.
 Truncation keeps |a| >= delta, so delta = 0 keeps everything (including
 exact zeros).
 
+``run_spd`` keeps ``reach``, an int of every site a held term may touch:
+the sites of the truncated observable, grown by the axis sites of each
+rotation that changed the sum.  A rotation whose axis sites miss it
+commutes with every term, so it is not called at all: no mask and no axis
+constants.  Truncation and the drops below only remove terms, so the
+reach stays a superset of the sum's support.
+
 Only Z-type words read out nonzero at |0...0>.  ``run_spd`` applies the
 circuit's first RX layer last: the leading run of rotations whose axes are
 single-site X words, which ``_first_rx_layer`` tells by the axis's
-``PauliWord.bits`` (no z bit, one x bit); the sites the run turns are kept
-as raw x words, views of the axes' rows in the layout of
-``PauliSum.words``, so the drop below is one masked pass over the sum.  An X rotation on site j swaps Z and Y on j and leaves
-I and X, so once only that run is left, a term with an X factor, or with a
-Y factor on a site no remaining rotation turns, keeps that factor in every
-product and never feeds a readable term.  Such terms are dropped before the
-run and after each run rotation (after one that is not the last on its site
-the drop finds nothing, as its site is still live).  Readable coefficients
-and truncation decisions are those of carrying every term, so the
-expectation is the same bit for bit, and the final sum is all Z-type.
+``PauliWord.bits`` (no z bit, one x bit).  An X rotation on site j swaps Z
+and Y on j and leaves I and X, so once only that run is left, a term with
+an X factor, or with a Y factor on a site no remaining rotation turns,
+keeps that factor in every product and never feeds a readable term.  Such
+terms are dropped before the run, in one masked pass over the sum against
+the raw x words of the sites the run turns.  After that a term can only
+become unreadable at the last run rotation on its site (in Heisenberg
+order), and only through a Y on that site, so the drop there tests one bit
+of one x column; after the other run rotations it would find nothing.
+Readable coefficients and truncation decisions are those of carrying every
+term, so the expectation is the same bit for bit, and the final sum is all
+Z-type.
 """
 
 from __future__ import annotations
@@ -134,7 +143,7 @@ def apply_rotation(
     # sigma*P -> P^sigma is a bijection, so the found positions are unique
     hit = found.nonzero()[0]
     coeffs[pos.take(hit)] += contrib.take(hit)
-    born = (~found).nonzero()[0]
+    born = np.logical_not(found, out=found).nonzero()[0]
     born = born[np.abs(contrib.take(born)) >= delta]
     born_coeffs = contrib.take(born)
     below = pos.take(born)
@@ -146,11 +155,11 @@ def apply_rotation(
     order = born_rows.argsort(kind="stable")
     born_rows = born_rows.view(rows.dtype)
 
-    # |c| >= delta, without an N-sized float temporary
-    keep = coeffs >= delta
-    keep |= coeffs <= -delta
-    dropped = (~keep).nonzero()[0]
-    del keep
+    # not |c| >= delta, without an N-sized float temporary
+    gone = coeffs >= delta
+    gone |= coeffs <= -delta
+    dropped = np.logical_not(gone, out=gone).nonzero()[0]
+    del gone
     total = len(coeffs) - dropped.size + born_coeffs.size
     cap = _resolve_cap(max_terms)
     if total > cap:
@@ -281,7 +290,8 @@ def run_spd(
     order: the last circuit rotation hits the observable first), each with
     threshold truncation, and the result is read out at |0...0>.  Once
     truncation empties the sum no rotation can refill it, so the remaining
-    rotations are skipped.
+    rotations are skipped, and so is each rotation whose axis misses every
+    site a held term may touch (``reach``, see the module docstring).
 
     The first RX layer, the leading run of rotations whose axes are
     single-site X words, carries only the terms that can still read out
@@ -300,11 +310,8 @@ def run_spd(
         raise ValueError(f"delta must be >= 0, got {delta!r}")
     rotations = rc.rotations
     s = rc.transformed_observable.truncate(delta)
-    xs = _first_rx_layer(rotations, s.nw)
-    lead = len(xs)
-    # live[i]: the sites that rotations[:i] turn, as raw x words
-    live = np.zeros((lead + 1, s.nw), dtype=np.uint64)
-    np.bitwise_or.accumulate(xs, out=live[1:])
+    lead, live, last = _first_rx_layer(rotations, s.nw)
+    reach = s.support_bits  # grows by the axis of each rotation that changes s
     peak = s.num_terms
     cap = _resolve_cap(max_terms)
     dropped = 0.0  # squared weight of the unreadable terms dropped
@@ -312,13 +319,19 @@ def run_spd(
         if not s.num_terms:
             break
         if i == lead - 1:
-            s, dropped = _drop_unreadable(s, live[lead], dropped)
+            s, dropped = _drop_unreadable(s, live, dropped)
         rot = rotations[i]
+        sites = rot.axis.support_bits
+        if not sites & reach:
+            continue  # it commutes with every term held
+        held = s
         s = apply_rotation(s, rot.axis, rot.angle, delta, cap)
-        if s.num_terms > peak:
-            peak = s.num_terms
-        if i < lead:
-            s, dropped = _drop_unreadable(s, live[i], dropped)
+        if s is not held:
+            reach |= sites
+            if s.num_terms > peak:
+                peak = s.num_terms
+        if i in last:
+            s, dropped = _drop_site(s, *last[i], dropped)
     return SpdResult(
         expectation=s.expectation(),
         norm=math.hypot(s.frobenius_norm(), math.sqrt(dropped)),
@@ -329,16 +342,25 @@ def run_spd(
     )
 
 
-def _first_rx_layer(rotations, nw: int) -> np.ndarray:
-    """The raw x words, one row per rotation, of the leading run of
-    rotations whose axes are single-site X words (by ``bits``)."""
-    xs = []
-    for rot in rotations:
+def _first_rx_layer(rotations, nw: int) -> tuple[int, np.ndarray, dict]:
+    """The leading run of rotations whose axes are single-site X words (by
+    ``bits``): its length, the raw x words of the sites it turns, and the
+    raw x column and mask of the site of each run rotation that is the last
+    on its site in Heisenberg order, by the rotation's index."""
+    live = np.zeros(nw, dtype=np.uint64)
+    last = {}
+    seen = 0  # sites of the rotations before i
+    for i, rot in enumerate(rotations):
         z, x = rot.axis.bits
         if z or x.bit_count() != 1:
-            break
-        xs.append(rot.axis.row.view(np.uint64)[nw:])
-    return np.array(xs, dtype=np.uint64).reshape(len(xs), nw)
+            return i, live, last
+        raw = rot.axis.row.view(np.uint64)[nw:]
+        if not x & seen:
+            w = (x.bit_length() - 1) // 64
+            last[i] = (nw + w, raw[w])
+            seen |= x
+        live |= raw
+    return len(rotations), live, last
 
 
 def _drop_unreadable(s: PauliSum, live: np.ndarray, dropped: float) -> tuple[PauliSum, float]:
@@ -347,9 +369,21 @@ def _drop_unreadable(s: PauliSum, live: np.ndarray, dropped: float) -> tuple[Pau
     squared weight."""
     raw = s.words.view(np.uint64)
     dead = raw[:, s.nw :] & ~(raw[:, : s.nw] & live)
-    gone = dead.any(axis=1)
+    return _drop(s, dead.any(axis=1), dropped)
+
+
+def _drop_site(s: PauliSum, col: int, mask: np.uint64, dropped: float) -> tuple[PauliSum, float]:
+    """Drop the terms with an x bit at one site, the bit ``mask`` of raw
+    word ``col``; as ``_drop_unreadable``."""
+    gone = s.words.view(np.uint64)[:, col] & mask
+    return _drop(s, gone.astype(bool), dropped)
+
+
+def _drop(s: PauliSum, gone: np.ndarray, dropped: float) -> tuple[PauliSum, float]:
+    """The terms of ``s`` not ``gone`` (a mask), and ``dropped`` plus the
+    squared weight of the others."""
     if not gone.any():
         return s, dropped
     lost = s.coeffs[gone]
-    keep = ~gone
+    keep = np.logical_not(gone, out=gone)
     return PauliSum(s.n, s.words[keep], s.coeffs[keep]), dropped + float(lost @ lost)

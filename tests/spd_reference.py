@@ -1,17 +1,19 @@
 """Slow references for the sparse-Pauli-dynamics kernels.
 
 These are the earlier, straightforward forms of ``anticommute_mask``,
-``mul_rows``, ``pack_keys`` and ``apply_rotation``: per-row popcount sums
-over every word, a serializing key copy, boolean masks throughout and a
-separate truncation before the merge.  The fast kernels in ``spdtn`` must
-give the same bits.
+``mul_rows``, ``pack_keys``, ``apply_rotation`` and ``run_spd``: per-row
+popcount sums over every word, a serializing key copy, boolean masks
+throughout, a separate truncation before the merge, and every rotation
+applied.  The fast kernels in ``spdtn`` must give the same bits.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from spdtn import PauliSum, PauliWord, SpdCapacityError
+from spdtn import PauliSum, PauliWord, SpdCapacityError, SpdResult
 from spdtn.spd import _resolve_cap
 
 
@@ -109,3 +111,50 @@ def apply_rotation(
     merged_words[old_dest] = old_words
     merged_coeffs[old_dest] = old_coeffs
     return PauliSum(s.n, merged_words, merged_coeffs)
+
+
+def run_spd(rc, delta: float) -> SpdResult:
+    """Every rotation applied, in Heisenberg order.  Through the leading run
+    of single-site X rotations (the first RX layer) the terms with an X
+    factor, or a Y factor on a site no remaining rotation turns, are dropped
+    before the run and after each run rotation, each time by a mask over
+    every word; their squared weight enters ``norm``."""
+    rotations = rc.rotations
+    s = rc.transformed_observable.truncate(delta)
+    nw = s.nw
+    lead = 0
+    for rot in rotations:
+        x = rot.axis.row[nw:].astype(np.uint64)
+        if rot.axis.row[:nw].any() or int(popcount(x).sum()) != 1:
+            break
+        lead += 1
+    # live[i]: the x words of the sites that rotations[:i] turn
+    live = np.zeros((lead + 1, nw), dtype=np.uint64)
+    for i in range(lead):
+        live[i + 1] = live[i] | rotations[i].axis.row[nw:].astype(np.uint64)
+
+    def drop(s, live, dropped):
+        words = s.words.astype(np.uint64)
+        gone = (words[:, nw:] & ~(words[:, :nw] & live)).any(axis=1)
+        lost = s.coeffs[gone]
+        return PauliSum(s.n, s.words[~gone], s.coeffs[~gone]), dropped + float(lost @ lost)
+
+    peak = s.num_terms
+    dropped = 0.0
+    for i in reversed(range(len(rotations))):
+        if not s.num_terms:
+            break
+        if i == lead - 1:
+            s, dropped = drop(s, live[lead], dropped)
+        s = apply_rotation(s, rotations[i].axis, rotations[i].angle, delta)
+        peak = max(peak, s.num_terms)
+        if i < lead:
+            s, dropped = drop(s, live[i], dropped)
+    return SpdResult(
+        expectation=s.expectation(),
+        norm=math.hypot(s.frobenius_norm(), math.sqrt(dropped)),
+        peak_terms=peak,
+        final_terms=s.num_terms,
+        num_rotations=len(rotations),
+        wall_time_s=0.0,
+    )

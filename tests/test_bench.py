@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import os
 import time
 import weakref
 from urllib.parse import unquote
@@ -325,6 +326,32 @@ class TestResultRow:
         assert make_row(flags="l1bp_nonconverged:delta=1.0e-03").flagged
 
 
+def _session_ends(sid: int, wait: float = 10.0) -> bool:
+    """Whether every process of session ``sid`` is gone within ``wait``
+    seconds; True where ``/proc`` is not there to tell."""
+    from pathlib import Path
+
+    if not Path("/proc/self/stat").exists():
+        return True
+
+    def members():
+        found = []
+        for entry in os.listdir("/proc"):
+            try:
+                stat = Path(f"/proc/{entry}/stat").read_text()
+            except (OSError, ValueError):
+                continue
+            # after "(comm)": state, ppid, pgrp, session
+            if entry.isdigit() and int(stat.rpartition(")")[2].split()[3]) == sid:
+                found.append(int(entry))
+        return found
+
+    deadline = time.monotonic() + wait
+    while members() and time.monotonic() < deadline:
+        time.sleep(0.1)
+    return members() == []
+
+
 class TestSweep:
     def test_spd_lossless_matches_statevector(self):
         cfg = spd_config()
@@ -586,7 +613,6 @@ class TestSweep:
         re-runs the script, whose own ``sweep`` cannot start processes.  The
         error now names ``workers`` and the guard, and no process of the
         script's session outlives it."""
-        import os
         import subprocess
         import sys
         from pathlib import Path
@@ -610,24 +636,58 @@ class TestSweep:
         assert proc.returncode != 0
         assert "RuntimeError: a sweep worker process died (workers=2)" in stderr
         assert 'if __name__ == "__main__":' in stderr
+        assert _session_ends(proc.pid)
 
-        def session(sid):
-            members = []
-            for entry in os.listdir("/proc"):
-                try:
-                    stat = Path(f"/proc/{entry}/stat").read_text()
-                except (OSError, ValueError):
-                    continue
-                # after "(comm)": state, ppid, pgrp, session
-                if entry.isdigit() and int(stat.rpartition(")")[2].split()[3]) == sid:
-                    members.append(int(entry))
-            return members
+    def test_interrupt_stops_running_workers(self, tmp_path):
+        """An interrupt used to wait for the angles already handed to
+        workers.  Here each point sleeps for two minutes in its worker; a
+        SIGINT to the calling process, once a worker runs a point, ends the
+        sweep within about 2 s, and no process of the script's session
+        outlives it."""
+        import select
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
 
-        if Path("/proc/self/stat").exists():
-            deadline = time.monotonic() + 10.0
-            while session(proc.pid) and time.monotonic() < deadline:
-                time.sleep(0.1)
-            assert session(proc.pid) == []
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = tmp_path / "sleepy.py"
+        script.write_text(
+            "import time\n"
+            "from spdtn import RunConfig, bench, sweep\n"
+            "def sleepy(*args):\n"
+            "    print('running', flush=True)\n"
+            "    time.sleep(120)\n"
+            "# module level, so each spawned worker, which imports this script, runs it\n"
+            "bench.run_point = sleepy\n"
+            "if __name__ == '__main__':\n"
+            "    config = RunConfig.from_dict({'lattice': {'kind': 'chain', 'n': 4},"
+            " 'observable': 'Z1', 'steps': 2, 'method': 'spd',"
+            " 'theta_h': [0.1, 0.2, 0.3, 0.4], 'deltas': [0.0]})\n"
+            "    sweep(config, workers=2)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, str(script)], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 120.0)
+            assert ready and proc.stdout.readline() == "running\n"
+            start = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=60)
+            elapsed = time.monotonic() - start
+            ended = _session_ends(proc.pid)
+        finally:
+            try:  # whatever of the session is left, workers included
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        assert "KeyboardInterrupt" in stderr
+        assert elapsed < 2.0
+        assert ended
 
     @pytest.mark.parametrize("workers, angles, size", [(1, 3, None), (2, 3, 2), (8, 3, 3)])
     def test_pool_has_at_most_one_process_per_angle(self, monkeypatch, workers, angles, size):

@@ -185,6 +185,14 @@ class TestFoldAngle:
         with pytest.raises(ValueError, match=message):
             kicked_ising(chain(3), 1, theta)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rotation_refuses_non_finite_angle(self, theta):
+        """A hand-built ``RecompiledCircuit`` cannot carry a NaN rotation:
+        ``run_spd`` skips a rotation that misses every term, so the angle is
+        checked where the rotation is built, in the words of ``Gate``."""
+        with pytest.raises(ValueError, match=f"rotation angle must be finite, got {theta!r}"):
+            Rotation(PauliWord.from_sites(3, x=[2]), theta)
+
 
 class TestRecompile:
     @pytest.mark.parametrize("seed", range(6))

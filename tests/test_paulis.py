@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from spdtn import PauliWord, anticommutes, format_pauli, parse_pauli, pauli_mul
 from spdtn import paulis
-from spdtn.paulis import anticommute_mask, mul_rows, nwords64, pack_keys, y_counts
+from spdtn.paulis import anticommute_mask, mul_rows, nwords64, pack_keys
 
 import spd_reference as ref
 from conftest import PAULI_MATS, dense_letters, dense_word, random_word
@@ -168,7 +168,7 @@ class TestPackingAndKeys:
 
     def test_y_counts(self):
         w = PauliWord.from_sites(130, z=[0, 5, 64, 129], x=[5, 64, 7, 129])
-        assert y_counts(w.row[None, :])[0] == 3
+        assert paulis._derive_axis(w).y == 3
         assert w.weight == 5
         assert w.site(5) == "Y" and w.site(129) == "Y" and w.site(7) == "X"
 
@@ -369,6 +369,46 @@ class TestBatchKernels:
         assert np.array_equal(keys, ref.pack_keys(rows))
         assert np.array_equal(pack_keys(rows), ref.pack_keys(rows))
         assert not np.shares_memory(pack_keys(rows), rows)
+
+
+@st.composite
+def one_site_cases(draw):
+    """A one-site X, Y or Z axis and a batch of rows whose letters at that
+    site cover I, X, Y and Z, so that some rows commute with the axis."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 127]))
+    nw = nwords64(n)
+    j = draw(st.sampled_from(sorted({0, 62, 63, 64, n - 1} & set(range(n)))))
+    letter = draw(st.sampled_from("XYZ"))
+    axis = parse_pauli(f"{letter}{j}", n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 40))
+    rows = np.stack([random_word(rng, n).row for _ in range(count)]).astype(np.uint64)
+    w, bit = j // 64, np.uint64(1 << (j % 64))
+    letters = rng.integers(0, 4, size=count)
+    letters[0] = 0  # an identity at the site: a commuting row in every batch
+    for half, on in ((0, letters & 2), (nw, letters & 1)):
+        rows[:, half + w] &= ~bit
+        rows[:, half + w] |= np.where(on, bit, np.uint64(0))
+    return axis, rows.astype(draw(st.sampled_from(["=u8", ">u8"])))
+
+
+class TestOneSiteProducts:
+    @given(one_site_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_mul_rows_matches_reference(self, case):
+        """The phase of a one-site axis comes from the row's two bits at the
+        site; products and k mod 4 are the reference's, also in place."""
+        axis, rows = case
+        want_prod, want_k = ref.mul_rows(axis.row, rows.astype(np.uint64))
+        prod, k = mul_rows(axis, rows)
+        assert axis._axis.site is not None
+        assert np.array_equal(prod, want_prod)
+        assert np.array_equal(np.asarray(k) % 4, want_k)
+        inplace = rows.astype(">u8")
+        prod, k = mul_rows(axis, inplace, out=inplace)
+        assert prod is inplace
+        assert np.array_equal(prod, want_prod) and np.array_equal(k, want_k)
+        assert not ref.anticommute_mask(rows.astype(np.uint64), axis.row).all()
 
 
 # -- axis constants kept on the word -------------------------------------------

@@ -329,18 +329,18 @@ class TestRunSpd:
 
     def test_stops_once_the_sum_is_empty(self, monkeypatch):
         """At a large threshold truncation empties the sum partway through;
-        ``run_spd`` applies no rotation after that, and its result matches
-        applying every rotation."""
+        ``run_spd`` calls no rotation after that, one call per rotation that
+        meets the reach before it, and its result matches applying every
+        rotation."""
         circuit = random_circuit(np.random.default_rng(1), 4, depth=40)
         rc = recompile(circuit, parse_pauli("Z0", 4))
         delta = 0.3
-        s = rc.transformed_observable.truncate(delta)
-        sizes = [s.num_terms]
-        for rot in reversed(rc.rotations):
-            s = apply_rotation(s, rot.axis, rot.angle, delta)
-            sizes.append(s.num_terms)
+        met, sums = _meeting_reach(rc, delta)
+        sizes = [rc.transformed_observable.truncate(delta).num_terms]
+        sizes += [s.num_terms for s in sums]
         emptied = sizes.index(0)
         assert 1 < emptied < len(rc.rotations)
+        s = sums[-1]
 
         calls = []
 
@@ -350,7 +350,7 @@ class TestRunSpd:
 
         monkeypatch.setattr(spd, "apply_rotation", counting)
         res = run_spd(rc, delta)
-        assert len(calls) == emptied and all(calls)
+        assert len(calls) == sum(pos < emptied for pos in met) and all(calls)
         assert (res.expectation, res.norm) == (s.expectation(), s.frobenius_norm())
         assert (res.peak_terms, res.final_terms) == (max(sizes), 0)
         assert res.num_rotations == len(rc.rotations)
@@ -365,6 +365,25 @@ class TestRunSpd:
         assert coarse.peak_terms <= exact.peak_terms
         assert coarse.norm <= exact.norm + 1e-12
         assert abs(coarse.expectation - exact.expectation) < 0.5
+
+
+def _meeting_reach(rc, delta: float) -> tuple[list[int], list[PauliSum]]:
+    """The Heisenberg-order positions of the rotations whose axis sites meet
+    the reach: the truncated observable's sites, grown by the axis sites of
+    each rotation that some held term anticommutes with.  Also the sum after
+    each rotation.  Every term is carried, with the reference kernels."""
+    s = rc.transformed_observable.truncate(delta)
+    reach = {j for word, _ in s.terms() for j in word.support()}
+    met, sums = [], []
+    for pos, rot in enumerate(reversed(rc.rotations)):
+        sites = set(rot.axis.support())
+        if sites & reach:
+            met.append(pos)
+        if ref.anticommute_mask(s.words, rot.axis.row).any():
+            reach |= sites
+        s = ref.apply_rotation(s, rot.axis, rot.angle, delta)
+        sums.append(s)
+    return met, sums
 
 
 def _every_rotation(rc, delta: float) -> tuple[PauliSum, int]:
@@ -390,15 +409,21 @@ class TestReadableTerms:
     still read out nonzero; against the reference that carries them all."""
 
     def _check(self, monkeypatch, rc, delta: float) -> None:
+        """Both drops are recorded: the full one before the run and the
+        one-bit one after a run rotation, so that ``kept[-1]`` is the sum
+        after the last drop."""
         kept = []
-        drop = spd._drop_unreadable
 
-        def recording(*args):
-            out = drop(*args)
-            kept.append(out[0])
-            return out
+        def recording(drop):
+            def inner(*args):
+                out = drop(*args)
+                kept.append(out[0])
+                return out
 
-        monkeypatch.setattr(spd, "_drop_unreadable", recording)
+            return inner
+
+        for name in ("_drop_unreadable", "_drop_site"):
+            monkeypatch.setattr(spd, name, recording(getattr(spd, name)))
         res = run_spd(rc, delta)
         want, peak = _every_rotation(rc, delta)
         readable = want.z_type_mask()
@@ -458,6 +483,7 @@ class TestReadableTerms:
         rc = recompile(random_circuit(np.random.default_rng(2), n, depth=30), parse_pauli("Z0", n))
         assert str(rc.rotations[0].axis) not in {f"X{q}" for q in range(n)}
         monkeypatch.setattr(spd, "_drop_unreadable", None)  # never called
+        monkeypatch.setattr(spd, "_drop_site", None)
         res = run_spd(rc, delta)
         want, peak = _every_rotation(rc, delta)
         assert dataclasses.replace(res, wall_time_s=0.0) == spd.SpdResult(
@@ -481,6 +507,77 @@ class TestReadableTerms:
         assert abs(res.expectation - mix.expectation) < 1e-10
         assert abs(mix.n_psi - 1.0) < 1e-9 and abs(mix.n_o - 1.0) < 1e-9
         assert abs(res.norm - 1.0) < 1e-12
+
+
+class TestReach:
+    """``run_spd`` calls no rotation whose axis sites miss the reach, the
+    sites a held term may touch: such a rotation commutes with every term.
+    Every field of the result, the bits of ``norm`` included, is that of
+    the every-rotation reference."""
+
+    @staticmethod
+    def _calls(monkeypatch) -> list:
+        calls = []
+        inner = spd.apply_rotation
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(spd, "apply_rotation", counting)
+        return calls
+
+    @staticmethod
+    def _bits(res) -> tuple:
+        return (res.expectation.hex(), res.norm.hex(), res.peak_terms, res.final_terms,
+                res.num_rotations)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 1e-2])
+    @pytest.mark.parametrize("n", [10, 65, 130])
+    def test_random_circuits_match_every_rotation(self, monkeypatch, n, delta):
+        """Random gates on sites at the 64-bit word boundaries, each circuit
+        with a two-term observable on two of them; some rotations are
+        skipped over the circuits."""
+        calls = self._calls(monkeypatch)
+        skipped = 0
+        for seed in range(4):
+            circuit, _ = _random_recompiled(3900 + 10 * seed + n, n, gates=40)
+            sites = sorted({q for gate in circuit.gates() for q in gate.qubits})
+            q, r = sites[seed % len(sites)], sites[(seed + 1) % len(sites)]
+            obs = PauliSum.from_terms(n, [(f"Z{q}", 1.0), (f"X{q} Y{r}", 0.5)])
+            rc = recompile(circuit, obs)
+            calls.clear()
+            res = run_spd(rc, delta)
+            assert self._bits(res) == self._bits(ref.run_spd(rc, delta))
+            if res.final_terms:
+                skipped += len(rc.rotations) - len(calls)
+        assert skipped > 0
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 1e-2])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("site", [0, 4])
+    def test_unpruned_kicked_ising_matches_every_rotation(self, monkeypatch, site, steps, delta):
+        """Without light-cone pruning the rotations outside the observable's
+        light cone are skipped, also in the first RX layer, where the
+        one-bit drops run."""
+        lat = chain(9)
+        word = parse_pauli(f"Z{site}", lat.n)
+        rc = recompile(kicked_ising(lat, steps, 7 * math.pi / 32), word)
+        calls = self._calls(monkeypatch)
+        res = run_spd(rc, delta)
+        assert 0 < len(calls) < len(rc.rotations)
+        assert self._bits(res) == self._bits(ref.run_spd(rc, delta))
+
+    def test_device_counts(self, monkeypatch):
+        """``device_127``, ``Z62``, T = 5, k = 7, delta = 0: 49 of the 74
+        rotations meet the reach."""
+        word = parse_pauli("Z62", 127)
+        circuit = kicked_ising(device_127(), 5, 7 * math.pi / 32)
+        rc = recompile(lightcone_prune(circuit, word.support()), word)
+        calls = self._calls(monkeypatch)
+        res = run_spd(rc, 0.0)
+        assert (len(calls), len(rc.rotations)) == (49, 74)
+        assert self._bits(res) == self._bits(ref.run_spd(rc, 0.0))
 
 
 # -- complex reference ------------------------------------------------------
@@ -665,8 +762,9 @@ class TestTraceHooks:
     def test_run_spd_calls_kernels_through_module_names(self, monkeypatch):
         """A tracer wraps ``anticommute_mask``, ``mul_rows`` and ``pack_keys``
         where ``spdtn.spd`` looks them up, and counts branching rotations from
-        the ``mul_rows`` calls: one mask per rotation, one product per
-        rotation that branches (some term anticommutes and sin(theta) != 0)."""
+        the ``mul_rows`` calls: one mask per rotation that meets the reach,
+        one product per rotation that branches (some term anticommutes and
+        sin(theta) != 0)."""
         _, rc = _random_recompiled(3400, 65, gates=80)
         delta = 1e-3
         calls = dict.fromkeys(("anticommute_mask", "mul_rows", "pack_keys"), 0)
@@ -684,6 +782,7 @@ class TestTraceHooks:
             monkeypatch.setattr(spd, name, counting(name))
         result = run_spd(rc, delta)
 
+        met, _ = _meeting_reach(rc, delta)
         s = rc.transformed_observable.truncate(delta)
         branching = 0
         for rot in reversed(rc.rotations):
@@ -692,18 +791,15 @@ class TestTraceHooks:
             s = ref.apply_rotation(s, rot.axis, rot.angle, delta)
         assert branching > 5
         assert result.expectation == s.expectation()
-        assert calls["anticommute_mask"] == len(rc.rotations)
+        assert calls["anticommute_mask"] == len(met)
         assert calls["mul_rows"] == branching
         assert calls["pack_keys"] >= branching
 
-
-# -- chunked merge, purity and working memory ---------------------------------
-
-
     def test_device_run_derives_constants_once_per_distinct_axis(self, monkeypatch):
         """The T = 20 device circuit at 7*pi/32 recompiles to 1,637 rotations
-        on 254 distinct axes, one word each: a run derives 254 sets of
-        kernel constants, one per word."""
+        on 254 distinct axes, one word each.  A run derives at most one set
+        of kernel constants per word: exactly one for each word of a
+        rotation it calls, and none for the rotations it skips."""
         from spdtn import device_127, kicked_ising, lightcone_prune, paulis
 
         word = parse_pauli("Z62", 127)
@@ -712,17 +808,28 @@ class TestTraceHooks:
         assert len(rc.rotations) == 1637
         assert len({id(rot.axis) for rot in rc.rotations}) == len(
             {rot.axis for rot in rc.rotations}) == 254
-        derived = []
-        derive = paulis._derive_axis
+        derived, called = [], []
+        derive, apply = paulis._derive_axis, spd.apply_rotation
 
         def counting(axis):
             derived.append(axis)
             return derive(axis)
 
+        def calling(s, axis, *args):
+            called.append(axis)
+            return apply(s, axis, *args)
+
         monkeypatch.setattr(paulis, "_derive_axis", counting)
+        monkeypatch.setattr(spd, "apply_rotation", calling)
         result = run_spd(rc, delta=8e-3)
-        assert result.final_terms > 0  # every rotation ran
-        assert len(derived) == len({id(axis) for axis in derived}) == 254
+        assert result.final_terms > 0  # the sum never emptied
+        assert 0 < len(called) < len(rc.rotations)
+        derived_ids = [id(axis) for axis in derived]
+        assert len(derived_ids) == len(set(derived_ids))
+        assert set(derived_ids) == {id(axis) for axis in called}
+
+
+# -- chunked merge, purity and working memory ---------------------------------
 
 
 class TestChunkedMerge:
